@@ -24,7 +24,6 @@ from .llm.pipeline import (
     PIPELINES,
     PipelineError,
     PipelineSpec,
-    run_batch,
     run_pipeline,
     sweep_params,
 )
@@ -41,7 +40,7 @@ from .report import (
 from .rules import Rule, RuleConfig, run_all_checks
 from .sanitize import DEFAULT_KEYWORDS, sanitize_identifiers
 from .source import SourceText
-from .stg import dump_stg, extract_stg
+from .stg import StgError, dump_stg, extract_stg
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -272,12 +271,7 @@ def _provider_factory(args: argparse.Namespace, config: dict):
         return lambda: MockProvider(script)
     if "provider" not in config:
         raise CliError("no provider: pass --mock-script or a --config with a provider section")
-    pconfig = ProviderConfig(
-        endpoint=config["provider"]["endpoint"],
-        model=config["provider"]["model"],
-        timeout=float(config["provider"].get("timeout", 60.0)),
-        char_budget=int(config["provider"].get("char_budget", 24000)),
-    )
+    pconfig = ProviderConfig.from_dict(config["provider"])
     return lambda: HttpProvider(pconfig)
 
 
@@ -300,7 +294,8 @@ def _cmd_run_pipeline(args: argparse.Namespace) -> int:
     provider = _provider_factory(args, config)
     designs = _designs_for_run(args)
     in_flight = int(config.get("in_flight", 4))
-    results = run_batch(spec, designs, provider, in_flight=in_flight)
+    results = sweep_params(spec, designs, [GenerationParams(temperature=args.temperature)],
+                           provider, in_flight=in_flight)
     transcripts = [results[k] for k in sorted(results)]
     _write_transcripts(transcripts, args.out)
     failed = sum(t.failed for t in transcripts)
@@ -346,12 +341,11 @@ def _cmd_score(args: argparse.Namespace) -> int:
         rule = Rule(args.rule.upper())
     except ValueError:
         raise CliError(f"unknown rule {args.rule!r}")
-    labels = {r.id: r.labels for r in read_corpus(args.corpus)}
+    corpus = read_corpus(args.corpus)
+    labels = {r.id: r.labels for r in corpus}
+    seeds = {r.seed for r in corpus}
     records = []
-    seeds: set[int] = set()
     provider = "static-oracle"
-    for r in read_corpus(args.corpus):
-        seeds.add(r.seed)
     with Path(args.transcripts).open("r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -501,7 +495,7 @@ def cli_dispatch(argv: Sequence[str]) -> int:
     try:
         return args.fn(args)
     except (CliError, CorpusError, InjectError, MitigationError, ParseFailure,
-            PipelineError, ReportError) as exc:
+            PipelineError, ReportError, StgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

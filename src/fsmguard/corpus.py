@@ -18,7 +18,7 @@ from .ast_nodes import FsmAst
 from .emitter import emit_verilog
 from .inject import RULE_FOR_CLASS, InjectError, InjectionPlan, VulnClass, plan_injection
 from .parser import parse_source
-from .rules import Rule, RuleConfig, RuleViolation, run_all_checks
+from .rules import CheckReport, Rule, RuleConfig, RuleViolation, run_checks_on_parse
 from .source import SourceText
 
 SCHEMA_VERSION = 1
@@ -135,13 +135,20 @@ def verify_insertion(original: SourceText, modified: SourceText,
     """
     orig_result = parse_source(original)
     orig_ast = orig_result.expect_ast()
+    orig_report = run_checks_on_parse(orig_result, protected, config, original.origin)
+    return _insertion_verdict(orig_ast, orig_report, modified, intended, protected, config)
+
+
+def _insertion_verdict(orig_ast: FsmAst, orig_report: CheckReport, modified: SourceText,
+                       intended: VulnClass, protected: frozenset[str],
+                       config: RuleConfig) -> FidelityVerdict:
+    """``verify_insertion`` against an original already parsed and checked."""
     mod_result = parse_source(modified)
     if mod_result.ast is None:
         return FidelityVerdict(False, False, (), False,
                                notes="modified design does not parse")
     target_rule = RULE_FOR_CLASS[intended]
-    orig_report = run_all_checks(original, protected, config)
-    mod_report = run_all_checks(modified, protected, config)
+    mod_report = run_checks_on_parse(mod_result, protected, config, modified.origin)
     intended_present = target_rule in mod_report.violated_rules
     pre_existing = orig_report.violated_rules
     unintended = tuple(v for v in mod_report.violations
@@ -169,7 +176,7 @@ def verify_mitigation(original: SourceText, mitigated: SourceText,
     orig_result = parse_source(original)
     orig_ast = orig_result.expect_ast()
     targets = set(target_rules)
-    orig_report = run_all_checks(original, protected, config)
+    orig_report = run_checks_on_parse(orig_result, protected, config, original.origin)
     missing = targets - orig_report.violated_rules
     if missing:
         raise CorpusError(
@@ -179,7 +186,7 @@ def verify_mitigation(original: SourceText, mitigated: SourceText,
     if mit_result.ast is None:
         return FidelityVerdict(False, False, (), False,
                                notes="mitigated design does not parse")
-    mit_report = run_all_checks(mitigated, protected, config)
+    mit_report = run_checks_on_parse(mit_result, protected, config, mitigated.origin)
     cleared = not (targets & mit_report.violated_rules)
     new_rules = mit_report.violated_rules - orig_report.violated_rules
     unintended = tuple(v for v in mit_report.violations if v.rule in new_rules)
@@ -210,24 +217,28 @@ class CorpusSpec:
     config: RuleConfig = field(default_factory=RuleConfig)
 
 
+_Base = tuple[SourceText, FsmAst, CheckReport]
+
+
 def _make_record(spec: CorpusSpec, vuln: VulnClass, index: int,
-                 bases: Sequence[tuple[SourceText, FsmAst]]) -> CorpusRecord:
+                 bases: Sequence[_Base]) -> CorpusRecord:
     seed = derive_seed(spec.master_seed, index, vuln.value)
     errors = []
     for offset in range(len(bases)):
-        base_src, base_ast = bases[(index + offset) % len(bases)]
+        base_src, base_ast, base_report = bases[(index + offset) % len(bases)]
         try:
             injected_ast, plan = plan_injection(vuln, base_ast, seed, spec.protected)
         except InjectError as exc:
             errors.append(f"{base_src.origin}: {exc}")
             continue
         text = emit_verilog(injected_ast)
-        verdict = verify_insertion(base_src, text, vuln, spec.protected, spec.config)
+        verdict = _insertion_verdict(base_ast, base_report, text, vuln,
+                                     spec.protected, spec.config)
         if not verdict.overall:
             errors.append(f"{base_src.origin}: fidelity gate failed")
             continue
-        labels = tuple(sorted({v.rule.value for v in
-                               run_all_checks(text, spec.protected, spec.config).violations}))
+        # The base is clean, so a passing verdict means the intended rule is
+        # the only one the injected design violates.
         return CorpusRecord(
             id=f"{vuln.value.lower()}-{index:05d}",
             base_id=base_src.origin,
@@ -236,7 +247,7 @@ def _make_record(spec: CorpusSpec, vuln: VulnClass, index: int,
             plan=plan,
             protected=tuple(sorted(spec.protected)),
             seed=seed,
-            labels=labels,
+            labels=(RULE_FOR_CLASS[vuln].value,),
         )
     raise CorpusError(
         f"mix unsatisfiable for class {vuln.value}: " + "; ".join(errors))
@@ -253,15 +264,16 @@ def generate_corpus(bases: Sequence[SourceText], mix: dict[VulnClass, int],
         raise CorpusError("no base designs")
     spec = CorpusSpec(bases=bases, mix=dict(mix), master_seed=master_seed,
                       protected=protected, clean_ratio=clean_ratio, config=config)
-    parsed: list[tuple[SourceText, FsmAst]] = []
+    parsed: list[_Base] = []
     for src in bases:
-        ast = parse_source(src).expect_ast()
-        base_report = run_all_checks(src, protected, config)
+        result = parse_source(src)
+        ast = result.expect_ast()
+        base_report = run_checks_on_parse(result, protected, config, src.origin)
         if base_report.violations:
             raise CorpusError(
                 f"base design {src.origin} is not clean: "
                 + ", ".join(v.rule.value for v in base_report.violations))
-        parsed.append((src, ast))
+        parsed.append((src, ast, base_report))
 
     jobs = [(vuln, i) for vuln in sorted(spec.mix, key=lambda v: v.value)
             for i in range(spec.mix[vuln])]
@@ -283,7 +295,7 @@ def generate_corpus(bases: Sequence[SourceText], mix: dict[VulnClass, int],
         records.append(record)
         clean_due += spec.clean_ratio
         while clean_due >= 1.0:
-            base_src, _ = parsed[clean_index % len(parsed)]
+            base_src = parsed[clean_index % len(parsed)][0]
             records.append(CorpusRecord(
                 id=f"clean-{clean_index:05d}",
                 base_id=base_src.origin,

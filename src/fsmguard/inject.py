@@ -1,10 +1,11 @@
 """Deterministic, seeded application of the five vulnerability classes.
 
-Every injector enumerates candidate edits, keeps only those whose result the
-rule checker flags for the intended class and nothing new (on a clean base:
-exactly the intended class, so corpus labels are trustworthy by
-construction), then draws uniformly with the caller's seed.  The sequential
-block is never touched and the module interface is preserved.
+One engine serves every gated class: a per-class generator enumerates
+candidate edits, the engine keeps only those whose result the rule checker
+flags for the intended class and nothing new (on a clean base: exactly the
+intended class, so corpus labels are trustworthy by construction), then
+draws uniformly with the caller's seed.  The sequential block is never
+touched and the module interface is preserved.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import copy
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 from .ast_nodes import Assign, Branch, CaseArm, FsmAst, IfChain, ParamDecl
 from .emitter import emit_with_markers
@@ -176,176 +177,194 @@ def _apply_redirect(ast: FsmAst, ref: _EdgeRef, new_target: str) -> None:
 _GATE_CONFIG = RuleConfig()
 
 
-def _base_rules(ast: FsmAst, protected: frozenset[str]) -> frozenset[Rule]:
-    report = run_checks_on_ast(ast, protected, _GATE_CONFIG)
-    return frozenset(report.violated_rules)
-
-
 def _flags_exactly(ast: FsmAst, protected: frozenset[str], rule: Rule,
-                   states: Optional[set[str]] = None,
-                   pre_existing: frozenset[Rule] = frozenset()) -> bool:
-    """Gate: the intended rule fires, and nothing fires that the base design
-    did not already trip (clean bases therefore flag exactly the intent)."""
+                   states: frozenset[str], pre_existing: frozenset[Rule]) -> bool:
+    """Gate: the intended rule fires on the given states, and nothing fires
+    that the base design did not already trip (clean bases therefore flag
+    exactly the intent)."""
     try:
         report = run_checks_on_ast(ast, protected, _GATE_CONFIG)
     except Exception:
         return False
     violated = report.violated_rules
-    if rule not in violated:
+    if rule not in violated or violated - pre_existing - {rule}:
         return False
-    if violated - pre_existing - {rule}:
-        return False
-    if states is not None:
-        flagged = set()
-        for v in report.violations_of(rule):
-            flagged.update(v.states)
-        if not states <= flagged:
-            return False
-    return True
+    flagged = {s for v in report.violations_of(rule) for s in v.states}
+    return states <= flagged
 
 
-def _plan_spans(ast: FsmAst, keys: list[str]) -> tuple[Span, ...]:
-    _, markers = emit_with_markers(ast)
-    return tuple(markers[k] for k in keys if k in markers)
+# -- the engine ---------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Edit:
+    """One candidate injection: an in-place AST edit plus its plan fields."""
+
+    apply: Callable[[FsmAst], None]
+    flagged: frozenset[str]      # states the intended finding must name
+    target_state: str
+    added_states: tuple[str, ...]
+    markers: tuple[str, ...]     # emitter markers of the regions it changes
+    notes: str
+    arm: Optional[str] = None    # redirected arm: draw the arm first, then the edit
 
 
-# -- class-specific injections ----------------------------------------------
-
-def inject_static_deadlock(ast: FsmAst, seed: int,
-                           protected: frozenset[str] = frozenset()
-                           ) -> tuple[FsmAst, InjectionPlan]:
-    """Redirect one branch of a seeded eligible state into a fresh
-    self-looping state."""
+def _inject(vuln: VulnClass, ast: FsmAst, seed: int,
+            protected: frozenset[str]) -> tuple[FsmAst, InjectionPlan]:
+    """Enumerate the class's edits, apply each to a copy, keep those the
+    gate passes, then draw one with the seed.  Redirect classes draw a state
+    in arm order first, then one of its edits; the others draw flat."""
+    if vuln not in _EDITS:
+        raise InjectError(f"unknown vulnerability class {vuln!r}")
+    edits, exhausted = _EDITS[vuln]
     protected = protected | ast.protected_annotations
-    base_report = run_checks_on_ast(ast, protected, _GATE_CONFIG)
-    if Rule.STATIC_DEADLOCK in base_report.violated_rules:
-        raise InjectError("design already contains a static deadlock")
-    pre_existing = frozenset(base_report.violated_rules)
-    encoding = _lowest_unused_encodings(ast, 1)[0]
-    new_name = _fresh_name("deadlock_state", _taken_names(ast))
-    reach = reachable_states(extract_stg(ast, protected))
+    base_rules = frozenset(run_checks_on_ast(ast, protected, _GATE_CONFIG).violated_rules)
+    kept: dict[Optional[str], list[tuple[_Edit, FsmAst]]] = {}
+    for edit in edits(ast, protected, base_rules):
+        trial = copy.deepcopy(ast)
+        try:
+            edit.apply(trial)
+        except InjectError:
+            continue
+        if _flags_exactly(trial, protected, RULE_FOR_CLASS[vuln], edit.flagged, base_rules):
+            kept.setdefault(edit.arm, []).append((edit, trial))
+    if not kept:
+        raise InjectError(exhausted)
 
-    candidates: dict[str, list[tuple[_EdgeRef, FsmAst]]] = {}
+    rng = random.Random(seed)
+    if None in kept:
+        edit, injected = rng.choice(kept[None])
+    else:
+        state = rng.choice([a.label for a in ast.comb.arms if a.label in kept])
+        edit, injected = rng.choice(kept[state])
+    _, markers = emit_with_markers(injected)
+    return injected, InjectionPlan(
+        vuln=vuln,
+        seed=seed,
+        target_state=edit.target_state,
+        added_states=edit.added_states,
+        modified_spans=tuple(markers[k] for k in edit.markers if k in markers),
+        notes=edit.notes,
+    )
+
+
+def _add_state(ast: FsmAst, name: str, bits: str, body: list) -> None:
+    ast.parameters.append(ParamDecl(name, ast.state_width, bits))
+    ast.comb.arms.append(CaseArm(name, body))
+
+
+# -- per-class edit generators ----------------------------------------------------
+
+def _redirect_edits(ast: FsmAst, protected: frozenset[str], added: tuple[str, ...],
+                    codes: list[str], note: str) -> Iterator[_Edit]:
+    """Add states that hand over to each other in a ring (one state: a
+    self-loop), then redirect one outcome of a reachable, unprotected arm
+    into the first of them."""
+    reach = reachable_states(extract_stg(ast, protected))
+    markers = tuple(f"param:{n}" for n in added)
     for arm in ast.comb.arms:
         label = arm.label
         if label is None or label in protected or label not in reach:
             continue
         for ref in _enumerate_refs(ast, arm):
-            trial = copy.deepcopy(ast)
-            try:
-                _extend_states(trial, [(new_name, encoding)], self_loop=new_name)
-                _apply_redirect(trial, ref, new_name)
-            except InjectError:
-                continue
-            if _flags_exactly(trial, protected, Rule.STATIC_DEADLOCK, {new_name},
-                              pre_existing):
-                candidates.setdefault(label, []).append((ref, trial))
-    if not candidates:
-        raise InjectError("no eligible state/branch yields a clean static deadlock")
-
-    rng = random.Random(seed)
-    state = rng.choice([l for l in (a.label for a in ast.comb.arms) if l in candidates])
-    ref, injected = rng.choice(candidates[state])
-    plan = InjectionPlan(
-        vuln=VulnClass.STATIC_DEADLOCK,
-        seed=seed,
-        target_state=state,
-        added_states=(new_name,),
-        modified_spans=_plan_spans(injected, [f"param:{new_name}", f"arm:{state}",
-                                              f"arm:{new_name}"]),
-        notes=f"redirected a {ref.kind} path of {state} into self-looping {new_name}",
-    )
-    return injected, plan
+            def apply(trial: FsmAst, ref: _EdgeRef = ref) -> None:
+                for name, bits, exit_to in zip(added, codes, added[1:] + added[:1]):
+                    _add_state(trial, name, bits, [Assign(trial.state_next, exit_to)])
+                _apply_redirect(trial, ref, added[0])
+            yield _Edit(apply, frozenset(added), label, added,
+                        markers + (f"arm:{label}",) + tuple(f"arm:{n}" for n in added),
+                        f"redirected a {ref.kind} path of {label} into {note}", arm=label)
 
 
-def _extend_states(ast: FsmAst, new_states: list[tuple[str, str]],
-                   self_loop: Optional[str] = None,
-                   arms: Optional[dict[str, list]] = None) -> None:
-    """Append new state parameters, plus arms (self-loop or provided)."""
-    for name, bits in new_states:
-        ast.parameters.append(ParamDecl(name, ast.state_width, bits))
-    for name, _ in new_states:
-        if arms is not None and name in arms:
-            ast.comb.arms.append(CaseArm(name, arms[name]))
-        elif self_loop == name:
-            ast.comb.arms.append(CaseArm(name, [Assign(ast.state_next, name)]))
+def _static_deadlock_edits(ast: FsmAst, protected: frozenset[str],
+                           base_rules: frozenset[Rule]) -> Iterator[_Edit]:
+    if Rule.STATIC_DEADLOCK in base_rules:
+        raise InjectError("design already contains a static deadlock")
+    codes = _lowest_unused_encodings(ast, 1)
+    name = _fresh_name("deadlock_state", _taken_names(ast))
+    return _redirect_edits(ast, protected, (name,), codes, f"self-looping {name}")
 
 
-def inject_duplicate_encoding(ast: FsmAst, seed: int,
-                              protected: frozenset[str] = frozenset()
-                              ) -> tuple[FsmAst, InjectionPlan]:
-    """Overwrite a seeded second state's encoding with a first state's."""
-    protected = protected | ast.protected_annotations
+def _trap_loop_edits(ast: FsmAst, protected: frozenset[str],
+                     base_rules: frozenset[Rule]) -> Iterator[_Edit]:
+    codes = _lowest_unused_encodings(ast, 2)
+    taken = _taken_names(ast)
+    name_a = _fresh_name("trap_state_1", taken)
+    name_b = _fresh_name("trap_state_2", taken | {name_a})
+    return _redirect_edits(ast, protected, (name_a, name_b), codes,
+                           f"the {name_a}/{name_b} cycle")
+
+
+def _duplicate_encoding_edits(ast: FsmAst, protected: frozenset[str],
+                              base_rules: frozenset[Rule]) -> Iterator[_Edit]:
     if len(ast.parameters) < 2:
         raise InjectError("need at least two states to duplicate an encoding")
-    pre_existing = _base_rules(ast, protected)
-    pairs = []
     names = ast.param_names
     for first in names:
         for second in names:
             if first == second:
                 continue
-            trial = copy.deepcopy(ast)
-            trial.param(second).bits = trial.param(first).bits
-            if _flags_exactly(trial, protected, Rule.DUPLICATE_ENCODING,
-                              {first, second}, pre_existing):
-                pairs.append(((first, second), trial))
-    if not pairs:
-        raise InjectError("no state pair yields a clean duplicate encoding")
-    rng = random.Random(seed)
-    (first, second), injected = rng.choice(pairs)
-    plan = InjectionPlan(
-        vuln=VulnClass.DUPLICATE_ENCODING,
-        seed=seed,
-        target_state=second,
-        added_states=(),
-        modified_spans=_plan_spans(injected, [f"param:{second}"]),
-        notes=f"{second} now shares {first}'s encoding",
-    )
-    return injected, plan
+            def apply(trial: FsmAst, first: str = first, second: str = second) -> None:
+                trial.param(second).bits = trial.param(first).bits
+            yield _Edit(apply, frozenset({first, second}), second, (),
+                        (f"param:{second}",), f"{second} now shares {first}'s encoding")
 
 
-def inject_unreachable_state(ast: FsmAst, seed: int,
-                             protected: frozenset[str] = frozenset()
+def _unreachable_state_edits(ast: FsmAst, protected: frozenset[str],
+                             base_rules: frozenset[Rule]) -> Iterator[_Edit]:
+    bits = _lowest_unused_encodings(ast, 1)[0]
+    name = _fresh_name("unreachable_state", _taken_names(ast))
+    markers = (f"param:{name}", f"arm:{name}")
+    for target in ast.param_names:
+        for sig in ast.data_inputs or [None]:
+            def apply(trial: FsmAst, target: str = target, sig: Optional[str] = sig) -> None:
+                nxt = trial.state_next
+                body = [Assign(nxt, target)] if sig is None else [IfChain([
+                    Branch(sig, [Assign(nxt, target)], (sig,)),
+                    Branch(None, [Assign(nxt, name)]),
+                ])]
+                _add_state(trial, name, bits, body)
+            guard_note = f"guarded by {sig}" if sig else "unconditional"
+            yield _Edit(apply, frozenset({name}), target, (name,), markers,
+                        f"{name} exits to {target} ({guard_note}) and is never entered")
+
+
+_EDITS = {
+    VulnClass.STATIC_DEADLOCK: (_static_deadlock_edits,
+                                "no eligible state/branch yields a clean static deadlock"),
+    VulnClass.CWE835_TRAP: (_trap_loop_edits,
+                            "no eligible state/branch yields a clean trap loop"),
+    VulnClass.DUPLICATE_ENCODING: (_duplicate_encoding_edits,
+                                   "no state pair yields a clean duplicate encoding"),
+    VulnClass.UNREACHABLE_STATE: (_unreachable_state_edits,
+                                  "no exit target yields a clean unreachable state"),
+}
+
+
+# -- public entries -----------------------------------------------------------------
+
+def inject_static_deadlock(ast: FsmAst, seed: int, protected: frozenset[str] = frozenset()
+                           ) -> tuple[FsmAst, InjectionPlan]:
+    """Redirect one branch of a seeded eligible state into a fresh
+    self-looping state."""
+    return _inject(VulnClass.STATIC_DEADLOCK, ast, seed, protected)
+
+
+def inject_trap_loop(ast: FsmAst, seed: int, protected: frozenset[str] = frozenset()
+                     ) -> tuple[FsmAst, InjectionPlan]:
+    """Add a two-state cycle with no exit, entered from a seeded branch."""
+    return _inject(VulnClass.CWE835_TRAP, ast, seed, protected)
+
+
+def inject_duplicate_encoding(ast: FsmAst, seed: int, protected: frozenset[str] = frozenset()
+                              ) -> tuple[FsmAst, InjectionPlan]:
+    """Overwrite a seeded second state's encoding with a first state's."""
+    return _inject(VulnClass.DUPLICATE_ENCODING, ast, seed, protected)
+
+
+def inject_unreachable_state(ast: FsmAst, seed: int, protected: frozenset[str] = frozenset()
                              ) -> tuple[FsmAst, InjectionPlan]:
     """Add a state with outgoing transitions and no incoming edge anywhere."""
-    protected = protected | ast.protected_annotations
-    encoding = _lowest_unused_encodings(ast, 1)[0]
-    new_name = _fresh_name("unreachable_state", _taken_names(ast))
-    pre_existing = _base_rules(ast, protected)
-    inputs = ast.data_inputs
-    candidates = []
-    for target in ast.param_names:
-        if inputs:
-            for sig in inputs:
-                body = [IfChain([
-                    Branch(sig, [Assign(ast.state_next, target)], (sig,)),
-                    Branch(None, [Assign(ast.state_next, new_name)]),
-                ])]
-                candidates.append((target, sig, body))
-        else:
-            candidates.append((target, None, [Assign(ast.state_next, target)]))
-    good = []
-    for target, sig, body in candidates:
-        trial = copy.deepcopy(ast)
-        _extend_states(trial, [(new_name, encoding)], arms={new_name: copy.deepcopy(body)})
-        if _flags_exactly(trial, protected, Rule.UNREACHABLE_STATE, {new_name},
-                          pre_existing):
-            good.append(((target, sig), trial))
-    if not good:
-        raise InjectError("no exit target yields a clean unreachable state")
-    rng = random.Random(seed)
-    (target, sig), injected = rng.choice(good)
-    guard_note = f"guarded by {sig}" if sig else "unconditional"
-    plan = InjectionPlan(
-        vuln=VulnClass.UNREACHABLE_STATE,
-        seed=seed,
-        target_state=target,
-        added_states=(new_name,),
-        modified_spans=_plan_spans(injected, [f"param:{new_name}", f"arm:{new_name}"]),
-        notes=f"{new_name} exits to {target} ({guard_note}) and is never entered",
-    )
-    return injected, plan
+    return _inject(VulnClass.UNREACHABLE_STATE, ast, seed, protected)
 
 
 def remove_default_arm(ast: FsmAst) -> tuple[FsmAst, InjectionPlan]:
@@ -371,67 +390,11 @@ def remove_default_arm(ast: FsmAst) -> tuple[FsmAst, InjectionPlan]:
     return injected, plan
 
 
-def inject_trap_loop(ast: FsmAst, seed: int,
-                     protected: frozenset[str] = frozenset()
-                     ) -> tuple[FsmAst, InjectionPlan]:
-    """Add a two-state cycle with no exit, entered from a seeded branch."""
-    protected = protected | ast.protected_annotations
-    enc_a, enc_b = _lowest_unused_encodings(ast, 2)
-    pre_existing = _base_rules(ast, protected)
-    taken = _taken_names(ast)
-    name_a = _fresh_name("trap_state_1", taken)
-    name_b = _fresh_name("trap_state_2", taken | {name_a})
-    reach = reachable_states(extract_stg(ast, protected))
-
-    candidates: dict[str, list[tuple[_EdgeRef, FsmAst]]] = {}
-    for arm in ast.comb.arms:
-        label = arm.label
-        if label is None or label in protected or label not in reach:
-            continue
-        for ref in _enumerate_refs(ast, arm):
-            trial = copy.deepcopy(ast)
-            try:
-                _extend_states(trial, [(name_a, enc_a), (name_b, enc_b)], arms={
-                    name_a: [Assign(trial.state_next, name_b)],
-                    name_b: [Assign(trial.state_next, name_a)],
-                })
-                _apply_redirect(trial, ref, name_a)
-            except InjectError:
-                continue
-            if _flags_exactly(trial, protected, Rule.TRAP_LOOP_CWE835,
-                              {name_a, name_b}, pre_existing):
-                candidates.setdefault(label, []).append((ref, trial))
-    if not candidates:
-        raise InjectError("no eligible state/branch yields a clean trap loop")
-    rng = random.Random(seed)
-    state = rng.choice([l for l in (a.label for a in ast.comb.arms) if l in candidates])
-    ref, injected = rng.choice(candidates[state])
-    plan = InjectionPlan(
-        vuln=VulnClass.CWE835_TRAP,
-        seed=seed,
-        target_state=state,
-        added_states=(name_a, name_b),
-        modified_spans=_plan_spans(injected, [f"param:{name_a}", f"param:{name_b}",
-                                              f"arm:{state}", f"arm:{name_a}",
-                                              f"arm:{name_b}"]),
-        notes=f"redirected a {ref.kind} path of {state} into the {name_a}/{name_b} cycle",
-    )
-    return injected, plan
-
-
 def plan_injection(vuln: VulnClass, ast: FsmAst, seed: int,
                    protected: frozenset[str] = frozenset()
                    ) -> tuple[FsmAst, InjectionPlan]:
     """Dispatch to the class-specific injection."""
-    if vuln is VulnClass.STATIC_DEADLOCK:
-        return inject_static_deadlock(ast, seed, protected)
-    if vuln is VulnClass.DUPLICATE_ENCODING:
-        return inject_duplicate_encoding(ast, seed, protected)
-    if vuln is VulnClass.UNREACHABLE_STATE:
-        return inject_unreachable_state(ast, seed, protected)
     if vuln is VulnClass.MISSING_DEFAULT:
         injected, plan = remove_default_arm(ast)
         return injected, replace(plan, seed=seed)
-    if vuln is VulnClass.CWE835_TRAP:
-        return inject_trap_loop(ast, seed, protected)
-    raise InjectError(f"unknown vulnerability class {vuln!r}")
+    return _inject(vuln, ast, seed, protected)

@@ -48,7 +48,6 @@ from .pipeline import (
     fif_pipeline,
     mitigation_pipeline,
     policy_check_pipeline,
-    run_batch,
     run_pipeline,
     sweep_params,
 )

@@ -34,7 +34,12 @@ class PipelineError(ValueError):
 
 class PayloadTooLarge(PipelineError):
     """Raised before sending when a rendered prompt exceeds the character
-    budget; callers should provide a module-level region instead."""
+    budget; callers should provide a module-level region instead.  It
+    carries the transcript, failed at the oversized step."""
+
+    def __init__(self, message: str, transcript: Transcript) -> None:
+        super().__init__(message)
+        self.transcript = transcript
 
 
 @dataclass(frozen=True)
@@ -116,6 +121,13 @@ class Transcript:
         return json.dumps(self.to_json(), sort_keys=False)
 
 
+def _fail(transcript: Transcript, step: str, reason: str) -> Transcript:
+    transcript.failed = True
+    transcript.failed_step = step
+    transcript.failure_reason = reason
+    return transcript
+
+
 def _final_artifact(step: PipelineStep, response: str) -> dict:
     kind = step.template.expected_output
     if kind == "code":
@@ -166,41 +178,29 @@ def run_pipeline(spec: PipelineSpec, design: SourceText,
             elif ph.startswith("capture:"):
                 ref = ph.split(":", 1)[1]
                 if f"capture:{ref}" not in bindings:
-                    transcript.failed = True
-                    transcript.failed_step = step.name
-                    transcript.failure_reason = f"unbound capture {ref}"
-                    return transcript
+                    return _fail(transcript, step.name, f"unbound capture {ref}")
                 template_bindings[ph] = bindings[f"capture:{ref}"]
             elif ph.startswith("literal:"):
                 key = ph.split(":", 1)[1]
                 if key not in step.bindings:
-                    transcript.failed = True
-                    transcript.failed_step = step.name
-                    transcript.failure_reason = f"unbound literal {key}"
-                    return transcript
+                    return _fail(transcript, step.name, f"unbound literal {key}")
                 template_bindings[ph] = step.bindings[key]
 
         try:
             prompt = render_prompt(step.template, template_bindings)
         except TemplateError as exc:
-            transcript.failed = True
-            transcript.failed_step = step.name
-            transcript.failure_reason = str(exc)
-            return transcript
+            return _fail(transcript, step.name, str(exc))
         if len(prompt) > spec.char_budget:
-            raise PayloadTooLarge(
-                f"rendered prompt for step {step.name} is {len(prompt)} chars, "
-                f"over the {spec.char_budget} budget; provide a module-level "
-                "region of interest instead of the whole design")
+            reason = (f"rendered prompt for step {step.name} is {len(prompt)} chars, "
+                      f"over the {spec.char_budget} budget; provide a module-level "
+                      "region of interest instead of the whole design")
+            raise PayloadTooLarge(reason, _fail(transcript, step.name, reason))
 
         record = _run_step(spec, step, prompt, provider)
         transcript.steps.append(record)
         if record.attempts < 0:
-            transcript.failed = True
-            transcript.failed_step = step.name
-            transcript.failure_reason = record.raw_response or "provider failure"
             record.attempts = spec.retry.max_attempts
-            return transcript
+            return _fail(transcript, step.name, record.raw_response or "provider failure")
         for name, value in record.captures.items():
             captured[f"{step.name}.{name}"] = value
 
@@ -208,9 +208,7 @@ def run_pipeline(spec: PipelineSpec, design: SourceText,
     try:
         transcript.final = _final_artifact(last_step, transcript.steps[-1].raw_response)
     except ResponseParseError as exc:
-        transcript.failed = True
-        transcript.failed_step = last_step.name
-        transcript.failure_reason = f"final artifact: {exc}"
+        _fail(transcript, last_step.name, f"final artifact: {exc}")
     return transcript
 
 
@@ -222,15 +220,8 @@ def _run_step(spec: PipelineSpec, step: PipelineStep, prompt: str,
     last_reason = ""
     for _ in range(spec.retry.max_attempts):
         try:
-            result: CompletionResult = chat_complete(
-                provider, messages, step.params,
-                RetryPolicy(max_attempts=spec.retry.max_attempts,
-                            base_delay=spec.retry.base_delay,
-                            multiplier=spec.retry.multiplier,
-                            max_delay=spec.retry.max_delay,
-                            jitter=spec.retry.jitter,
-                            sleep_fn=spec.retry.sleep_fn,
-                            rng=spec.retry.rng))
+            result: CompletionResult = chat_complete(provider, messages, step.params,
+                                                     spec.retry)
         except ProviderError as exc:
             return StepRecord(step.name, prompt, str(exc), {}, -1,
                               time.monotonic() - start)
@@ -254,25 +245,13 @@ def _provider_for(factory: ProviderFactory) -> ChatProvider:
     return factory() if callable(factory) else factory
 
 
-def run_batch(spec: PipelineSpec, designs: Sequence[SourceText],
-              provider: ProviderFactory, in_flight: int = 4) -> dict[str, Transcript]:
-    """Run one pipeline across many designs, bounded-concurrently; results
-    keyed by design origin."""
-    def task(design: SourceText) -> tuple[str, Transcript]:
-        return design.origin, run_pipeline(spec, design, _provider_for(provider))
-
-    results: dict[str, Transcript] = {}
-    with ThreadPoolExecutor(max_workers=max(1, in_flight)) as pool:
-        for origin, transcript in pool.map(task, designs):
-            results[origin] = transcript
-    return dict(sorted(results.items()))
-
-
 def sweep_params(spec: PipelineSpec, designs: Sequence[SourceText],
                  grid: Sequence[GenerationParams], provider: ProviderFactory,
                  in_flight: int = 4) -> dict[tuple[str, int], Transcript]:
     """Run the pipeline at every grid point for every design; results keyed
-    by (design origin, grid index)."""
+    by (design origin, grid index).  Every step runs with the point's
+    params.  A prompt over the character budget fails only its own
+    transcript."""
     if not grid:
         raise PipelineError("sweep needs a non-empty parameter grid")
 
@@ -280,16 +259,12 @@ def sweep_params(spec: PipelineSpec, designs: Sequence[SourceText],
 
     def task(job: tuple[SourceText, int]) -> tuple[tuple[str, int], Transcript]:
         design, gi = job
-        point = grid[gi]
-        pointed = replace(spec, steps=tuple(
-            replace(step, params=replace(step.params,
-                                         temperature=point.temperature,
-                                         top_p=point.top_p,
-                                         presence_penalty=point.presence_penalty,
-                                         frequency_penalty=point.frequency_penalty,
-                                         max_tokens=point.max_tokens))
-            for step in spec.steps))
-        transcript = run_pipeline(pointed, design, _provider_for(provider))
+        pointed = replace(spec, steps=tuple(replace(step, params=grid[gi])
+                                            for step in spec.steps))
+        try:
+            transcript = run_pipeline(pointed, design, _provider_for(provider))
+        except PayloadTooLarge as exc:
+            transcript = exc.transcript
         return (design.origin, gi), transcript
 
     results: dict[tuple[str, int], Transcript] = {}

@@ -134,15 +134,18 @@ class ProviderConfig:
     char_budget: int = 24000
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "ProviderConfig":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        section = data.get("provider", data)
+    def from_dict(cls, section: dict) -> "ProviderConfig":
         return cls(
             endpoint=section["endpoint"],
             model=section["model"],
             timeout=float(section.get("timeout", 60.0)),
             char_budget=int(section.get("char_budget", 24000)),
         )
+
+    @classmethod
+    def from_file(cls, path: str | Path) -> "ProviderConfig":
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        return cls.from_dict(data.get("provider", data))
 
 
 Transport = Callable[[str, dict, bytes, float], tuple[int, bytes]]

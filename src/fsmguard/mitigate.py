@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .ast_nodes import Assign, Branch, CaseArm, FsmAst, IfChain
 from .emitter import emit_verilog
@@ -23,6 +23,7 @@ from .stg import (
     Transition,
     extract_stg,
     hamming_distance,
+    reachable_states,
     stg_isomorphic_modulo_encoding,
     unprotected_transitions,
 )
@@ -85,17 +86,23 @@ def add_default_arm(ast: FsmAst, target: str) -> FsmAst:
     return fixed
 
 
-def remove_unreachable_state(ast: FsmAst, state: str) -> FsmAst:
-    """Delete the parameter and case arm of an unreachable, non-reset state."""
+def remove_unreachable_state(ast: FsmAst, state: str | Iterable[str]) -> FsmAst:
+    """Delete the parameters and case arms of unreachable, non-reset states.
+
+    Several states go in one step, so states that only reference each other
+    never leave a dangling label behind.
+    """
+    states = {state} if isinstance(state, str) else set(state)
     stg = extract_stg(ast)
-    from .stg import reachable_states
-    if state == stg.reset_state:
-        raise MitigationError("refusing to remove the reset state")
-    if state in reachable_states(stg):
-        raise MitigationError(f"{state} is reachable; not removing it")
+    reach = reachable_states(stg)
+    for name in sorted(states):
+        if name == stg.reset_state:
+            raise MitigationError("refusing to remove the reset state")
+        if name in reach:
+            raise MitigationError(f"{name} is reachable; not removing it")
     fixed = copy.deepcopy(ast)
-    fixed.parameters = [p for p in fixed.parameters if p.name != state]
-    fixed.comb.arms = [a for a in fixed.comb.arms if a.label != state]
+    fixed.parameters = [p for p in fixed.parameters if p.name not in states]
+    fixed.comb.arms = [a for a in fixed.comb.arms if a.label not in states]
     return fixed
 
 
@@ -264,8 +271,8 @@ def mitigate(src: SourceText, report: CheckReport,
         elif Rule.UNREACHABLE_STATE in rules:
             # Removed as a group: mutually-referencing unreachable states
             # would otherwise leave dangling labels mid-sequence.
-            for v in rep.violations_of(Rule.UNREACHABLE_STATE):
-                current = remove_unreachable_state(current, v.states[0])
+            current = remove_unreachable_state(
+                current, [v.states[0] for v in rep.violations_of(Rule.UNREACHABLE_STATE)])
             progressed = True
         elif Rule.STATIC_DEADLOCK in rules or Rule.TRAP_LOOP_CWE835 in rules:
             stuck = rep.violations_of(Rule.STATIC_DEADLOCK) + rep.violations_of(Rule.TRAP_LOOP_CWE835)

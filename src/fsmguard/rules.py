@@ -18,7 +18,7 @@ from typing import Optional
 
 from .ast_nodes import FsmAst
 from .lint import lint
-from .parser import parse_source
+from .parser import ParseResult, parse_source
 from .source import Diagnostic, SourceText, Span, error
 from .stg import (
     Encoding,
@@ -436,16 +436,18 @@ def run_checks_on_ast(ast: FsmAst, protected: frozenset[str] | set[str],
     )
 
 
-def run_all_checks(src: SourceText, protected: frozenset[str] | set[str] = frozenset(),
-                   config: RuleConfig = RuleConfig()) -> CheckReport:
-    """Parse, lint, extract the STG, and run every rule enabled in config.
+def run_checks_on_parse(result: ParseResult, protected: frozenset[str] | set[str] = frozenset(),
+                        config: RuleConfig = RuleConfig(),
+                        design_id: str = "<ast>") -> CheckReport:
+    """Lint, extract the STG, and run every rule enabled in config on one
+    parse of a design.
 
-    A parse failure yields a report holding only the error diagnostics.
+    A parse failure yields a report holding only the error diagnostics; an
+    STG that cannot be extracted yields one holding an E_STG error.
     """
-    result = parse_source(src)
     if result.ast is None:
         return CheckReport(
-            design_id=src.origin,
+            design_id=design_id,
             protected=tuple(sorted(protected)),
             violations=[],
             lint=list(result.diagnostics),
@@ -453,10 +455,10 @@ def run_all_checks(src: SourceText, protected: frozenset[str] | set[str] = froze
             parse_ok=False,
         )
     try:
-        report = run_checks_on_ast(result.ast, protected, config, design_id=src.origin)
+        report = run_checks_on_ast(result.ast, protected, config, design_id=design_id)
     except StgError as exc:
         return CheckReport(
-            design_id=src.origin,
+            design_id=design_id,
             protected=tuple(sorted(protected)),
             violations=[],
             lint=list(result.diagnostics) + [error("E_STG", str(exc), Span(1, 1))],
@@ -465,3 +467,9 @@ def run_all_checks(src: SourceText, protected: frozenset[str] | set[str] = froze
         )
     report.lint = list(result.diagnostics) + report.lint
     return report
+
+
+def run_all_checks(src: SourceText, protected: frozenset[str] | set[str] = frozenset(),
+                   config: RuleConfig = RuleConfig()) -> CheckReport:
+    """Parse the design once, then check it with ``run_checks_on_parse``."""
+    return run_checks_on_parse(parse_source(src), protected, config, src.origin)

@@ -86,6 +86,22 @@ def test_mitigate_roundtrip(tmp_path, capsys):
     assert sorted(data["fixed"]) == ["HD_NOT_ONE", "MISSING_DEFAULT"]
 
 
+def test_mitigate_mutually_referencing_unreachable_states(tmp_path, capsys):
+    out_v = tmp_path / "fixed.v"
+    code = run("mitigate", "--out-design", out_v, "--out-report", tmp_path / "fixed.json",
+               FIXTURES / "mutual_unreachable.v")
+    assert code == 0
+    assert run("check", out_v) == 0
+
+
+def test_stg_error_exits_two(tmp_path, capsys):
+    code = run("inject", "--class", "static_deadlock", "--protected", "NOPE",
+               "--out-design", tmp_path / "x.v", "--out-plan", tmp_path / "x.json",
+               DESIGNS / "vending.v")
+    assert code == 2
+    assert "protected state NOPE is not declared" in capsys.readouterr().err
+
+
 def test_gen_corpus_and_determinism(tmp_path, capsys):
     out_a = tmp_path / "a.jsonl"
     out_b = tmp_path / "b.jsonl"

@@ -1,4 +1,7 @@
 """Corpus generation, fidelity verdicts, and identifier sanitization."""
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from fsmguard import (
@@ -205,6 +208,18 @@ def test_corpus_gate_passes_verify_insertion(clean_bases):
         verdict = verify_insertion(by_origin[r.base_id],
                                    SourceText(r.source, origin=r.id), r.vuln)
         assert verdict.overall
+
+
+# sha256 of the JSONL of a corpus holding two records of every class; the
+# bases are named by file name so the digest does not depend on the checkout.
+CORPUS_GOLDEN_SHA256 = "f580558fba96fec54b817f724279b56da852d82ece4eec3d76fb2109111e6d38"
+
+
+def test_corpus_golden_identity(tmp_path, clean_bases):
+    bases = [SourceText(b.content, origin=Path(b.origin).name) for b in clean_bases]
+    path = tmp_path / "golden.jsonl"
+    write_corpus(generate_corpus(bases, {v: 2 for v in VulnClass}, 2023), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CORPUS_GOLDEN_SHA256
 
 
 # -- mitigation over the injected corpus ------------------------------------------------

@@ -1,5 +1,7 @@
 """Seeded vulnerability injection: determinism, exactness, minimality."""
 import difflib
+import hashlib
+import json
 
 import pytest
 
@@ -319,3 +321,32 @@ def test_unreachable_injection_into_aes_no_default():
     assert Rule.UNREACHABLE_STATE in report.violated_rules
     assert report.violated_rules - base_rules == {Rule.UNREACHABLE_STATE}
     assert len(injected.parameters) == 6
+
+
+# -- golden identity ---------------------------------------------------------------------
+
+# sha256 over every class x corpus base x seeds 0-4, with the empty protected
+# set and with the base's reset state protected: the emitted design and the
+# plan JSON of each injection, or the error of each refused one.
+INJECT_GOLDEN_SHA256 = "3382ece929df36a6ccfd311dfa6ab7e9b30cf9f7f6c221bfc29991d745bc1b0f"
+
+
+def injection_digest() -> str:
+    digest = hashlib.sha256()
+    for vuln in sorted(VulnClass, key=lambda v: v.value):
+        for base in BASES:
+            ast = design_ast(base)
+            for protected in (frozenset(), frozenset({ast.seq.reset_target})):
+                for seed in range(5):
+                    try:
+                        injected, plan = plan_injection(vuln, ast, seed, protected)
+                    except InjectError as exc:
+                        digest.update(f"error: {exc}\n".encode())
+                        continue
+                    digest.update(emit_verilog(injected).content.encode())
+                    digest.update(json.dumps(plan.to_json(), sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def test_injection_golden_identity():
+    assert injection_digest() == INJECT_GOLDEN_SHA256

@@ -315,6 +315,23 @@ def test_sweep_single_point_equals_plain_run(vending):
     assert swept[(vending.origin, 0)].final == plain.final
 
 
+def test_sweep_oversized_prompt_fails_only_its_transcript(vending):
+    import dataclasses
+    spec = policy_check_pipeline(["No deadlock states."])
+    tiny = SourceText("module tiny;\nendmodule\n", origin="tiny.v")
+    fitted = run_pipeline(spec, tiny, MockProvider(["Policy 1: not violated"]))
+    tight = dataclasses.replace(spec, char_budget=len(fitted.steps[0].rendered_prompt))
+    with pytest.raises(PayloadTooLarge) as raised:
+        run_pipeline(tight, vending, MockProvider([]))
+    results = sweep_params(tight, [vending, tiny], [GenerationParams()],
+                           lambda: MockProvider(["Policy 1: not violated"]))
+    oversized, small = results[(vending.origin, 0)], results[(tiny.origin, 0)]
+    assert oversized.failed and oversized.failed_step == "check"
+    assert oversized.failure_reason == str(raised.value)
+    assert oversized.steps == []
+    assert not small.failed and small.final == fitted.final
+
+
 # -- guideline features ------------------------------------------------------------------
 
 def test_guideline_self_scrutiny_appends_review(vending):

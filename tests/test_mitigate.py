@@ -28,7 +28,7 @@ from fsmguard import (
     unprotected_transitions,
 )
 
-from conftest import design_ast, design_source, design_stg
+from conftest import FIXTURES, design_ast, design_source, design_stg
 from test_stg import make_stg
 
 
@@ -193,6 +193,13 @@ def test_remove_unreachable_refuses_reachable():
         remove_unreachable_state(ast, "s2")
 
 
+def test_remove_unreachable_group_at_once():
+    ast = parse_source(SourceText.from_file(FIXTURES / "mutual_unreachable.v")).expect_ast()
+    fixed = remove_unreachable_state(ast, ["U1", "U2"])
+    assert fixed.param_names == ["IDLE", "RUN"]
+    assert run_all_checks(emit_verilog(fixed)).violations == []
+
+
 def test_uniquify_assigns_lowest_free_code():
     ast = design_ast("vending")
     injected, plan = plan_injection(VulnClass.DUPLICATE_ENCODING, ast, 3)
@@ -296,3 +303,15 @@ endmodule"""
     ast = parse_source(SourceText(text)).expect_ast()
     with pytest.raises(MitigationError, match="not enough unused codes"):
         uniquify_encodings(ast)
+
+
+def test_mitigate_mutually_referencing_unreachable_states():
+    """U1 and U2 point only at each other and at the reset state, so removing
+    one alone would leave the other with a dangling label."""
+    src = SourceText.from_file(FIXTURES / "mutual_unreachable.v")
+    report = run_all_checks(src)
+    assert [v.states for v in report.violations_of(Rule.UNREACHABLE_STATE)] == [("U1",), ("U2",)]
+    outcome = mitigate(src, report)
+    assert outcome.fixed == [Rule.UNREACHABLE_STATE]
+    assert outcome.residual == []
+    assert parse_source(outcome.design).expect_ast().param_names == ["IDLE", "RUN"]
