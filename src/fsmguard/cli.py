@@ -37,7 +37,7 @@ from .report import (
     compute_metrics,
     config_hash,
 )
-from .rules import Rule, RuleConfig, run_all_checks
+from .rules import Rule, RuleConfig, run_all_checks, run_checks_on_parse
 from .sanitize import DEFAULT_KEYWORDS, sanitize_identifiers
 from .source import SourceText
 from .stg import StgError, dump_stg, extract_stg
@@ -101,12 +101,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     rule_config = _rule_config(config, args.fif, args.include_self_edges)
     src = _read_design(args.design)
-    report = run_all_checks(src, _protected_set(args.protected), rule_config)
-    if args.dump_stg:
-        result = parse_source(src)
-        if result.ast is not None:
-            merged = _protected_set(args.protected) | result.ast.protected_annotations
-            sys.stdout.write(dump_stg(extract_stg(result.ast, merged)))
+    protected = _protected_set(args.protected)
+    result = parse_source(src)
+    report = run_checks_on_parse(result, protected, rule_config, src.origin)
+    if args.dump_stg and result.ast is not None:
+        merged = protected | result.ast.protected_annotations
+        sys.stdout.write(dump_stg(extract_stg(result.ast, merged)))
     if args.json:
         sys.stdout.write(report.to_json_text())
     else:

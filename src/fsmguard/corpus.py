@@ -269,6 +269,9 @@ def generate_corpus(bases: Sequence[SourceText], mix: dict[VulnClass, int],
         result = parse_source(src)
         ast = result.expect_ast()
         base_report = run_checks_on_parse(result, protected, config, src.origin)
+        if not base_report.parse_ok:  # the parse held, so the STG could not be extracted
+            raise CorpusError(f"base design {src.origin} has no STG: "
+                              + "; ".join(str(d) for d in base_report.errors))
         if base_report.violations:
             raise CorpusError(
                 f"base design {src.origin} is not clean: "

@@ -37,6 +37,7 @@ from .tokens import (
 _PROTECTED_RE = re.compile(r"@protected\s+([A-Za-z_][A-Za-z0-9_$]*)")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
 
+_OPERANDS = (TokKind.IDENT, TokKind.NUMBER, TokKind.SIZED)
 _NO_SPACE_BEFORE = {")", "]", ";", ",", ":"}
 _NO_SPACE_AFTER = {"(", "[", "!", "~"}
 
@@ -105,12 +106,11 @@ class _Parser:
         self._state_next = ""
 
     # -- token plumbing --------------------------------------------------
-    def peek(self, ahead: int = 0) -> Token:
-        i = min(self.pos + ahead, len(self.toks) - 1)
-        return self.toks[i]
+    def peek(self) -> Token:
+        return self.toks[self.pos]   # next() never moves past the EOF token
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.toks[self.pos]
         if tok.kind is not TokKind.EOF:
             self.pos += 1
         return tok
@@ -563,8 +563,12 @@ class _Parser:
             self.err("E_SYNTAX", f"expected assignment after {lhs.text!r}", op_tok.span)
             raise _Abort()
         rhs_toks: list[Token] = []
-        while not self.peek().is_op(";"):
-            if self.at_eof() or self.peek().is_kw("end", "endcase", "endmodule", "begin", "if", "else"):
+        while not (tok := self.peek()).is_op(";"):
+            # a statement keyword, a bare "=" or two operands in a row start
+            # the next statement
+            if (tok.kind is TokKind.EOF or tok.is_op("=")
+                    or tok.is_kw("end", "endcase", "endmodule", "begin", "if", "else")
+                    or (tok.kind in _OPERANDS and rhs_toks and rhs_toks[-1].kind in _OPERANDS)):
                 self.err("E_SYNTAX", "missing semicolon after assignment", lhs.span)
                 raise _Abort()
             rhs_toks.append(self.next())

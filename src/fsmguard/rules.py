@@ -22,6 +22,7 @@ from .parser import ParseResult, parse_source
 from .source import Diagnostic, SourceText, Span, error
 from .stg import (
     Encoding,
+    State,
     Stg,
     StgError,
     Transition,
@@ -307,36 +308,27 @@ def detect_trap_loops(stg: Stg) -> list[RuleViolation]:
     a proper subset of the reachable set.  Single-state traps are reported as
     static deadlocks, never twice."""
     reach = reachable_states(stg)
-    succ: dict[str, list[str]] = {}
-    for t in stg.transitions:
-        if t.guard.is_constant_false:
-            continue
-        if t.source in reach and t.target in reach:
-            succ.setdefault(t.source, []).append(t.target)
-    sccs = _tarjan_sccs([n for n in stg.state_names if n in reach], succ)
-    deadlocks = {v.states[0] for v in detect_static_deadlock(stg)}
-    violations = []
-    for comp in sccs:
+    succ = {n: [t.target for t in stg.out_edges(n)] for n in reach}
+    traps: list[set[str]] = []
+    for comp in _tarjan_sccs([n for n in stg.state_names if n in reach], succ):
+        # One state with no exit is entered from a distinct reachable state
+        # (else it would be the whole reachable set): a STATIC_DEADLOCK.
         comp_set = set(comp)
-        if comp_set == reach:
+        if len(comp) == 1 or comp_set == reach:
             continue
-        has_self = any(n in succ.get(n, []) for n in comp)
-        if len(comp) == 1 and not has_self:
-            continue
-        leaves = any(target not in comp_set
-                     for n in comp for target in succ.get(n, ()))
-        if leaves:
-            continue
-        if len(comp) == 1 and comp[0] in deadlocks:
-            continue  # subsumed by STATIC_DEADLOCK
-        members = tuple(n for n in stg.state_names if n in comp_set)
-        violations.append(RuleViolation(
-            rule=Rule.TRAP_LOOP_CWE835,
-            states=members,
-            span=stg.state(members[0]).span,
-            evidence={"members": list(members)},
-        ))
-    return violations
+        if all(target in comp_set for n in comp for target in succ[n]):
+            traps.append(comp_set)
+    trap_of = {n: i for i, comp_set in enumerate(traps) for n in comp_set}
+    members: list[list[str]] = [[] for _ in traps]
+    for n in stg.state_names:
+        if n in trap_of:
+            members[trap_of[n]].append(n)
+    return [RuleViolation(
+        rule=Rule.TRAP_LOOP_CWE835,
+        states=tuple(names),
+        span=stg.state(names[0]).span,
+        evidence={"members": names},
+    ) for names in members]
 
 
 def detect_unreachable_states(stg: Stg) -> list[RuleViolation]:
@@ -357,16 +349,23 @@ def detect_unreachable_states(stg: Stg) -> list[RuleViolation]:
 
 
 def detect_duplicate_encodings(stg: Stg) -> list[RuleViolation]:
+    """Every pair (a, b) sharing a code, a declared before b, ordered by a
+    then b."""
+    groups: dict[str, list[State]] = {}
+    for s in stg.states:
+        groups.setdefault(s.encoding.bits, []).append(s)
+    taken: dict[str, int] = {}
     violations = []
-    for i, a in enumerate(stg.states):
-        for b in stg.states[i + 1:]:
-            if a.encoding == b.encoding:
-                violations.append(RuleViolation(
-                    rule=Rule.DUPLICATE_ENCODING,
-                    states=(a.name, b.name),
-                    span=b.span,
-                    evidence={"encoding": str(a.encoding)},
-                ))
+    for a in stg.states:
+        bits = a.encoding.bits
+        taken[bits] = taken.get(bits, 0) + 1
+        for b in groups[bits][taken[bits]:]:
+            violations.append(RuleViolation(
+                rule=Rule.DUPLICATE_ENCODING,
+                states=(a.name, b.name),
+                span=b.span,
+                evidence={"encoding": bits},
+            ))
     return violations
 
 

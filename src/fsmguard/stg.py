@@ -12,7 +12,6 @@ from .source import Span
 _NOSPAN = Span(1, 1)
 
 _CONST_FALSE = {"0", "1'b0"}
-_CONST_TRUE = {"1", "1'b1"}
 
 
 class StgError(ValueError):
@@ -116,21 +115,28 @@ class Stg:
     default_arm_target: Optional[str] = None
 
     def __post_init__(self) -> None:
-        names = {s.name for s in self.states}
-        if self.reset_state not in names:
+        # The index is not a field, so ==, hash and repr ignore it.  The first
+        # declaration of a name wins; adjacency skips constant-false guards.
+        by_name = {s.name: s for s in reversed(self.states)}
+        if self.reset_state not in by_name:
             raise StgError(f"reset state {self.reset_state} is not declared")
         for s in self.states:
             if s.encoding.width != self.width:
                 raise StgError(f"state {s.name} width differs from STG width")
+        out: dict[str, list[Transition]] = {}
+        into: dict[str, list[Transition]] = {}
         for t in self.transitions:
-            if t.source not in names or t.target not in names:
+            if t.source not in by_name or t.target not in by_name:
                 raise StgError(f"transition {t.source}->{t.target} references unknown state")
+            if not t.guard.is_constant_false:
+                out.setdefault(t.source, []).append(t)
+                into.setdefault(t.target, []).append(t)
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_out", out)
+        object.__setattr__(self, "_in", into)
 
     def state(self, name: str) -> State:
-        for s in self.states:
-            if s.name == name:
-                return s
-        raise KeyError(name)
+        return self._by_name[name]
 
     @property
     def state_names(self) -> list[str]:
@@ -144,10 +150,10 @@ class Stg:
         return self.state(name).encoding
 
     def out_edges(self, name: str) -> list[Transition]:
-        return [t for t in self.transitions if t.source == name and not t.guard.is_constant_false]
+        return list(self._out.get(name, ()))
 
     def in_edges(self, name: str) -> list[Transition]:
-        return [t for t in self.transitions if t.target == name and not t.guard.is_constant_false]
+        return list(self._in.get(name, ()))
 
 
 # -- extraction -----------------------------------------------------------
@@ -268,10 +274,9 @@ def extract_stg(ast: FsmAst, protected: Iterable[str] = ()) -> Stg:
     for p in ast.parameters:
         if p.name in arm_labels:
             continue
-        if default_target is not None:
-            transitions.append(Transition(p.name, default_target, Guard.always(), p.span))
-        elif leading_target is not None:
-            transitions.append(Transition(p.name, leading_target, Guard.always(), p.span))
+        target = default_target if default_target is not None else leading_target
+        if target is not None:
+            transitions.append(Transition(p.name, target, Guard.always(), p.span))
         else:
             transitions.append(Transition(p.name, p.name, Guard.hold(), p.span))
 
@@ -291,16 +296,11 @@ def reachable_states(stg: Stg) -> frozenset[str]:
     never traversable."""
     seen = {stg.reset_state}
     frontier = [stg.reset_state]
-    succ: dict[str, list[str]] = {}
-    for t in stg.transitions:
-        if not t.guard.is_constant_false:
-            succ.setdefault(t.source, []).append(t.target)
     while frontier:
-        name = frontier.pop()
-        for nxt in succ.get(name, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
+        for t in stg._out.get(frontier.pop(), ()):
+            if t.target not in seen:
+                seen.add(t.target)
+                frontier.append(t.target)
     return frozenset(seen)
 
 

@@ -34,12 +34,24 @@ UNSUPPORTED_KEYWORDS = frozenset({
     "for", "repeat",
 })
 
-_TWO_CHAR_OPS = ("<=", ">=", "==", "!=", "&&", "||", "<<", ">>")
-_ONE_CHAR_OPS = set("@()[]{},;:=*!~&|^<>+-?/#.%$")
+_SIZED = r"(\d+)\s*'\s*([bBdDhHoO])([0-9a-fA-FxzXZ_]+)"
+_SIZED_RE = re.compile(_SIZED)
 
-_SIZED_RE = re.compile(r"(\d+)\s*'\s*([bBdDhHoO])([0-9a-fA-FxzXZ_]+)")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
-_NUM_RE = re.compile(r"\d+")
+# One alternative per token class, tried in this order at each position.  A
+# "/*" closes at the first "*/" after its "/", so "/*/" is a whole comment; a
+# "/*" that never closes matches only the "open" group.
+_MASTER_RE = re.compile(r"""
+    (?P<ws>[ \t\r\n]+)
+  | (?P<line_comment>//[^\n]*)
+  | (?P<block_comment>/\*(?:/|.*?\*/))
+  | (?P<open>/\*)
+  | (?P<sized>""" + _SIZED + r""")
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_$]*)
+  | (?P<number>\d+)
+  | (?P<op><=|>=|==|!=|&&|\|\||<<|>>|[@()\[\]{},;:=*!~&|^<>+\-?/\#.%$])
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
+_ALL_KEYWORDS = KEYWORDS | UNSUPPORTED_KEYWORDS
 
 
 @dataclass(frozen=True)
@@ -77,68 +89,36 @@ def tokenize(src: SourceText) -> Lexed:
     trivia: list[Token] = []
     diagnostics: list[Diagnostic] = []
     text = src.content
-    pos, line, col = 0, 1, 1
-    n = len(text)
-
-    def advance(count: int) -> None:
-        nonlocal pos, line, col
-        for _ in range(count):
-            if text[pos] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            pos += 1
-
-    while pos < n:
-        ch = text[pos]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if text.startswith("//", pos):
-            end = text.find("\n", pos)
-            end = n if end == -1 else end
-            trivia.append(Token(TokKind.COMMENT, text[pos:end], line, col))
-            advance(end - pos)
-            continue
-        if text.startswith("/*", pos):
-            end = text.find("*/", pos)
-            if end == -1:
-                diagnostics.append(error("E_COMMENT", "unterminated block comment", Span.point(line)))
-                break
-            trivia.append(Token(TokKind.COMMENT, text[pos:end + 2], line, col))
-            advance(end + 2 - pos)
-            continue
-        m = _SIZED_RE.match(text, pos)
-        if m:
-            tokens.append(Token(TokKind.SIZED, m.group(0), line, col))
-            advance(m.end() - pos)
-            continue
-        m = _IDENT_RE.match(text, pos)
-        if m:
-            word = m.group(0)
-            kind = TokKind.KW if (word in KEYWORDS or word in UNSUPPORTED_KEYWORDS) else TokKind.IDENT
-            tokens.append(Token(kind, word, line, col))
-            advance(len(word))
-            continue
-        m = _NUM_RE.match(text, pos)
-        if m:
-            tokens.append(Token(TokKind.NUMBER, m.group(0), line, col))
-            advance(m.end() - pos)
-            continue
-        two = text[pos:pos + 2]
-        if two in _TWO_CHAR_OPS:
-            tokens.append(Token(TokKind.OP, two, line, col))
-            advance(2)
-            continue
-        if ch in _ONE_CHAR_OPS:
-            tokens.append(Token(TokKind.OP, ch, line, col))
-            advance(1)
-            continue
-        diagnostics.append(error("E_CHAR", f"illegal character {ch!r}", Span.point(line)))
-        advance(1)
-
-    tokens.append(Token(TokKind.EOF, "", line, col))
+    end = len(text)
+    line, line_start = 1, 0   # current line and the offset it starts at
+    for m in _MASTER_RE.finditer(text):
+        kind, start, word = m.lastgroup, m.start(), m.group()
+        col = start - line_start + 1
+        if kind == "ws" or kind == "block_comment" or kind == "sized":
+            if kind == "block_comment":
+                trivia.append(Token(TokKind.COMMENT, word, line, col))
+            elif kind == "sized":
+                tokens.append(Token(TokKind.SIZED, word, line, col))
+            newlines = word.count("\n")   # only these three may span lines
+            if newlines:
+                line += newlines
+                line_start = start + word.rindex("\n") + 1
+        elif kind == "ident":
+            tok_kind = TokKind.KW if word in _ALL_KEYWORDS else TokKind.IDENT
+            tokens.append(Token(tok_kind, word, line, col))
+        elif kind == "op":
+            tokens.append(Token(TokKind.OP, word, line, col))
+        elif kind == "number":
+            tokens.append(Token(TokKind.NUMBER, word, line, col))
+        elif kind == "line_comment":
+            trivia.append(Token(TokKind.COMMENT, word, line, col))
+        elif kind == "bad":
+            diagnostics.append(error("E_CHAR", f"illegal character {word!r}", Span.point(line)))
+        else:  # "open": the scan stops, and EOF sits on the "/*"
+            diagnostics.append(error("E_COMMENT", "unterminated block comment", Span.point(line)))
+            end = start
+            break
+    tokens.append(Token(TokKind.EOF, "", line, end - line_start + 1))
     return Lexed(tokens=tokens, trivia=trivia, diagnostics=diagnostics)
 
 

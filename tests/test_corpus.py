@@ -176,6 +176,14 @@ def test_corpus_rejects_dirty_base(aes_ctrl):
         generate_corpus([aes_ctrl], {VulnClass.STATIC_DEADLOCK: 1}, 0)
 
 
+@pytest.mark.parametrize("vuln", [VulnClass.STATIC_DEADLOCK, VulnClass.MISSING_DEFAULT])
+def test_corpus_rejects_base_without_stg(vending, vuln):
+    # the base parses, but its STG cannot be built for an undeclared
+    # protected state; it must not pass as clean
+    with pytest.raises(CorpusError, match=r"vending\.v has no STG: .*E_STG.*NOPE"):
+        generate_corpus([vending], {vuln: 1}, 0, protected=frozenset({"NOPE"}))
+
+
 def test_corpus_unsatisfiable_mix_names_class():
     # a saturated 1-bit design cannot take a deadlock state
     text = """module m (input clk, input rst, input go);

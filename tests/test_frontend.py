@@ -1,4 +1,7 @@
 """Tokenizer, parser, linter, and emitter behavior."""
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +14,7 @@ from fsmguard.lint import (
     SEMICOLON_AFTER_END,
 )
 
-from conftest import design_ast, design_source
+from conftest import DESIGNS, design_ast, design_source
 
 
 # -- tokenize ------------------------------------------------------------------
@@ -58,6 +61,58 @@ def test_every_byte_attributed():
     assert "".join(t.text for t in lexed.tokens) == "".join(remainder.split())
 
 
+
+# -- golden identity: the lexer ------------------------------------------------
+
+# Inserted at random positions by the mutants below: comment edge cases
+# ("/*/" closes itself, a lone "/*" is unterminated), whitespace the lexer
+# does not skip ("\f", "\v", non-ASCII), sized literals split across
+# lines, and characters outside the subset.
+_LEX_SNIPPETS = (
+    "/*/", "/*", "*/", "//", "/* x */", "/**/", "\f", "\r", "\r\n", "\t", "\v",
+    "\n", " ", "3'\nb101", "4\n'b1010", "2 ' b01", "8'hFF", "3'b0x_z", "1'", "'",
+    "`", "\"", "\\", "\xa0", "\u0663", "\u2028", "a$b", "$", "_9", "<=", "==",
+    "!=", "&&", "||", "<<", ">>", "#", "@", "0", "42", "begin", "end", "logic",
+)
+_LEX_EXTRA = (
+    "/*/ module m;", "module m; /* never closed\nendmodule\n", "a\fb\rc\vd",
+    "parameter A = 3\n'\nb001;", "x = 12 'd 7 ;", "/*/*/", "a /*/ b */ c",
+    "// only a comment", "\u0663\u0664 x", "4'b10\n10",
+)
+LEXER_GOLDEN_SHA256 = "0ec8a41c5e52fa7726386b4be4a0213748cecd8de0b580967c6eb367df4718f9"
+
+
+def _lexer_corpus() -> list[str]:
+    designs = [p.read_text(encoding="utf-8") for p in sorted(DESIGNS.glob("*.v"))]
+    rng = random.Random(20231)
+    texts = list(designs) + list(_LEX_EXTRA)
+    for _ in range(2000):
+        text = rng.choice(designs)
+        for _ in range(rng.randint(1, 4)):
+            pos = rng.randrange(len(text))
+            op = rng.random()
+            if op < 0.5:
+                text = text[:pos] + rng.choice(_LEX_SNIPPETS) + text[pos:]
+            elif op < 0.8:
+                text = text[:pos] + text[pos + rng.randint(1, 8):]
+            else:
+                text = text[:pos] + chr(rng.randrange(1, 128)) + text[pos + 1:]
+        texts.append(text or " ")
+    return texts
+
+
+def test_lexer_golden_identity():
+    digest = hashlib.sha256()
+    for text in _lexer_corpus():
+        lexed = tokenize(SourceText(text))
+        for tok in lexed.tokens + lexed.trivia:
+            digest.update(repr((tok.kind.name, tok.text, tok.line, tok.col)).encode())
+        for d in lexed.diagnostics:
+            digest.update(repr((d.code, d.message, d.span.start, d.span.end)).encode())
+        digest.update(b"|")
+    assert digest.hexdigest() == LEXER_GOLDEN_SHA256
+
+
 # -- parse ---------------------------------------------------------------------
 
 def test_parse_vending_machine():
@@ -92,6 +147,19 @@ always @(*) begin case (s) A: n = A; endcase end
 endmodule"""
     result = parse_source(SourceText(text))
     assert any(d.code == "E_ENCODING" for d in result.errors)
+
+
+@pytest.mark.parametrize("cut", ["busy = 1", "busy = (1)"])
+def test_parse_missing_semicolon_is_syntax_error(cut):
+    # designs/rsa_ctrl.v with the ";" of line 43 removed: the right-hand side
+    # must not swallow the next assignment (and with it the LOAD2 -> MULT edge)
+    lines = design_source("rsa_ctrl").content.split("\n")
+    assert lines[42].strip() == "busy = 1;"
+    lines[42] = lines[42].replace("busy = 1;", cut)
+    result = parse_source(SourceText("\n".join(lines)))
+    assert result.ast is None
+    assert any(d.code == "E_SYNTAX" and d.message == "missing semicolon after assignment"
+               and d.span.start == 43 for d in result.errors)
 
 
 def test_parse_two_sequential_blocks():

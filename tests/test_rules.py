@@ -1,5 +1,6 @@
 """Security rules: FIF metric, HD, deadlock, trap, unreachable, duplicates,
 default handling, and the aggregate report."""
+import hashlib
 import itertools
 import random
 
@@ -32,7 +33,7 @@ from fsmguard import (
     unprotected_transitions,
 )
 
-from conftest import design_ast, design_source, design_stg
+from conftest import DESIGNS, design_ast, design_source, design_stg
 from test_stg import make_stg
 
 
@@ -364,12 +365,31 @@ def test_duplicates_none_in_aes():
     assert detect_duplicate_encodings(design_stg("aes_ctrl")) == []
 
 
+# Two code groups interleaved over s0..s(2k-1), even states on one code and
+# odd states on the other: pairs come by first state, then second state.
+_INTERLEAVED_PAIRS = {
+    2: [("s0", "s2"), ("s1", "s3")],
+    3: [("s0", "s2"), ("s0", "s4"), ("s1", "s3"), ("s1", "s5"), ("s2", "s4"),
+        ("s3", "s5")],
+    4: [("s0", "s2"), ("s0", "s4"), ("s0", "s6"), ("s1", "s3"), ("s1", "s5"),
+        ("s1", "s7"), ("s2", "s4"), ("s2", "s6"), ("s3", "s5"), ("s3", "s7"),
+        ("s4", "s6"), ("s5", "s7")],
+}
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_duplicates_pairwise_count(k):
     codes = {f"s{i}": "110" for i in range(k)}
     codes["extra"] = "001"
     stg = make_stg(codes, [(f"s{i}", "extra") for i in range(k)], "s0")
     assert len(detect_duplicate_encodings(stg)) == k * (k - 1) // 2
+
+    codes = {f"s{i}": ("110", "011")[i % 2] for i in range(2 * k)}
+    codes["extra"] = "001"
+    stg = make_stg(codes, [(name, "extra") for name in codes], "s0")
+    found = detect_duplicate_encodings(stg)
+    assert [v.states for v in found] == _INTERLEAVED_PAIRS[k]
+    assert [v.evidence["encoding"] for v in found] == [codes[a] for a, _ in _INTERLEAVED_PAIRS[k]]
 
 
 # -- default handling ----------------------------------------------------------------
@@ -474,3 +494,24 @@ def test_run_all_checks_undeclared_protected(vending):
     report = run_all_checks(vending, {"NO_SUCH_STATE"})
     assert not report.parse_ok
     assert any(d.code == "E_STG" for d in report.errors)
+
+
+# -- golden identity: every report -----------------------------------------------------
+
+# sha256 over the JSON report of every shipped design, with no protected state
+# and with each declared state protected in turn, FIF off and on; designs are
+# named by file name so the digest does not depend on the checkout.
+REPORTS_GOLDEN_SHA256 = "828ebb9d308c5cc46b989c375ace71dcf82718cfdf83f308c1e6feffa2226f23"
+
+
+def test_reports_golden_identity():
+    digest = hashlib.sha256()
+    for path in sorted(DESIGNS.glob("*.v")):
+        src = SourceText(path.read_text(encoding="utf-8"), origin=path.name)
+        ast = parse_source(src).ast
+        names = ast.param_names if ast is not None else []
+        for protected in [frozenset()] + [frozenset({n}) for n in names]:
+            for fif in (False, True):
+                report = run_all_checks(src, protected, RuleConfig(fif=fif))
+                digest.update(report.to_json_text().encode())
+    assert digest.hexdigest() == REPORTS_GOLDEN_SHA256
