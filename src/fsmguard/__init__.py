@@ -97,6 +97,14 @@ from .report import (
     compute_metrics,
     percent,
 )
-from .cli import cli_dispatch
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # The CLI loads on first use, so ``python -m fsmguard.cli`` does not find
+    # its own module already imported by the package.
+    if name == "cli_dispatch":
+        from .cli import cli_dispatch
+        return cli_dispatch
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Optional
 
 from .ast_nodes import Assign, Branch, CaseArm, FsmAst, IfChain
@@ -29,6 +30,10 @@ from .stg import (
 )
 
 MAX_ROUNDS = 5
+# State placements the re-encoding search may make before it settles for its
+# best assignment so far (about 10 us each at width 4).  Random 10-state
+# width-4 graphs of 10 to 40 edges need at most ~90 000.
+SEARCH_NODE_BUDGET = 500_000
 
 
 class MitigationError(ValueError):
@@ -48,6 +53,7 @@ class EncodingAssignment:
 
     mapping: dict[str, Encoding]
     residual_violations: tuple[tuple[str, str], ...]
+    optimal: bool  # False when the search stopped at SEARCH_NODE_BUDGET
 
     @property
     def residual_count(self) -> int:
@@ -61,15 +67,17 @@ class MitigationOutcome:
     residual: list[RuleViolation]
     stg_preserved: bool
     rounds: int = 0
+    encoding_optimal: bool = True  # every re-encoding search that ran was exact
 
     def to_json(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "design": self.design.content,
             "fixed": [r.value for r in self.fixed],
             "residual": [v.to_json() for v in self.residual],
             "stg_preserved": self.stg_preserved,
             "rounds": self.rounds,
+            "encoding_optimal": self.encoding_optimal,
         }
 
 
@@ -179,58 +187,89 @@ def score_assignment(stg: Stg, mapping: dict[str, Encoding],
 
 def reencode_states(stg: Stg, protected: frozenset[str] | set[str] = frozenset(),
                     include_self_edges: bool = False) -> EncodingAssignment:
-    """Exhaustive backtracking search for an injective assignment minimizing
+    """Exact branch-and-bound search for an injective assignment minimizing
     unprotected edges with HD != 1; ties break to the lexicographically
-    smallest assignment over states in declaration order."""
+    smallest assignment over states in declaration order.  After
+    ``SEARCH_NODE_BUDGET`` placements it returns the best assignment found so
+    far with ``optimal=False``."""
     names = stg.state_names
     width = stg.width
-    if len(names) > 2 ** width:
+    size = 2 ** width
+    if len(names) > size:
         raise MitigationError(
-            f"{len(names)} states exceed the {2 ** width} codes of width {width}")
+            f"{len(names)} states exceed the {size} codes of width {width}")
     protected_set = set(protected) | set(stg.protected_names)
-    edges = [(t.source, t.target) for t in unprotected_transitions(stg)
-             if (include_self_edges or t.source != t.target)
-             if t.source not in protected_set and t.target not in protected_set]
-    # Edges among the first k states, used to bound partial assignments.
-    codes = list(range(2 ** width))
-    best_count = len(edges) + 1
-    best: Optional[list[int]] = None
-
     index = {n: i for i, n in enumerate(names)}
-    edge_pairs = [(index[a], index[b]) for a, b in edges]
+    n = len(names)
+    # later[j]: {k: multiplicity} of edges between j and a later-declared k.
+    # Self edges (HD 0) violate under every assignment, so they are a
+    # constant and drop out of the search.
+    later: list[dict[int, int]] = [{} for _ in names]
+    for t in unprotected_transitions(stg):
+        if t.source in protected_set or t.target in protected_set:
+            continue
+        a, b = sorted((index[t.source], index[t.target]))
+        if a != b:
+            later[a][b] = later[a].get(b, 0) + 1
+    # viol[c][d] is 1 unless codes c and d sit at HD 1.
+    viol = [[0 if (x := c ^ d) and not x & (x - 1) else 1 for d in range(size)]
+            for c in range(size)]
+    # rows[u][c]: cost of placing state u at code c against the placed states;
+    # rows[k] is the incremental cost when state k is placed next.
+    rows = [[0] * size for _ in names]
+    free = [1] * size
+    codes = [0] * n
+    best: Optional[list[int]] = None
+    best_cost = sum(sum(d.values()) for d in later) + 1
+    nodes = 0
+    exhausted = False
 
-    def partial_cost(assign: list[int]) -> int:
-        k = len(assign)
-        cost = 0
-        for a, b in edge_pairs:
-            if a < k and b < k:
-                if bin(assign[a] ^ assign[b]).count("1") != 1:
-                    cost += 1
-        return cost
-
-    def search(assign: list[int], used: set[int]) -> None:
-        nonlocal best_count, best
-        cost = partial_cost(assign)
-        if cost >= best_count:
+    # Symmetry breaking.  Cost is invariant under XOR translation and bit
+    # permutation.  Translating by the first code gives an optimum starting
+    # at 0, so the lexicographically smallest optimum starts at 0.  A bit
+    # permutation that fixes every placed code keeps an optimum optimal and
+    # its prefix intact, so the smallest optimum places each next state at
+    # the smallest code of its orbit: within each cell of bit positions that
+    # no placed code tells apart, its set bits are the cell's lowest.  (The
+    # second state thus gets some 2^k-1.)  ``cells`` holds those cells as
+    # bit masks; one-bit cells are dropped, as they restrict nothing.
+    def search(k: int, cost: int, cells: list[int]) -> None:
+        nonlocal best, best_cost, nodes, exhausted
+        if k == n:
+            best, best_cost = codes[:], cost  # only a strict improvement gets here
             return
-        if len(assign) == len(names):
-            best_count = cost
-            best = list(assign)
-            return
-        for code in codes:
-            if code in used:
+        for c in range(1 if k == 0 else size):
+            here = cost + rows[k][c]
+            if not free[c] or here >= best_cost or not all(
+                    not (rest := m & ~c) or c & m < rest & -rest for m in cells):
                 continue
-            assign.append(code)
-            used.add(code)
-            search(assign, used)
-            used.discard(code)
-            assign.pop()
+            if best is not None and nodes >= SEARCH_NODE_BUDGET:
+                exhausted = True
+                return
+            nodes += 1
+            codes[k] = c
+            free[c] = 0
+            saved = [(u, rows[u]) for u in later[k]]
+            for u, m in later[k].items():
+                rows[u] = [r + m * v for r, v in zip(rows[u], viol[c])]
+            # Admissible look-ahead: each unplaced state pays at least its
+            # cheapest cost against the placed states over the free codes.
+            bound = sum(min(compress(rows[u], free)) for u in range(k + 1, n))
+            if here + bound < best_cost:
+                search(k + 1, here, [part for m in cells for part in (m & c, m & ~c)
+                                     if part & (part - 1)])
+            for u, row in saved:
+                rows[u] = row
+            free[c] = 1
+            if exhausted:
+                return
 
-    search([], set())
+    search(0, 0, [size - 1])
     assert best is not None
     mapping = {name: Encoding.from_int(code, width) for name, code in zip(names, best)}
     residual = tuple(score_assignment(stg, mapping, include_self_edges))
-    return EncodingAssignment(mapping=mapping, residual_violations=residual)
+    return EncodingAssignment(mapping=mapping, residual_violations=residual,
+                              optimal=not exhausted)
 
 
 def apply_encoding_assignment(ast: FsmAst, assignment: EncodingAssignment) -> FsmAst:
@@ -257,23 +296,23 @@ def mitigate(src: SourceText, report: CheckReport,
     initial_rules = {v.rule for v in report.violations}
     current = ast
     rounds = 0
+    encoding_optimal = True
+    rep: Optional[CheckReport] = None   # report of `current`; None once a fix changes it
 
     for rounds in range(1, MAX_ROUNDS + 1):
-        rep = run_checks_on_ast(current, protected, rule_config)
+        if rep is None:
+            rep = run_checks_on_ast(current, protected, rule_config)
         rules = rep.violated_rules
         if not rules:
             break
-        progressed = False
 
         if Rule.DUPLICATE_ENCODING in rules:
             current = uniquify_encodings(current)
-            progressed = True
         elif Rule.UNREACHABLE_STATE in rules:
             # Removed as a group: mutually-referencing unreachable states
             # would otherwise leave dangling labels mid-sequence.
             current = remove_unreachable_state(
                 current, [v.states[0] for v in rep.violations_of(Rule.UNREACHABLE_STATE)])
-            progressed = True
         elif Rule.STATIC_DEADLOCK in rules or Rule.TRAP_LOOP_CWE835 in rules:
             stuck = rep.violations_of(Rule.STATIC_DEADLOCK) + rep.violations_of(Rule.TRAP_LOOP_CWE835)
             v = stuck[0]
@@ -283,23 +322,23 @@ def mitigate(src: SourceText, report: CheckReport,
                 n for n in current.param_names if n != state)
             current = remove_static_deadlock(current, state, exit_target,
                                              config.deadlock_exit_input)
-            progressed = True
         elif Rule.MISSING_DEFAULT in rules:
             target = config.default_arm_target or current.seq.reset_target
             current = add_default_arm(current, target)
-            progressed = True
         elif Rule.HD_NOT_ONE in rules:
             assignment = reencode_states(extract_stg(current, protected), protected,
                                          config.include_self_edges)
+            encoding_optimal = encoding_optimal and assignment.optimal
             current = apply_encoding_assignment(current, assignment)
-            final = run_checks_on_ast(current, protected, rule_config)
-            if Rule.HD_NOT_ONE in final.violated_rules:
+            rep = run_checks_on_ast(current, protected, rule_config)
+            if Rule.HD_NOT_ONE in rep.violated_rules:
                 break  # residual encodings are genuinely unfixable at this width
-            progressed = True
-        if not progressed:
+            continue
+        else:
             break
+        rep = None
 
-    final_report = run_checks_on_ast(current, protected, rule_config)
+    final_report = rep if rep is not None else run_checks_on_ast(current, protected, rule_config)
     fixed = sorted(initial_rules - final_report.violated_rules, key=lambda r: r.value)
     residual = list(final_report.violations)
     stg_preserved = stg_isomorphic_modulo_encoding(
@@ -310,4 +349,5 @@ def mitigate(src: SourceText, report: CheckReport,
         residual=residual,
         stg_preserved=stg_preserved,
         rounds=rounds,
+        encoding_optimal=encoding_optimal,
     )

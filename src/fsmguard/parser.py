@@ -104,6 +104,7 @@ class _Parser:
         self.module_line = 1
         self._state_cur = ""
         self._state_next = ""
+        self.aborted = False
 
     # -- token plumbing --------------------------------------------------
     def peek(self) -> Token:
@@ -163,7 +164,7 @@ class _Parser:
             if self.peek().is_kw("endmodule"):
                 self.next()
         except _Abort:
-            pass
+            self.aborted = True
         return self._finalize()
 
     def _reject_unsupported_keywords(self) -> None:
@@ -586,29 +587,33 @@ class _Parser:
             for m in _PROTECTED_RE.finditer(text):
                 annotations.add(m.group(1))
 
+        # After an abort the module is only half read: what it lacks may lie
+        # past the error, so the "missing X" diagnostics would only cascade.
+        report_missing = not self.aborted
         if self.port_order:
             declared = {p.name: p for p in self.ports}
-            missing = [n for n in self.port_order if n not in declared]
+            missing = [n for n in self.port_order if n not in declared] if report_missing else []
             for name in missing:
                 self.err("E_PORT_DECL", f"port {name} has no direction declaration",
                          Span.point(self.module_line))
             self.ports = [declared[n] for n in self.port_order if n in declared]
 
         if not self.params and not self.seq_blocks and not self.comb_blocks:
-            self.err("E_NO_FSM", "no state machine found", Span.point(self.module_line))
+            if report_missing:
+                self.err("E_NO_FSM", "no state machine found", Span.point(self.module_line))
             return None
         if len(self.seq_blocks) > 1:
             self.err("E_MULTI_SEQ", "two sequential blocks describe the state register",
                      self.seq_blocks[1].span)
-        if not self.seq_blocks:
+        if not self.seq_blocks and report_missing:
             self.err("E_NO_SEQ", "no sequential state-update block found",
                      Span.point(self.module_line))
         if len(self.comb_blocks) > 1:
             self.err("E_MULTI_COMB", "more than one combinational block",
                      self.comb_blocks[1].span)
-        if not self.comb_blocks:
+        if not self.comb_blocks and report_missing:
             self.err("E_NO_CASE", "missing case statement", Span.point(self.module_line))
-        if not self.params:
+        if not self.params and report_missing:
             self.err("E_NO_PARAMS", "no state parameters declared", Span.point(self.module_line))
 
         widths = {p.width for p in self.params}

@@ -1,5 +1,8 @@
 """CLI subcommands and the exit-code contract."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,16 @@ from conftest import DESIGNS, FIXTURES
 
 def run(*argv):
     return cli_dispatch([str(a) for a in argv])
+
+
+def test_module_entry_point_runs_without_warnings():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "fsmguard.cli", "--help"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
 
 
 def test_check_clean_design_exits_zero(capsys):

@@ -162,6 +162,15 @@ def test_parse_missing_semicolon_is_syntax_error(cut):
                and d.span.start == 43 for d in result.errors)
 
 
+def test_parse_abort_adds_no_cascade_diagnostics():
+    # the missing-";" mutant aborts inside the comb block; the half-read
+    # module must not also be reported as missing its case statement
+    lines = design_source("rsa_ctrl").content.split("\n")
+    lines[42] = lines[42].replace("busy = 1;", "busy = 1")
+    result = parse_source(SourceText("\n".join(lines)))
+    assert [(d.code, d.span.start) for d in result.errors] == [("E_SYNTAX", 43)]
+
+
 def test_parse_two_sequential_blocks():
     text = """module m (input clk, input rst);
 parameter A = 1'b0;

@@ -1,10 +1,13 @@
 """Mitigation fixes, the re-encoding search, and the end-to-end driver."""
+import importlib
 import itertools
+import random
 
 import pytest
 
 from fsmguard import (
     Encoding,
+    EncodingAssignment,
     MitigationError,
     Rule,
     RuleConfig,
@@ -132,6 +135,106 @@ def test_reencode_4bit_case_matches_bruteforce():
                    "a")
     assignment = reencode_states(stg)
     assert assignment.residual_count == brute_force_min_residual(stg)
+
+
+def _reference_reencode(stg, protected=frozenset(), include_self_edges=False):
+    """The plain exhaustive backtrack the branch-and-bound search replaced:
+    first strictly better complete assignment in lexicographic order wins."""
+    names = stg.state_names
+    width = stg.width
+    protected_set = set(protected) | set(stg.protected_names)
+    edges = [(t.source, t.target) for t in unprotected_transitions(stg)
+             if (include_self_edges or t.source != t.target)
+             if t.source not in protected_set and t.target not in protected_set]
+    index = {n: i for i, n in enumerate(names)}
+    edge_pairs = [(index[a], index[b]) for a, b in edges]
+    best_count = len(edges) + 1
+    best = None
+
+    def partial_cost(assign):
+        k = len(assign)
+        return sum(1 for a, b in edge_pairs
+                   if a < k and b < k and bin(assign[a] ^ assign[b]).count("1") != 1)
+
+    def search(assign, used):
+        nonlocal best_count, best
+        cost = partial_cost(assign)
+        if cost >= best_count:
+            return
+        if len(assign) == len(names):
+            best_count, best = cost, list(assign)
+            return
+        for code in range(2 ** width):
+            if code not in used:
+                assign.append(code)
+                used.add(code)
+                search(assign, used)
+                used.discard(code)
+                assign.pop()
+
+    search([], set())
+    mapping = {name: Encoding.from_int(code, width) for name, code in zip(names, best)}
+    return EncodingAssignment(mapping=mapping,
+                              residual_violations=tuple(score_assignment(stg, mapping,
+                                                                         include_self_edges)),
+                              optimal=True)
+
+
+def _random_stg(rng, width, n):
+    names = [f"s{i}" for i in range(n)]
+    codes = {name: format(rng.randrange(2 ** width), f"0{width}b") for name in names}
+    # repeated picks give duplicate edges and self edges
+    edges = [(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 2 * n))]
+    flagged = {name for name in names if rng.random() < 0.15}
+    return make_stg(codes, edges, names[0], protected=flagged), names
+
+
+def test_reencode_equals_exhaustive_reference_on_random_stgs():
+    rng = random.Random(2024)
+    shapes = [(2 + i % 3, None) for i in range(300)] + [(4, 6)] * 4
+    for width, n in shapes:
+        n = n or rng.randint(1, min(6 if width < 4 else 5, 2 ** width))
+        stg, names = _random_stg(rng, width, n)
+        protected = {name for name in names if rng.random() < 0.15}
+        include_self_edges = rng.random() < 0.5
+        got = reencode_states(stg, protected, include_self_edges)
+        assert got == _reference_reencode(stg, protected, include_self_edges), (
+            stg, protected, include_self_edges)
+
+
+def _ring_with_chords(n, width):
+    names = [f"s{i}" for i in range(n)]
+    codes = {name: format(i, f"0{width}b") for i, name in enumerate(names)}
+    edges = [(names[i], names[(i + 1) % n]) for i in range(n)]
+    edges += [(names[i], names[(7 * i + 3) % n]) for i in range(n)]
+    return make_stg(codes, edges, names[0])
+
+
+def test_reencode_ten_states_width_four_is_proven_optimal():
+    stg = _ring_with_chords(10, 4)
+    assignment = reencode_states(stg)
+    assert assignment.optimal
+    assert len(set(assignment.mapping.values())) == 10
+    assert list(assignment.residual_violations) == score_assignment(stg, assignment.mapping)
+
+
+def test_reencode_budget_returns_incumbent_not_optimal(monkeypatch):
+    monkeypatch.setattr(importlib.import_module("fsmguard.mitigate"), "SEARCH_NODE_BUDGET", 1)
+    stg = _ring_with_chords(10, 4)
+    assignment = reencode_states(stg)
+    assert not assignment.optimal
+    assert sorted(assignment.mapping) == sorted(stg.state_names)
+    assert len(set(assignment.mapping.values())) == 10
+    assert list(assignment.residual_violations) == score_assignment(stg, assignment.mapping)
+
+
+def test_mitigate_reports_whether_the_encoding_is_optimal(aes_ctrl, monkeypatch):
+    report = run_all_checks(aes_ctrl, {"WAIT_KEY"})
+    data = mitigate(aes_ctrl, report).to_json()
+    assert data["schema_version"] == 2
+    assert data["encoding_optimal"] is True
+    monkeypatch.setattr(importlib.import_module("fsmguard.mitigate"), "SEARCH_NODE_BUDGET", 1)
+    assert mitigate(aes_ctrl, report).encoding_optimal is False
 
 
 def test_score_assignment_listing8():
