@@ -2,10 +2,13 @@
 
 Equality between nodes is structural: spans and other layout trivia do not
 participate, so a parse -> emit -> parse round trip compares equal.
+
+No node is mutated once the parser has built it.  An edit returns a new tree
+that rebuilds the nodes on the path it changes and shares all the others.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from .source import Span
@@ -142,6 +145,18 @@ class FsmAst:
             if arm.label == label:
                 return arm
         return None
+
+    def with_arm(self, arm: CaseArm) -> FsmAst:
+        """A copy with arm in place of the arm of its label, or appended."""
+        arms = [arm if a.label == arm.label else a for a in self.comb.arms]
+        if self.arm_for(arm.label) is None:
+            arms.append(arm)
+        return replace(self, comb=replace(self.comb, arms=arms))
+
+    def with_encodings(self, codes: dict[str, str]) -> FsmAst:
+        """A copy whose parameters named in codes carry the given bits."""
+        return replace(self, parameters=[replace(p, bits=codes[p.name]) if p.name in codes else p
+                                         for p in self.parameters])
 
     def unused_encodings(self) -> list[str]:
         used = {p.bits for p in self.parameters}

@@ -197,7 +197,6 @@ def _cmd_mitigate(args: argparse.Namespace) -> int:
     mconfig = MitigationConfig(
         default_arm_target=msection.get("default_arm_target"),
         deadlock_exit_input=msection.get("deadlock_exit_input"),
-        include_self_edges=rule_config.include_self_edges,
     )
     src = _read_design(args.design)
     protected = _protected_set(args.protected)

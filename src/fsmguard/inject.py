@@ -9,7 +9,6 @@ touched and the module interface is preserved.
 """
 from __future__ import annotations
 
-import copy
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -99,10 +98,6 @@ class _EdgeRef:
     branch_index: int = -1
 
 
-def _top_level_chains(arm: CaseArm) -> list[tuple[int, IfChain]]:
-    return [(i, s) for i, s in enumerate(arm.body) if isinstance(s, IfChain)]
-
-
 def _branch_assigns_next(branch: Branch, next_reg: str) -> bool:
     return any(isinstance(s, Assign) and s.lhs == next_reg for s in branch.body)
 
@@ -112,9 +107,10 @@ def _enumerate_refs(ast: FsmAst, arm: CaseArm) -> list[_EdgeRef]:
     assert label is not None
     refs: list[_EdgeRef] = []
     has_uncond = any(isinstance(s, Assign) and s.lhs == ast.state_next for s in arm.body)
-    chains = _top_level_chains(arm)
     covered_by_chain = False
-    for ci, chain in chains:
+    for ci, chain in enumerate(arm.body):
+        if not isinstance(chain, IfChain):
+            continue
         branch_cover = all(_branch_assigns_next(br, ast.state_next) for br in chain.branches)
         if chain.has_else and branch_cover:
             covered_by_chain = True
@@ -128,50 +124,42 @@ def _enumerate_refs(ast: FsmAst, arm: CaseArm) -> list[_EdgeRef]:
     return refs
 
 
-def _apply_redirect(ast: FsmAst, ref: _EdgeRef, new_target: str) -> None:
-    """Rewrite one next-state outcome of an arm to new_target, in place."""
+def _put(items: list, index: int, item) -> list:
+    """A copy of items with item at index."""
+    return items[:index] + [item] + items[index + 1:]
+
+
+def _apply_redirect(ast: FsmAst, ref: _EdgeRef, new_target: str) -> FsmAst:
+    """Rewrite one next-state outcome of an arm to new_target."""
     arm = ast.arm_for(ref.arm_label)
-    if arm is None:
-        raise InjectError(f"arm {ref.arm_label} not found")
+    assert arm is not None
     next_reg = ast.state_next
     if ref.kind == "branch":
         chain = arm.body[ref.chain_index]
-        assert isinstance(chain, IfChain)
         branch = chain.branches[ref.branch_index]
-        for stmt in reversed(branch.body):
-            if isinstance(stmt, Assign) and stmt.lhs == next_reg:
-                stmt.rhs = new_target
-                return
-        raise InjectError("branch holds no next-state assignment")
-    if ref.kind == "base":
-        # Drop the unconditional assignment; route its path through an else
-        # branch when a guard chain exists.
-        keep = [s for s in arm.body
-                if not (isinstance(s, Assign) and s.lhs == next_reg)]
-        chains = [s for s in keep if isinstance(s, IfChain)]
-        assigning = [c for c in chains
-                     if any(_branch_assigns_next(br, next_reg) for br in c.branches)]
-        if assigning:
-            arm.body = keep
-            chain = assigning[-1]
-            if chain.has_else:
-                raise InjectError("base path is unreachable under a full if/else")
-            chain.branches.append(Branch(None, [Assign(next_reg, new_target)]))
+        last = max(i for i, s in enumerate(branch.body)
+                   if isinstance(s, Assign) and s.lhs == next_reg)
+        branch = replace(branch, body=_put(branch.body, last,
+                                           replace(branch.body[last], rhs=new_target)))
+        chain = replace(chain, branches=_put(chain.branches, ref.branch_index, branch))
+        body = _put(arm.body, ref.chain_index, chain)
+    else:
+        # The base and fallthrough paths: drop any unconditional assignment,
+        # then route the path through an else branch of the last assigning
+        # chain, or through a plain assignment when no chain assigns.
+        body = [s for s in arm.body if not (isinstance(s, Assign) and s.lhs == next_reg)]
+        assigning = [i for i, s in enumerate(body) if isinstance(s, IfChain)
+                     and any(_branch_assigns_next(br, next_reg) for br in s.branches)]
+        retarget = Assign(next_reg, new_target)
+        if not assigning:
+            body.append(retarget)
         else:
-            arm.body = keep + [Assign(next_reg, new_target)]
-        return
-    if ref.kind == "fallthrough":
-        chains = [s for s in arm.body if isinstance(s, IfChain)
-                  and any(_branch_assigns_next(br, next_reg) for br in s.branches)]
-        if chains:
-            chain = chains[-1]
+            chain = body[assigning[-1]]
             if chain.has_else:
-                raise InjectError("fallthrough path already covered")
-            chain.branches.append(Branch(None, [Assign(next_reg, new_target)]))
-        else:
-            arm.body = arm.body + [Assign(next_reg, new_target)]
-        return
-    raise InjectError(f"unknown edge ref kind {ref.kind}")
+                raise InjectError(f"the {ref.kind} path is unreachable under a full if/else")
+            body = _put(body, assigning[-1],
+                        replace(chain, branches=chain.branches + [Branch(None, [retarget])]))
+    return ast.with_arm(replace(arm, body=body))
 
 
 _GATE_CONFIG = RuleConfig()
@@ -197,9 +185,9 @@ def _flags_exactly(ast: FsmAst, protected: frozenset[str], rule: Rule,
 
 @dataclass(frozen=True)
 class _Edit:
-    """One candidate injection: an in-place AST edit plus its plan fields."""
+    """One candidate injection: an AST edit plus its plan fields."""
 
-    apply: Callable[[FsmAst], None]
+    apply: Callable[[FsmAst], FsmAst]
     flagged: frozenset[str]      # states the intended finding must name
     target_state: str
     added_states: tuple[str, ...]
@@ -210,7 +198,7 @@ class _Edit:
 
 def _inject(vuln: VulnClass, ast: FsmAst, seed: int,
             protected: frozenset[str]) -> tuple[FsmAst, InjectionPlan]:
-    """Enumerate the class's edits, apply each to a copy, keep those the
+    """Enumerate the class's edits, apply each to the base, keep those the
     gate passes, then draw one with the seed.  Redirect classes draw a state
     in arm order first, then one of its edits; the others draw flat."""
     if vuln not in _EDITS:
@@ -220,9 +208,8 @@ def _inject(vuln: VulnClass, ast: FsmAst, seed: int,
     base_rules = frozenset(run_checks_on_ast(ast, protected, _GATE_CONFIG).violated_rules)
     kept: dict[Optional[str], list[tuple[_Edit, FsmAst]]] = {}
     for edit in edits(ast, protected, base_rules):
-        trial = copy.deepcopy(ast)
         try:
-            edit.apply(trial)
+            trial = edit.apply(ast)
         except InjectError:
             continue
         if _flags_exactly(trial, protected, RULE_FOR_CLASS[vuln], edit.flagged, base_rules):
@@ -247,9 +234,9 @@ def _inject(vuln: VulnClass, ast: FsmAst, seed: int,
     )
 
 
-def _add_state(ast: FsmAst, name: str, bits: str, body: list) -> None:
-    ast.parameters.append(ParamDecl(name, ast.state_width, bits))
-    ast.comb.arms.append(CaseArm(name, body))
+def _add_state(ast: FsmAst, name: str, bits: str, body: list) -> FsmAst:
+    grown = replace(ast, parameters=ast.parameters + [ParamDecl(name, ast.state_width, bits)])
+    return grown.with_arm(CaseArm(name, body))
 
 
 # -- per-class edit generators ----------------------------------------------------
@@ -266,10 +253,10 @@ def _redirect_edits(ast: FsmAst, protected: frozenset[str], added: tuple[str, ..
         if label is None or label in protected or label not in reach:
             continue
         for ref in _enumerate_refs(ast, arm):
-            def apply(trial: FsmAst, ref: _EdgeRef = ref) -> None:
+            def apply(trial: FsmAst, ref: _EdgeRef = ref) -> FsmAst:
                 for name, bits, exit_to in zip(added, codes, added[1:] + added[:1]):
-                    _add_state(trial, name, bits, [Assign(trial.state_next, exit_to)])
-                _apply_redirect(trial, ref, added[0])
+                    trial = _add_state(trial, name, bits, [Assign(trial.state_next, exit_to)])
+                return _apply_redirect(trial, ref, added[0])
             yield _Edit(apply, frozenset(added), label, added,
                         markers + (f"arm:{label}",) + tuple(f"arm:{n}" for n in added),
                         f"redirected a {ref.kind} path of {label} into {note}", arm=label)
@@ -303,8 +290,8 @@ def _duplicate_encoding_edits(ast: FsmAst, protected: frozenset[str],
         for second in names:
             if first == second:
                 continue
-            def apply(trial: FsmAst, first: str = first, second: str = second) -> None:
-                trial.param(second).bits = trial.param(first).bits
+            def apply(trial: FsmAst, first: str = first, second: str = second) -> FsmAst:
+                return trial.with_encodings({second: trial.param(first).bits})
             yield _Edit(apply, frozenset({first, second}), second, (),
                         (f"param:{second}",), f"{second} now shares {first}'s encoding")
 
@@ -316,13 +303,13 @@ def _unreachable_state_edits(ast: FsmAst, protected: frozenset[str],
     markers = (f"param:{name}", f"arm:{name}")
     for target in ast.param_names:
         for sig in ast.data_inputs or [None]:
-            def apply(trial: FsmAst, target: str = target, sig: Optional[str] = sig) -> None:
+            def apply(trial: FsmAst, target: str = target, sig: Optional[str] = sig) -> FsmAst:
                 nxt = trial.state_next
                 body = [Assign(nxt, target)] if sig is None else [IfChain([
                     Branch(sig, [Assign(nxt, target)], (sig,)),
                     Branch(None, [Assign(nxt, name)]),
                 ])]
-                _add_state(trial, name, bits, body)
+                return _add_state(trial, name, bits, body)
             guard_note = f"guarded by {sig}" if sig else "unconditional"
             yield _Edit(apply, frozenset({name}), target, (name,), markers,
                         f"{name} exits to {target} ({guard_note}) and is never entered")
@@ -376,8 +363,7 @@ def remove_default_arm(ast: FsmAst) -> tuple[FsmAst, InjectionPlan]:
         raise InjectError("all encodings are used; removal creates no weakness")
     if ast.comb.leading_target_for(ast.state_next) is not None:
         raise InjectError("a leading next-state default still handles unused encodings")
-    injected = copy.deepcopy(ast)
-    injected.comb.default_arm = None
+    injected = replace(ast, comb=replace(ast.comb, default_arm=None))
     _, markers = emit_with_markers(injected)
     plan = InjectionPlan(
         vuln=VulnClass.MISSING_DEFAULT,

@@ -8,12 +8,11 @@ fixpoint, capped at five.
 """
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from itertools import compress
 from typing import Iterable, Optional
 
-from .ast_nodes import Assign, Branch, CaseArm, FsmAst, IfChain
+from .ast_nodes import Assign, Branch, CaseArm, FsmAst, IfChain, Stmt
 from .emitter import emit_verilog
 from .parser import parse_source
 from .rules import CheckReport, Rule, RuleConfig, RuleViolation, run_checks_on_ast
@@ -44,7 +43,6 @@ class MitigationError(ValueError):
 class MitigationConfig:
     default_arm_target: Optional[str] = None     # None: reset state
     deadlock_exit_input: Optional[str] = None    # None: first data input
-    include_self_edges: bool = False
 
 
 @dataclass(frozen=True)
@@ -89,9 +87,8 @@ def add_default_arm(ast: FsmAst, target: str) -> FsmAst:
         raise MitigationError("default arm already present")
     if target not in ast.param_names:
         raise MitigationError(f"default target {target} is not a declared state")
-    fixed = copy.deepcopy(ast)
-    fixed.comb.default_arm = CaseArm(None, [Assign(fixed.state_next, target)])
-    return fixed
+    return replace(ast, comb=replace(ast.comb,
+                                     default_arm=CaseArm(None, [Assign(ast.state_next, target)])))
 
 
 def remove_unreachable_state(ast: FsmAst, state: str | Iterable[str]) -> FsmAst:
@@ -108,10 +105,8 @@ def remove_unreachable_state(ast: FsmAst, state: str | Iterable[str]) -> FsmAst:
             raise MitigationError("refusing to remove the reset state")
         if name in reach:
             raise MitigationError(f"{name} is reachable; not removing it")
-    fixed = copy.deepcopy(ast)
-    fixed.parameters = [p for p in fixed.parameters if p.name not in states]
-    fixed.comb.arms = [a for a in fixed.comb.arms if a.label not in states]
-    return fixed
+    return replace(ast, parameters=[p for p in ast.parameters if p.name not in states],
+                   comb=replace(ast.comb, arms=[a for a in ast.comb.arms if a.label not in states]))
 
 
 def remove_static_deadlock(ast: FsmAst, state: str, exit_target: str,
@@ -128,47 +123,31 @@ def remove_static_deadlock(ast: FsmAst, state: str, exit_target: str,
                 for name in v.states}
     if state not in flagged:
         raise MitigationError(f"{state} is not currently deadlocked or trapped")
-    fixed = copy.deepcopy(ast)
-    arm = fixed.arm_for(state)
-    guard = exit_input if exit_input is not None else next(iter(fixed.data_inputs), None)
-    if arm is None:
-        arm = CaseArm(state, [])
-        fixed.comb.arms.append(arm)
+    arm = ast.arm_for(state) or CaseArm(state, [])
+    guard = exit_input if exit_input is not None else next(iter(ast.data_inputs), None)
+    nxt = ast.state_next
+    hold = [s for s in arm.body if isinstance(s, Assign) and s.lhs == nxt]
+    keep = [s for s in arm.body if not (isinstance(s, Assign) and s.lhs == nxt)]
     if guard:
-        hold = [s for s in arm.body if isinstance(s, Assign) and s.lhs == fixed.state_next]
-        keep = [s for s in arm.body if not (isinstance(s, Assign) and s.lhs == fixed.state_next)]
-        hold_target = hold[-1].rhs if hold else state
-        arm.body = keep + [IfChain([
-            Branch(guard, [Assign(fixed.state_next, exit_target)], (guard,)),
-            Branch(None, [Assign(fixed.state_next, hold_target)]),
-        ])]
+        exit_stmt: Stmt = IfChain([
+            Branch(guard, [Assign(nxt, exit_target)], (guard,)),
+            Branch(None, [Assign(nxt, hold[-1].rhs if hold else state)]),
+        ])
     else:
-        arm.body = [s for s in arm.body
-                    if not (isinstance(s, Assign) and s.lhs == fixed.state_next)]
-        arm.body.append(Assign(fixed.state_next, exit_target))
-    return fixed
+        exit_stmt = Assign(nxt, exit_target)
+    return ast.with_arm(replace(arm, body=keep + [exit_stmt]))
 
 
 def uniquify_encodings(ast: FsmAst) -> FsmAst:
     """Reassign later-declared colliders to the lowest unused codes."""
-    seen: set[str] = set()
-    colliders: list[str] = []
-    for p in ast.parameters:
-        if p.bits in seen:
-            colliders.append(p.name)
-        else:
-            seen.add(p.bits)
+    first = {p.bits: p.name for p in reversed(ast.parameters)}
+    colliders = [p.name for p in ast.parameters if first[p.bits] != p.name]
     if not colliders:
         raise MitigationError("no duplicate encodings to fix")
-    width = ast.state_width
-    free = [format(i, f"0{width}b") for i in range(2 ** width)
-            if format(i, f"0{width}b") not in seen]
+    free = ast.unused_encodings()
     if len(free) < len(colliders):
         raise MitigationError("not enough unused codes to uniquify")
-    fixed = copy.deepcopy(ast)
-    for name, code in zip(colliders, free):
-        fixed.param(name).bits = code
-    return fixed
+    return ast.with_encodings(dict(zip(colliders, free)))
 
 
 # -- re-encoding search -------------------------------------------------------
@@ -198,7 +177,10 @@ def reencode_states(stg: Stg, protected: frozenset[str] | set[str] = frozenset()
     if len(names) > size:
         raise MitigationError(
             f"{len(names)} states exceed the {size} codes of width {width}")
-    protected_set = set(protected) | set(stg.protected_names)
+    # Flag the passed states once, so the search and the residual score the
+    # same unprotected edges.
+    stg = replace(stg, states=tuple(replace(s, protected=True) if s.name in protected else s
+                                    for s in stg.states))
     index = {n: i for i, n in enumerate(names)}
     n = len(names)
     # later[j]: {k: multiplicity} of edges between j and a later-declared k.
@@ -206,8 +188,6 @@ def reencode_states(stg: Stg, protected: frozenset[str] | set[str] = frozenset()
     # constant and drop out of the search.
     later: list[dict[int, int]] = [{} for _ in names]
     for t in unprotected_transitions(stg):
-        if t.source in protected_set or t.target in protected_set:
-            continue
         a, b = sorted((index[t.source], index[t.target]))
         if a != b:
             later[a][b] = later[a].get(b, 0) + 1
@@ -273,13 +253,23 @@ def reencode_states(stg: Stg, protected: frozenset[str] | set[str] = frozenset()
 
 
 def apply_encoding_assignment(ast: FsmAst, assignment: EncodingAssignment) -> FsmAst:
-    fixed = copy.deepcopy(ast)
-    for name, enc in assignment.mapping.items():
-        fixed.param(name).bits = enc.bits
-    return fixed
+    return ast.with_encodings({name: enc.bits for name, enc in assignment.mapping.items()})
 
 
 # -- the driver ---------------------------------------------------------------
+
+def _removable_unreachable(ast: FsmAst, report: CheckReport,
+                           protected: frozenset[str]) -> list[str]:
+    """The flagged unreachable states that can go.  A protected state stays,
+    and so does every state it leads to, or its arm would name a deleted
+    label; their findings remain in the residual."""
+    flagged = [v.states[0] for v in report.violations_of(Rule.UNREACHABLE_STATE)]
+    stay = {name for name in flagged if name in protected}
+    transitions = extract_stg(ast, protected).transitions if stay else ()
+    while grown := {t.target for t in transitions if t.source in stay} - stay:
+        stay |= grown
+    return [name for name in flagged if name not in stay]
+
 
 def mitigate(src: SourceText, report: CheckReport,
              config: MitigationConfig = MitigationConfig(),
@@ -308,11 +298,10 @@ def mitigate(src: SourceText, report: CheckReport,
 
         if Rule.DUPLICATE_ENCODING in rules:
             current = uniquify_encodings(current)
-        elif Rule.UNREACHABLE_STATE in rules:
+        elif unreachable := _removable_unreachable(current, rep, protected):
             # Removed as a group: mutually-referencing unreachable states
             # would otherwise leave dangling labels mid-sequence.
-            current = remove_unreachable_state(
-                current, [v.states[0] for v in rep.violations_of(Rule.UNREACHABLE_STATE)])
+            current = remove_unreachable_state(current, unreachable)
         elif Rule.STATIC_DEADLOCK in rules or Rule.TRAP_LOOP_CWE835 in rules:
             stuck = rep.violations_of(Rule.STATIC_DEADLOCK) + rep.violations_of(Rule.TRAP_LOOP_CWE835)
             v = stuck[0]
@@ -326,8 +315,7 @@ def mitigate(src: SourceText, report: CheckReport,
             target = config.default_arm_target or current.seq.reset_target
             current = add_default_arm(current, target)
         elif Rule.HD_NOT_ONE in rules:
-            assignment = reencode_states(extract_stg(current, protected), protected,
-                                         config.include_self_edges)
+            assignment = reencode_states(extract_stg(current, protected))
             encoding_optimal = encoding_optimal and assignment.optimal
             current = apply_encoding_assignment(current, assignment)
             rep = run_checks_on_ast(current, protected, rule_config)

@@ -27,6 +27,7 @@ from .ast_nodes import (
 from .source import Diagnostic, SourceText, Span, error
 from .tokens import (
     Lexed,
+    SIZED_RE,
     TokKind,
     Token,
     UNSUPPORTED_KEYWORDS,
@@ -53,7 +54,8 @@ def render_expr(tokens: list[Token]) -> str:
 
 
 def expr_identifiers(text: str) -> list[str]:
-    return _IDENT_RE.findall(text)
+    """Names an expression reads; the digits of a sized literal are none."""
+    return _IDENT_RE.findall(SIZED_RE.sub(" ", text))
 
 
 @dataclass
@@ -658,9 +660,11 @@ class _Parser:
                 self.err("E_ARM_LABEL", f"case arm on undeclared label {arm.label}", arm.span)
         all_arms = comb.arms + ([comb.default_arm] if comb.default_arm else [])
         assignable = {seq_next} | {p.name for p in self.ports if p.direction == "output"}
+        declared = param_names | set(self.regs) | {p.name for p in self.ports}
         for arm in all_arms:
-            self._check_stmts(arm.body, seq_next, param_names, assignable)
+            self._check_stmts(arm.body, seq_next, param_names, assignable, declared)
         for a in comb.leading:
+            self._check_declared(a.rhs, declared, a.span)
             if a.lhs == seq_next and a.rhs not in param_names:
                 self.err("E_NEXT_TARGET", f"next-state assigned to undeclared state {a.rhs}", a.span)
             if a.lhs not in assignable:
@@ -670,8 +674,6 @@ class _Parser:
             if name not in param_names:
                 self.err("E_PROTECTED", f"@protected names undeclared state {name}",
                          Span.point(self.module_line))
-
-        self._fill_guard_inputs(all_arms, param_names)
 
         if any(d.is_error for d in self.diags):
             return None
@@ -693,10 +695,20 @@ class _Parser:
             span=Span(1, last_line),
         )
 
+    def _check_declared(self, expr: str, declared: set[str], span: Span) -> list[str]:
+        """The names expr reads, once each; an undeclared one is an error."""
+        names = list(dict.fromkeys(expr_identifiers(expr)))
+        for name in names:
+            if name not in declared:
+                self.err("E_UNDECLARED", f"{name} is not a declared port, register or state",
+                         span)
+        return names
+
     def _check_stmts(self, stmts: list[Stmt], next_reg: str, params: set[str],
-                     assignable: set[str]) -> None:
+                     assignable: set[str], declared: set[str]) -> None:
         for stmt in stmts:
             if isinstance(stmt, Assign):
+                self._check_declared(stmt.rhs, declared, stmt.span)
                 if stmt.lhs == next_reg:
                     if stmt.rhs not in params:
                         self.err("E_NEXT_TARGET",
@@ -707,19 +719,10 @@ class _Parser:
                              stmt.span)
             else:
                 for br in stmt.branches:
-                    self._check_stmts(br.body, next_reg, params, assignable)
-
-    def _fill_guard_inputs(self, arms: list[CaseArm], params: set[str]) -> None:
-        def visit(stmts: list[Stmt]) -> None:
-            for stmt in stmts:
-                if isinstance(stmt, IfChain):
-                    for br in stmt.branches:
-                        if br.guard:
-                            idents = [i for i in expr_identifiers(br.guard) if i not in params]
-                            br.guard_inputs = tuple(dict.fromkeys(idents))
-                        visit(br.body)
-        for arm in arms:
-            visit(arm.body)
+                    if br.guard is not None:
+                        names = self._check_declared(br.guard, declared, br.span)
+                        br.guard_inputs = tuple(n for n in names if n not in params)
+                    self._check_stmts(br.body, next_reg, params, assignable, declared)
 
 
 def parse_module(lexed: Lexed) -> ParseResult:

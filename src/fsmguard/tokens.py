@@ -35,7 +35,7 @@ UNSUPPORTED_KEYWORDS = frozenset({
 })
 
 _SIZED = r"(\d+)\s*'\s*([bBdDhHoO])([0-9a-fA-FxzXZ_]+)"
-_SIZED_RE = re.compile(_SIZED)
+SIZED_RE = re.compile(_SIZED)
 
 # One alternative per token class, tried in this order at each position.  A
 # "/*" closes at the first "*/" after its "/", so "/*/" is a whole comment; a
@@ -124,7 +124,7 @@ def tokenize(src: SourceText) -> Lexed:
 
 def parse_sized_literal(text: str) -> tuple[int, str, str]:
     """Break a sized literal into (width, base, digits)."""
-    m = _SIZED_RE.fullmatch(text)
+    m = SIZED_RE.fullmatch(text)
     if not m:
         raise ValueError(f"not a sized literal: {text!r}")
     return int(m.group(1)), m.group(2).lower(), m.group(3).replace("_", "")

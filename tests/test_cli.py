@@ -107,6 +107,17 @@ def test_mitigate_mutually_referencing_unreachable_states(tmp_path, capsys):
     assert run("check", out_v) == 0
 
 
+def test_mitigate_keeps_a_protected_unreachable_state(tmp_path, capsys):
+    out_v = tmp_path / "fixed.v"
+    out_r = tmp_path / "fixed.json"
+    code = run("mitigate", "--protected", "s3", "--out-design", out_v, "--out-report", out_r,
+               DESIGNS / "fsm_review.v")
+    assert code == 0
+    assert "parameter s3 = " in out_v.read_text()
+    residual = json.loads(out_r.read_text())["residual"]
+    assert {"rule": "UNREACHABLE_STATE", "states": ["s3"]}.items() <= residual[-1].items()
+
+
 def test_stg_error_exits_two(tmp_path, capsys):
     code = run("inject", "--class", "static_deadlock", "--protected", "NOPE",
                "--out-design", tmp_path / "x.v", "--out-plan", tmp_path / "x.json",

@@ -206,6 +206,42 @@ endmodule"""
     assert any(d.code == "E_ARM_LABEL" and "GHOST" in d.message for d in result.errors)
 
 
+def test_parse_undeclared_identifier_in_guard():
+    text = design_source("vending").content.replace("if (coin)", "if (cion)")
+    result = parse_source(SourceText(text))
+    assert result.ast is None
+    (err,) = result.errors
+    assert err.code == "E_UNDECLARED" and "cion" in err.message
+    assert err.span.start == text.splitlines().index("            if (cion) begin") + 1
+
+
+def test_parse_undeclared_identifier_in_assignment():
+    text = """module m (input clk, input rst, output reg y);
+parameter A = 1'b0;
+reg s;
+reg n;
+always @(posedge clk) begin if (rst) s <= A; else s <= n; end
+always @(*) begin y = 0; case (s) A: begin y = ghost & 1'b1; n = A; end endcase end
+endmodule"""
+    result = parse_source(SourceText(text))
+    assert [(d.code, d.span.start) for d in result.errors] == [("E_UNDECLARED", 6)]
+    assert "ghost" in result.errors[0].message
+
+
+def test_sized_literals_read_no_signal():
+    text = """module m (input clk, input rst, input [1:0] x, output reg y);
+parameter A = 1'b0;
+parameter B = 1'b1;
+reg s;
+reg n;
+always @(posedge clk) begin if (rst) s <= A; else s <= n; end
+always @(s or x) begin y = 1'b0; case (s) A: if (x == 2'b01) n = B; else n = A; B: n = A; endcase end
+endmodule"""
+    ast = parse_source(SourceText(text)).expect_ast()
+    assert ast.arm_for("A").body[0].branches[0].guard_inputs == ("x",)
+    assert not any(w.code == INCOMPLETE_SENSITIVITY for w in lint(ast))
+
+
 def test_parse_localparam_normalized():
     text = """module m (input clk, input rst);
 localparam A = 1'b0, B = 1'b1;

@@ -174,10 +174,8 @@ def _reference_reencode(stg, protected=frozenset(), include_self_edges=False):
 
     search([], set())
     mapping = {name: Encoding.from_int(code, width) for name, code in zip(names, best)}
-    return EncodingAssignment(mapping=mapping,
-                              residual_violations=tuple(score_assignment(stg, mapping,
-                                                                         include_self_edges)),
-                              optimal=True)
+    residual = tuple((a, b) for a, b in edges if hamming_distance(mapping[a], mapping[b]) != 1)
+    return EncodingAssignment(mapping=mapping, residual_violations=residual, optimal=True)
 
 
 def _random_stg(rng, width, n):
@@ -235,6 +233,14 @@ def test_mitigate_reports_whether_the_encoding_is_optimal(aes_ctrl, monkeypatch)
     assert data["encoding_optimal"] is True
     monkeypatch.setattr(importlib.import_module("fsmguard.mitigate"), "SEARCH_NODE_BUDGET", 1)
     assert mitigate(aes_ctrl, report).encoding_optimal is False
+
+
+def test_reencode_residual_skips_edges_of_passed_protected_states():
+    codes = {"a": "00", "b": "01", "c": "10", "d": "11"}
+    edges = [("a", "b"), ("b", "c"), ("c", "a"), ("a", "d"), ("d", "b"), ("b", "a")]
+    passed = reencode_states(make_stg(codes, edges, "a"), {"d"})
+    assert passed.residual_violations == (("b", "c"),)
+    assert passed == reencode_states(make_stg(codes, edges, "a", protected={"d"}))
 
 
 def test_score_assignment_listing8():
@@ -418,3 +424,21 @@ def test_mitigate_mutually_referencing_unreachable_states():
     assert outcome.fixed == [Rule.UNREACHABLE_STATE]
     assert outcome.residual == []
     assert parse_source(outcome.design).expect_ast().param_names == ["IDLE", "RUN"]
+
+
+def test_mitigate_never_removes_a_protected_state(fsm_review):
+    report = run_all_checks(fsm_review, {"s1", "s3"})
+    outcome = mitigate(fsm_review, report)
+    assert outcome.fixed == [Rule.HD_NOT_ONE]
+    assert [(v.rule, v.states) for v in outcome.residual] == [(Rule.UNREACHABLE_STATE, ("s3",))]
+    assert "s3" in parse_source(outcome.design).expect_ast().param_names
+
+
+def test_mitigate_keeps_the_states_a_protected_state_enters():
+    """U1 is protected and enters U2, so removing U2 alone would leave U1's
+    arm naming a deleted state."""
+    src = SourceText.from_file(FIXTURES / "mutual_unreachable.v")
+    outcome = mitigate(src, run_all_checks(src, {"U1"}))
+    assert outcome.fixed == [Rule.HD_NOT_ONE]
+    assert [v.states for v in outcome.residual] == [("U1",), ("U2",)]
+    assert parse_source(outcome.design).expect_ast().param_names == ["IDLE", "RUN", "U1", "U2"]
