@@ -171,7 +171,7 @@ def verify_mitigation(original: SourceText, mitigated: SourceText,
     meaningful for encoding-only fixes; default arms are outside the
     comparison).
     """
-    from .stg import extract_stg, stg_isomorphic_modulo_encoding
+    from .stg import StgError, extract_stg, stg_isomorphic_modulo_encoding
 
     orig_result = parse_source(original)
     orig_ast = orig_result.expect_ast()
@@ -194,7 +194,7 @@ def verify_mitigation(original: SourceText, mitigated: SourceText,
     try:
         stg_ok = stg_isomorphic_modulo_encoding(
             extract_stg(orig_ast, protected), extract_stg(mit_result.ast, protected))
-    except Exception:
+    except StgError:
         stg_ok = False
     return FidelityVerdict(
         syntax_ok=True,

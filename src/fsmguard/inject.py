@@ -18,7 +18,7 @@ from .ast_nodes import Assign, Branch, CaseArm, FsmAst, IfChain, ParamDecl
 from .emitter import emit_with_markers
 from .rules import Rule, RuleConfig, run_checks_on_ast
 from .source import Span
-from .stg import extract_stg, reachable_states
+from .stg import StgError, extract_stg, reachable_states
 
 
 class VulnClass(Enum):
@@ -172,7 +172,7 @@ def _flags_exactly(ast: FsmAst, protected: frozenset[str], rule: Rule,
     exactly the intent)."""
     try:
         report = run_checks_on_ast(ast, protected, _GATE_CONFIG)
-    except Exception:
+    except StgError:
         return False
     violated = report.violated_rules
     if rule not in violated or violated - pre_existing - {rule}:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .ast_nodes import (
     Assign,
@@ -39,12 +40,15 @@ _PROTECTED_RE = re.compile(r"@protected\s+([A-Za-z_][A-Za-z0-9_$]*)")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
 
 _OPERANDS = (TokKind.IDENT, TokKind.NUMBER, TokKind.SIZED)
+_ENDS_ASSIGN = frozenset({"", "=", "end", "endcase", "endmodule", "begin", "if", "else"})
 _NO_SPACE_BEFORE = {")", "]", ";", ",", ":"}
 _NO_SPACE_AFTER = {"(", "[", "!", "~"}
 
 
 def render_expr(tokens: list[Token]) -> str:
     """Join expression tokens into a normalized, re-parseable text form."""
+    if len(tokens) == 1:
+        return tokens[0].text
     out: list[str] = []
     for tok in tokens:
         if out and tok.text not in _NO_SPACE_BEFORE and out[-1] not in _NO_SPACE_AFTER:
@@ -109,105 +113,103 @@ class _Parser:
         self.aborted = False
 
     # -- token plumbing --------------------------------------------------
+    # A token's text determines its kind: the lexer gives keywords, operators
+    # and EOF ("") texts that no other token can have.  So a test for a
+    # keyword or an operator compares the text alone.
     def peek(self) -> Token:
         return self.toks[self.pos]   # next() never moves past the EOF token
 
     def next(self) -> Token:
         tok = self.toks[self.pos]
-        if tok.kind is not TokKind.EOF:
+        if tok.text:
             self.pos += 1
         return tok
 
     def at_eof(self) -> bool:
-        return self.peek().kind is TokKind.EOF
+        return not self.toks[self.pos].text
 
     def err(self, code: str, message: str, span: Span | None = None) -> None:
         self.diags.append(error(code, message, span or self.peek().span))
 
-    def expect_op(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.is_op(text):
-            return self.next()
+    def expect(self, text: str) -> Token:
+        tok = self.toks[self.pos]
+        if tok.text == text:
+            self.pos += 1
+            return tok
         self.err("E_SYNTAX", f"expected {text!r}, found {tok.text!r}")
         raise _Abort()
 
-    def expect_kw(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.is_kw(word):
-            return self.next()
-        self.err("E_SYNTAX", f"expected {word!r}, found {tok.text!r}")
-        raise _Abort()
-
     def expect_ident(self, what: str) -> Token:
-        tok = self.peek()
+        tok = self.toks[self.pos]
         if tok.kind is TokKind.IDENT:
-            return self.next()
+            self.pos += 1
+            return tok
         self.err("E_SYNTAX", f"expected {what}, found {tok.text!r}")
         raise _Abort()
 
     def skip_past_semi(self) -> None:
         while not self.at_eof():
             tok = self.next()
-            if tok.is_op(";"):
+            if tok.text == ";":
                 return
 
     def eat_stray_semis(self) -> None:
-        while self.peek().is_op(";"):
-            tok = self.next()
-            self.stray_semis.append(tok.span)
+        while self.toks[self.pos].text == ";":
+            self.stray_semis.append(self.next().span)
 
     # -- module structure --------------------------------------------------
     def parse(self) -> FsmAst | None:
         try:
             self._reject_unsupported_keywords()
             self._parse_header()
-            while not self.at_eof() and not self.peek().is_kw("endmodule"):
+            while not self.at_eof() and self.peek().text != "endmodule":
                 self._parse_item()
-            if self.peek().is_kw("endmodule"):
+            if self.peek().text == "endmodule":
                 self.next()
         except _Abort:
             self.aborted = True
         return self._finalize()
 
     def _reject_unsupported_keywords(self) -> None:
+        if UNSUPPORTED_KEYWORDS.isdisjoint(map(attrgetter("text"), self.toks)):
+            return
         seen: set[str] = set()
         for tok in self.toks:
-            if tok.kind is TokKind.KW and tok.text in UNSUPPORTED_KEYWORDS and tok.text not in seen:
+            if tok.text in UNSUPPORTED_KEYWORDS and tok.text not in seen:
                 seen.add(tok.text)
                 self.err("E_SV", f"construct {tok.text!r} is outside the supported subset", tok.span)
-        if seen:
-            raise _Abort()
+        raise _Abort()
 
     def _parse_header(self) -> None:
-        self.expect_kw("module")
+        self.expect("module")
         name_tok = self.expect_ident("module name")
         self.module_name = name_tok.text
         self.module_line = name_tok.line
-        if self.peek().is_op("("):
+        if self.peek().text == "(":
             self.next()
-            if not self.peek().is_op(")"):
-                if self.peek().is_kw("input", "output", "inout"):
+            if self.peek().text != ")":
+                if self.peek().text in ("input", "output", "inout"):
                     self._parse_ansi_ports()
                 else:
                     self._parse_port_name_list()
-            self.expect_op(")")
-        self.expect_op(";")
+            self.expect(")")
+        self.expect(";")
 
     def _parse_kinds(self) -> tuple[str, list[Token]]:
         kinds: list[Token] = []
-        while self.peek().is_kw("wire", "reg"):
+        while self.peek().text in ("wire", "reg"):
             kinds.append(self.next())
         kind = kinds[0].text if kinds else "wire"
         return kind, kinds
 
     def _parse_range(self) -> int:
-        if not self.peek().is_op("["):
+        if self.peek().text != "[":
             return 1
         self.next()
         hi_tok = self.next()
-        self.expect_op(":")
+        self.expect(":")
         lo_tok = self.next()
-        self.expect_op("]")
+        self.expect("]")
         try:
             return abs(int(hi_tok.text) - int(lo_tok.text)) + 1
         except ValueError:
@@ -220,7 +222,7 @@ class _Parser:
         width = 1
         while True:
             tok = self.peek()
-            if tok.is_kw("input", "output", "inout"):
+            if tok.text in ("input", "output", "inout"):
                 direction = self.next().text
                 kind, kind_toks = self._parse_kinds()
                 if len({t.text for t in kind_toks}) > 1:
@@ -233,7 +235,7 @@ class _Parser:
                 raise _Abort()
             name = self.expect_ident("port name")
             self.ports.append(Port(name.text, direction, kind, width, name.span))
-            if self.peek().is_op(","):
+            if self.peek().text == ",":
                 self.next()
                 continue
             return
@@ -242,25 +244,25 @@ class _Parser:
         while True:
             name = self.expect_ident("port name")
             self.port_order.append(name.text)
-            if self.peek().is_op(","):
+            if self.peek().text == ",":
                 self.next()
                 continue
             return
 
     def _parse_item(self) -> None:
         tok = self.peek()
-        if tok.is_kw("input", "output", "inout"):
+        if tok.text in ("input", "output", "inout"):
             self._parse_port_decl()
-        elif tok.is_kw("parameter", "localparam"):
+        elif tok.text in ("parameter", "localparam"):
             self._parse_param_decl()
-        elif tok.is_kw("reg"):
+        elif tok.text == "reg":
             self._parse_reg_decl()
-        elif tok.is_kw("wire"):
+        elif tok.text == "wire":
             self.err("E_SYNTAX", "wire declarations are not part of the FSM subset", tok.span)
             self.skip_past_semi()
-        elif tok.is_kw("always"):
+        elif tok.text == "always":
             self._parse_always()
-        elif tok.is_op(";"):
+        elif tok.text == ";":
             self.eat_stray_semis()
         else:
             self.err("E_SYNTAX", f"unexpected {tok.text!r} at module level", tok.span)
@@ -274,10 +276,10 @@ class _Parser:
         if len({t.text for t in kind_toks}) > 1:
             self.err("E_PORT_KIND", f"conflicting net kinds for {names[0].text}",
                      kind_toks[0].span)
-        while self.peek().is_op(","):
+        while self.peek().text == ",":
             self.next()
             names.append(self.expect_ident("port name"))
-        self.expect_op(";")
+        self.expect(";")
         for name in names:
             existing = next((p for p in self.ports if p.name == name.text), None)
             if existing is not None:
@@ -293,7 +295,7 @@ class _Parser:
             self.localparam_spans.append(head.span)
         while True:
             name = self.expect_ident("parameter name")
-            self.expect_op("=")
+            self.expect("=")
             value = self.next()
             if value.kind is TokKind.SIZED:
                 width, base, digits = parse_sized_literal(value.text)
@@ -307,20 +309,20 @@ class _Parser:
                                              was_localparam=head.text == "localparam"))
             else:
                 self.err("E_ENCODING", f"unsized state literal for {name.text}", value.span)
-            if self.peek().is_op(","):
+            if self.peek().text == ",":
                 self.next()
                 continue
             break
-        self.expect_op(";")
+        self.expect(";")
 
     def _parse_reg_decl(self) -> None:
         self.next()
         width = self._parse_range()
         names = [self.expect_ident("register name")]
-        while self.peek().is_op(","):
+        while self.peek().text == ",":
             self.next()
             names.append(self.expect_ident("register name"))
-        self.expect_op(";")
+        self.expect(";")
         for name in names:
             port = next((p for p in self.ports if p.name == name.text), None)
             if port is not None:
@@ -331,7 +333,7 @@ class _Parser:
     # -- always blocks ---------------------------------------------------
     def _parse_always(self) -> None:
         start = self.next()
-        self.expect_op("@")
+        self.expect("@")
         star, edges, names = self._parse_sensitivity()
         if edges:
             self._parse_seq_body(start, edges)
@@ -340,34 +342,34 @@ class _Parser:
 
     def _parse_sensitivity(self) -> tuple[bool, list[tuple[str, str]], list[str]]:
         """Returns (is_star, [(edge, signal)], [plain signals])."""
-        if self.peek().is_op("*"):
+        if self.peek().text == "*":
             self.next()
             return True, [], []
-        self.expect_op("(")
-        if self.peek().is_op("*"):
+        self.expect("(")
+        if self.peek().text == "*":
             self.next()
-            self.expect_op(")")
+            self.expect(")")
             return True, [], []
         edges: list[tuple[str, str]] = []
         names: list[str] = []
         while True:
             tok = self.peek()
-            if tok.is_kw("posedge", "negedge"):
+            if tok.text in ("posedge", "negedge"):
                 edge = self.next().text
                 sig = self.expect_ident("edge signal")
                 edges.append((edge, sig.text))
             else:
                 sig = self.expect_ident("sensitivity signal")
                 names.append(sig.text)
-            if self.peek().is_op(",") or self.peek().is_kw("or"):
+            if self.peek().text in (",", "or"):
                 self.next()
                 continue
             break
-        self.expect_op(")")
+        self.expect(")")
         return False, edges, names
 
     def _parse_seq_body(self, start: Token, edges: list[tuple[str, str]]) -> None:
-        body = self._parse_stmt_block(context="seq")
+        body = self._parse_stmt_block()
         end_line = self.toks[self.pos - 1].line
         block = self._shape_seq(start, edges, body)
         if block is not None:
@@ -443,18 +445,18 @@ class _Parser:
         """Parse the comb always body: leading statements and one case."""
         case = None
         stmts: list[Stmt] = []
-        has_begin = self.peek().is_kw("begin")
+        has_begin = self.peek().text == "begin"
         if has_begin:
             self.next()
         while True:
             tok = self.peek()
             if tok.kind is TokKind.EOF:
                 break
-            if has_begin and tok.is_kw("end"):
+            if has_begin and tok.text == "end":
                 self.next()
                 self.eat_stray_semis()
                 break
-            if tok.is_kw("case"):
+            if tok.text == "case":
                 if case is not None:
                     self.err("E_COMB_SHAPE", "more than one case statement", tok.span)
                     raise _Abort()
@@ -466,31 +468,31 @@ class _Parser:
                 self.err("E_COMB_SHAPE", "statements after the case statement are not supported",
                          tok.span)
                 raise _Abort()
-            stmts.append(self._parse_stmt("comb"))
+            stmts.append(self._parse_stmt())
             if not has_begin:
                 break
         return stmts, case
 
     def _parse_case(self):
-        self.expect_kw("case")
-        self.expect_op("(")
+        self.expect("case")
+        self.expect("(")
         subject = self.expect_ident("case subject").text
-        self.expect_op(")")
+        self.expect(")")
         arms: list[CaseArm] = []
         default_arm: CaseArm | None = None
-        while not self.peek().is_kw("endcase"):
+        while self.peek().text != "endcase":
             if self.at_eof():
                 self.err("E_SYNTAX", "unterminated case statement")
                 raise _Abort()
             label_tok = self.peek()
-            if label_tok.is_kw("default"):
+            if label_tok.text == "default":
                 self.next()
                 label = None
             else:
                 label = self.expect_ident("case label").text
-            self.expect_op(":")
+            self.expect(":")
             start_line = label_tok.line
-            body = self._parse_stmt_block(context="comb")
+            body = self._parse_stmt_block()
             end_line = self.toks[self.pos - 1].line
             arm = CaseArm(label, body, Span(start_line, max(start_line, end_line)))
             if label is None:
@@ -499,87 +501,88 @@ class _Parser:
                 default_arm = arm
             else:
                 arms.append(arm)
-        self.expect_kw("endcase")
+        self.expect("endcase")
         self.eat_stray_semis()
         return subject, arms, default_arm
 
-    def _parse_stmt_block(self, context: str) -> list[Stmt]:
-        if self.peek().is_kw("begin"):
-            self.next()
-            stmts: list[Stmt] = []
-            while not self.peek().is_kw("end"):
-                if self.at_eof():
-                    self.err("E_SYNTAX", "unterminated begin/end block")
-                    raise _Abort()
-                stmts.append(self._parse_stmt(context))
-            self.next()
-            self.eat_stray_semis()
-            return stmts
-        return [self._parse_stmt(context)]
+    def _parse_stmt_block(self) -> list[Stmt]:
+        if self.toks[self.pos].text != "begin":
+            return [self._parse_stmt()]
+        self.pos += 1
+        stmts: list[Stmt] = []
+        while (text := self.toks[self.pos].text) != "end":
+            if not text:
+                self.err("E_SYNTAX", "unterminated begin/end block")
+                raise _Abort()
+            stmts.append(self._parse_stmt())
+        self.pos += 1
+        self.eat_stray_semis()
+        return stmts
 
-    def _parse_stmt(self, context: str) -> Stmt:
-        tok = self.peek()
-        if tok.is_kw("if"):
-            return self._parse_if(context)
-        return self._parse_assign(context)
+    def _parse_stmt(self) -> Stmt:
+        if self.toks[self.pos].text == "if":
+            return self._parse_if()
+        return self._parse_assign()
 
-    def _parse_if(self, context: str) -> IfChain:
-        start = self.peek()
+    def _parse_if(self) -> IfChain:
+        toks = self.toks
+        start_line = toks[self.pos].line
         branches: list[Branch] = []
         while True:
-            if_tok = self.expect_kw("if")
-            self.expect_op("(")
-            guard_toks: list[Token] = []
+            if_tok = self.expect("if")
+            self.expect("(")
+            pos = begin = self.pos
             depth = 1
-            while depth > 0:
-                tok = self.next()
-                if tok.kind is TokKind.EOF:
+            while True:
+                text = toks[pos].text
+                if text == ")":
+                    depth -= 1
+                    if not depth:
+                        break
+                elif text == "(":
+                    depth += 1
+                elif not text:
                     self.err("E_SYNTAX", "unterminated guard expression", if_tok.span)
                     raise _Abort()
-                if tok.is_op("("):
-                    depth += 1
-                elif tok.is_op(")"):
-                    depth -= 1
-                    if depth == 0:
-                        break
-                guard_toks.append(tok)
-            guard = render_expr(guard_toks)
-            body = self._parse_stmt_block(context)
+                pos += 1
+            self.pos = pos + 1
+            guard = render_expr(toks[begin:pos])
+            body = self._parse_stmt_block()
             branches.append(Branch(guard, body, span=if_tok.span))
-            if not self.peek().is_kw("else"):
+            if toks[self.pos].text != "else":
                 break
-            self.next()
-            if self.peek().is_kw("if"):
+            self.pos += 1
+            if toks[self.pos].text == "if":
                 continue
-            else_body = self._parse_stmt_block(context)
+            else_body = self._parse_stmt_block()
             branches.append(Branch(None, else_body, span=if_tok.span))
             break
-        end_line = self.toks[self.pos - 1].line
-        return IfChain(branches, Span(start.line, max(start.line, end_line)))
+        end_line = toks[self.pos - 1].line
+        return IfChain(branches, Span(start_line, max(start_line, end_line)))
 
-    def _parse_assign(self, context: str) -> Assign:
+    def _parse_assign(self) -> Assign:
         lhs = self.expect_ident("assignment target")
-        op_tok = self.peek()
-        if op_tok.is_op("=") or op_tok.is_op("<="):
-            self.next()
-        else:
+        toks = self.toks
+        op_tok = toks[self.pos]
+        if op_tok.text != "=" and op_tok.text != "<=":
             self.err("E_SYNTAX", f"expected assignment after {lhs.text!r}", op_tok.span)
             raise _Abort()
-        rhs_toks: list[Token] = []
-        while not (tok := self.peek()).is_op(";"):
-            # a statement keyword, a bare "=" or two operands in a row start
-            # the next statement
-            if (tok.kind is TokKind.EOF or tok.is_op("=")
-                    or tok.is_kw("end", "endcase", "endmodule", "begin", "if", "else")
-                    or (tok.kind in _OPERANDS and rhs_toks and rhs_toks[-1].kind in _OPERANDS)):
+        pos = begin = self.pos + 1
+        prev_operand = False
+        while (tok := toks[pos]).text != ";":
+            # EOF, a statement keyword, a bare "=" or two operands in a row
+            # start the next statement
+            operand = tok.kind in _OPERANDS
+            if tok.text in _ENDS_ASSIGN or (operand and prev_operand):
                 self.err("E_SYNTAX", "missing semicolon after assignment", lhs.span)
                 raise _Abort()
-            rhs_toks.append(self.next())
-        self.next()  # consume ';'
-        if not rhs_toks:
+            prev_operand = operand
+            pos += 1
+        self.pos = pos + 1
+        if pos == begin:
             self.err("E_SYNTAX", "empty assignment right-hand side", lhs.span)
             raise _Abort()
-        return Assign(lhs.text, render_expr(rhs_toks), Span(lhs.line, self.toks[self.pos - 1].line))
+        return Assign(lhs.text, render_expr(toks[begin:pos]), Span(lhs.line, toks[pos].line))
 
     # -- finalize ----------------------------------------------------------
     def _finalize(self) -> FsmAst | None:
@@ -645,10 +648,15 @@ class _Parser:
         if seq.reset_target not in param_names:
             self.err("E_RESET_TARGET", f"reset target {seq.reset_target} is not a declared state",
                      seq.span)
+        ports = {p.name: p for p in self.ports}
         for name in (seq_cur, seq_next):
             if name in self.regs and self.regs[name] != width:
                 self.err("E_REG_WIDTH",
                          f"register {name} width {self.regs[name]} does not match encoding width {width}",
+                         seq.span)
+            port = ports.get(name)
+            if port is not None and (port.direction != "output" or port.kind != "reg"):
+                self.err("E_STATE_PORT", f"state register {name} is a port but not an output reg",
                          seq.span)
 
         arm_labels: set[str] = set()
@@ -660,7 +668,9 @@ class _Parser:
                 self.err("E_ARM_LABEL", f"case arm on undeclared label {arm.label}", arm.span)
         all_arms = comb.arms + ([comb.default_arm] if comb.default_arm else [])
         assignable = {seq_next} | {p.name for p in self.ports if p.direction == "output"}
-        declared = param_names | set(self.regs) | {p.name for p in self.ports}
+        # Nothing in the subset drives a register other than the state pair,
+        # and the emitter declares only those two.
+        declared = param_names | {seq_cur, seq_next} | set(ports)
         for arm in all_arms:
             self._check_stmts(arm.body, seq_next, param_names, assignable, declared)
         for a in comb.leading:
@@ -678,7 +688,7 @@ class _Parser:
         if any(d.is_error for d in self.diags):
             return None
 
-        last_line = max(t.line for t in self.toks)
+        last_line = self.toks[-1].line   # EOF's line is the last
         return FsmAst(
             module_name=self.module_name,
             ports=self.ports,
@@ -697,10 +707,12 @@ class _Parser:
 
     def _check_declared(self, expr: str, declared: set[str], span: Span) -> list[str]:
         """The names expr reads, once each; an undeclared one is an error."""
+        if expr in declared:   # a declared name alone reads just itself
+            return [expr]
         names = list(dict.fromkeys(expr_identifiers(expr)))
         for name in names:
             if name not in declared:
-                self.err("E_UNDECLARED", f"{name} is not a declared port, register or state",
+                self.err("E_UNDECLARED", f"{name} is not a port, state register or state",
                          span)
         return names
 

@@ -27,7 +27,6 @@ from .stg import (
     StgError,
     Transition,
     extract_stg,
-    hamming_distance,
     reachable_states,
     unprotected_transitions,
 )
@@ -185,37 +184,49 @@ def _scored_edges(stg: Stg, include_self: bool) -> list[Transition]:
     return edges
 
 
+def _fif_pair(stg: Stg, source: str, target: str, protected: str) -> FifResult:
+    base = fif_metric(stg.encoding_of(source), stg.encoding_of(target), stg.encoding_of(protected))
+    return FifResult(base.per_bit, base.overall, source, target, protected)
+
+
 def fif_results(stg: Stg, include_self_edges: bool = False) -> list[FifResult]:
     """FIF for every (unprotected transition, protected state) pair."""
     protected = sorted(stg.protected_names)
     if not protected:
         raise RuleError("FIF rule requires a protected state")
-    results = []
-    for t in _scored_edges(stg, include_self_edges):
-        for p in protected:
-            base = fif_metric(stg.encoding_of(t.source), stg.encoding_of(t.target),
-                              stg.encoding_of(p))
-            results.append(FifResult(base.per_bit, base.overall, t.source, t.target, p))
-    return results
+    return [_fif_pair(stg, t.source, t.target, p)
+            for t in _scored_edges(stg, include_self_edges) for p in protected]
 
 
 def check_fif_rule(stg: Stg, include_self_edges: bool = False) -> list[RuleViolation]:
+    """FIF_NONZERO for each pair whose product is 1.  On integer codes the
+    product is 1 exactly when (x XOR y) OR (x AND p) sets every bit, so
+    fif_metric runs only for those pairs, to give their per-bit evidence."""
+    protected = [(p, stg.code_of(p)) for p in sorted(stg.protected_names)]
+    if not protected:
+        raise RuleError("FIF rule requires a protected state")
+    mask = (1 << stg.width) - 1
+    code = stg.code_of
     violations = []
-    for res in fif_results(stg, include_self_edges):
-        if res.overall == 1:
-            violations.append(RuleViolation(
-                rule=Rule.FIF_NONZERO,
-                states=(res.source, res.target, res.protected_ref),
-                transition=(res.source, res.target),
-                evidence={"fif": res.to_json()},
-            ))
+    for t in _scored_edges(stg, include_self_edges):
+        x = code(t.source)
+        flips = x ^ code(t.target)
+        for p, bp in protected:
+            if flips | (x & bp) == mask:
+                violations.append(RuleViolation(
+                    rule=Rule.FIF_NONZERO,
+                    states=(t.source, t.target, p),
+                    transition=(t.source, t.target),
+                    evidence={"fif": _fif_pair(stg, t.source, t.target, p).to_json()},
+                ))
     return violations
 
 
 def check_hd_rule(stg: Stg, include_self_edges: bool = False) -> list[RuleViolation]:
+    code = stg.code_of
     violations = []
     for t in _scored_edges(stg, include_self_edges):
-        hd = hamming_distance(stg.encoding_of(t.source), stg.encoding_of(t.target))
+        hd = (code(t.source) ^ code(t.target)).bit_count()
         if hd != 1:
             violations.append(RuleViolation(
                 rule=Rule.HD_NOT_ONE,

@@ -12,7 +12,6 @@ import re
 from dataclasses import dataclass
 
 from .ast_nodes import Assign, FsmAst, IfChain, Stmt
-from .parser import expr_identifiers
 
 DEFAULT_KEYWORDS = ("trojan", "trigger", "malicious", "backdoor")
 

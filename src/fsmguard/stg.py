@@ -118,6 +118,7 @@ class Stg:
         # The index is not a field, so ==, hash and repr ignore it.  The first
         # declaration of a name wins; adjacency skips constant-false guards.
         by_name = {s.name: s for s in reversed(self.states)}
+        code = {name: int(s.encoding.bits, 2) for name, s in by_name.items()}
         if self.reset_state not in by_name:
             raise StgError(f"reset state {self.reset_state} is not declared")
         for s in self.states:
@@ -132,6 +133,7 @@ class Stg:
                 out.setdefault(t.source, []).append(t)
                 into.setdefault(t.target, []).append(t)
         object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_code", code)
         object.__setattr__(self, "_out", out)
         object.__setattr__(self, "_in", into)
 
@@ -148,6 +150,11 @@ class Stg:
 
     def encoding_of(self, name: str) -> Encoding:
         return self.state(name).encoding
+
+    def code_of(self, name: str) -> int:
+        """The state's encoding as an integer; bit 0 of the encoding is its
+        most significant bit."""
+        return self._code[name]
 
     def out_edges(self, name: str) -> list[Transition]:
         return list(self._out.get(name, ()))

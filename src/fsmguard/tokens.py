@@ -4,6 +4,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum, auto
+from typing import NamedTuple
 
 from .source import Diagnostic, SourceText, Span, error
 
@@ -37,25 +38,31 @@ UNSUPPORTED_KEYWORDS = frozenset({
 _SIZED = r"(\d+)\s*'\s*([bBdDhHoO])([0-9a-fA-FxzXZ_]+)"
 SIZED_RE = re.compile(_SIZED)
 
-# One alternative per token class, tried in this order at each position.  A
-# "/*" closes at the first "*/" after its "/", so "/*/" is a whole comment; a
-# "/*" that never closes matches only the "open" group.
-_MASTER_RE = re.compile(r"""
-    (?P<ws>[ \t\r\n]+)
+# One alternative per token class, tried in this order after the spaces and
+# tabs before a token are skipped.  A run of blank space holding a newline is
+# its own match, so line numbers advance once per line, not once per token.
+# A "/*" closes at the first "*/" after its "/", so "/*/" is a whole comment;
+# a "/*" that never closes matches only the "open" group.  "bad" excludes the
+# skipped characters, so the skip never gives one back to it.
+_MASTER_RE = re.compile(r"""[ \t\r]*(?:
+    (?P<newline>\n[ \t\r\n]*)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_$]*)
   | (?P<line_comment>//[^\n]*)
   | (?P<block_comment>/\*(?:/|.*?\*/))
   | (?P<open>/\*)
-  | (?P<sized>""" + _SIZED + r""")
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_$]*)
-  | (?P<number>\d+)
   | (?P<op><=|>=|==|!=|&&|\|\||<<|>>|[@()\[\]{},;:=*!~&|^<>+\-?/\#.%$])
-  | (?P<bad>.)
-""", re.VERBOSE | re.DOTALL)
+  | (?P<sized>""" + _SIZED + r""")
+  | (?P<number>\d+)
+  | (?P<bad>[^ \t\r])
+)""", re.VERBOSE | re.DOTALL)
 _ALL_KEYWORDS = KEYWORDS | UNSUPPORTED_KEYWORDS
+_G = _MASTER_RE.groupindex
+_NEWLINE, _IDENT, _OP, _NUMBER, _SIZED_G, _BAD = (
+    _G["newline"], _G["ident"], _G["op"], _G["number"], _G["sized"], _G["bad"])
+_LINE_COMMENT, _BLOCK_COMMENT = _G["line_comment"], _G["block_comment"]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokKind
     text: str
     line: int
@@ -64,12 +71,6 @@ class Token:
     @property
     def span(self) -> Span:
         return Span.point(self.line)
-
-    def is_kw(self, *words: str) -> bool:
-        return self.kind is TokKind.KW and self.text in words
-
-    def is_op(self, text: str) -> bool:
-        return self.kind is TokKind.OP and self.text == text
 
 
 @dataclass
@@ -91,32 +92,39 @@ def tokenize(src: SourceText) -> Lexed:
     text = src.content
     end = len(text)
     line, line_start = 1, 0   # current line and the offset it starts at
+    append = tokens.append
     for m in _MASTER_RE.finditer(text):
-        kind, start, word = m.lastgroup, m.start(), m.group()
-        col = start - line_start + 1
-        if kind == "ws" or kind == "block_comment" or kind == "sized":
-            if kind == "block_comment":
-                trivia.append(Token(TokKind.COMMENT, word, line, col))
-            elif kind == "sized":
-                tokens.append(Token(TokKind.SIZED, word, line, col))
-            newlines = word.count("\n")   # only these three may span lines
+        # lastindex is the token's group: a group closes after those inside it
+        g = m.lastindex
+        if g == _IDENT:
+            word = m[g]
+            append(Token(TokKind.KW if word in _ALL_KEYWORDS else TokKind.IDENT, word,
+                         line, m.start(g) - line_start + 1))
+        elif g == _OP:
+            append(Token(TokKind.OP, m[g], line, m.start(g) - line_start + 1))
+        elif g == _NEWLINE:
+            word = m[g]
+            line += word.count("\n")
+            line_start = m.start(g) + word.rindex("\n") + 1
+        elif g == _NUMBER:
+            append(Token(TokKind.NUMBER, m[g], line, m.start(g) - line_start + 1))
+        elif g == _LINE_COMMENT:
+            trivia.append(Token(TokKind.COMMENT, m[g], line, m.start(g) - line_start + 1))
+        elif g == _SIZED_G or g == _BLOCK_COMMENT:
+            word, start = m[g], m.start(g)
+            if g == _SIZED_G:
+                append(Token(TokKind.SIZED, word, line, start - line_start + 1))
+            else:
+                trivia.append(Token(TokKind.COMMENT, word, line, start - line_start + 1))
+            newlines = word.count("\n")   # the only tokens that may span lines
             if newlines:
                 line += newlines
                 line_start = start + word.rindex("\n") + 1
-        elif kind == "ident":
-            tok_kind = TokKind.KW if word in _ALL_KEYWORDS else TokKind.IDENT
-            tokens.append(Token(tok_kind, word, line, col))
-        elif kind == "op":
-            tokens.append(Token(TokKind.OP, word, line, col))
-        elif kind == "number":
-            tokens.append(Token(TokKind.NUMBER, word, line, col))
-        elif kind == "line_comment":
-            trivia.append(Token(TokKind.COMMENT, word, line, col))
-        elif kind == "bad":
-            diagnostics.append(error("E_CHAR", f"illegal character {word!r}", Span.point(line)))
+        elif g == _BAD:
+            diagnostics.append(error("E_CHAR", f"illegal character {m[g]!r}", Span.point(line)))
         else:  # "open": the scan stops, and EOF sits on the "/*"
             diagnostics.append(error("E_COMMENT", "unterminated block comment", Span.point(line)))
-            end = start
+            end = m.start(g)
             break
     tokens.append(Token(TokKind.EOF, "", line, end - line_start + 1))
     return Lexed(tokens=tokens, trivia=trivia, diagnostics=diagnostics)

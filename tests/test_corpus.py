@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import fsmguard.stg
 from fsmguard import (
     CorpusError,
     Rule,
@@ -24,6 +25,7 @@ from fsmguard import (
     write_corpus,
 )
 from fsmguard.mitigate import mitigate
+from fsmguard.stg import StgError
 from fsmguard.sanitize import contains_keywords
 
 from conftest import design_ast, design_source
@@ -105,6 +107,22 @@ def test_verify_mitigation_renamed_module_fails(aes_ctrl, aes_ctrl_default):
 def test_verify_mitigation_rejects_untripped_targets(vending, aes_ctrl_default):
     with pytest.raises(CorpusError):
         verify_mitigation(vending, aes_ctrl_default, [Rule.MISSING_DEFAULT])
+
+
+@pytest.mark.parametrize("fault", [StgError, RuntimeError])
+def test_verify_mitigation_stg_comparison_faults(aes_ctrl, aes_ctrl_default, monkeypatch, fault):
+    """An STG that cannot be extracted reads stg_ok=False; any other error
+    in the comparison is a fault and reaches the caller."""
+    def faulty(*args, **kwargs):
+        raise fault("extraction fault")
+
+    monkeypatch.setattr(fsmguard.stg, "extract_stg", faulty)
+    args = (aes_ctrl, aes_ctrl_default, [Rule.MISSING_DEFAULT], frozenset({"WAIT_KEY"}))
+    if fault is StgError:
+        assert verify_mitigation(*args).stg_ok is False
+    else:
+        with pytest.raises(RuntimeError, match="extraction fault"):
+            verify_mitigation(*args)
 
 
 # -- generate_corpus ----------------------------------------------------------------

@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsmguard import SourceText, TokKind, emit_verilog, lint, parse_source, tokenize
+from fsmguard import (
+    RuleConfig,
+    SourceText,
+    TokKind,
+    emit_verilog,
+    lint,
+    parse_source,
+    run_all_checks,
+    tokenize,
+)
 from fsmguard.lint import (
     INCOMPLETE_SENSITIVITY,
     LATCH_INFERENCE,
@@ -228,6 +237,42 @@ endmodule"""
     assert "ghost" in result.errors[0].message
 
 
+def test_parse_rejects_reading_a_register_outside_the_state_pair():
+    """Only the state pair is a register the subset drives, and the emitter
+    declares no other; reading another one would not survive a round trip."""
+    text = """module m (input clk, input rst);
+parameter A = 1'b0;
+parameter B = 1'b1;
+reg s;
+reg n;
+reg go;
+always @(posedge clk) begin if (rst) s <= A; else s <= n; end
+always @(*) begin case (s) A: if (go) n = B; else n = A; B: n = A; endcase end
+endmodule"""
+    result = parse_source(SourceText(text))
+    assert [(d.code, d.span.start) for d in result.errors] == [("E_UNDECLARED", 8)]
+    assert "go is not a port, state register or state" in result.errors[0].message
+
+
+@pytest.mark.parametrize("port, ok", [
+    ("input [0:0] n", False), ("output [0:0] n", False), ("output reg [0:0] n", True),
+])
+def test_parse_state_register_port_must_be_an_output_reg(port, ok):
+    text = f"""module m (input clk, input rst, {port});
+parameter A = 1'b0;
+parameter B = 1'b1;
+reg s;
+always @(posedge clk) begin if (rst) s <= A; else s <= n; end
+always @(*) begin case (s) A: n = B; B: n = A; endcase end
+endmodule"""
+    result = parse_source(SourceText(text))
+    if ok:
+        assert result.ok
+        assert parse_source(emit_verilog(result.ast)).ast == result.ast
+    else:
+        assert [(d.code, d.span.start) for d in result.errors] == [("E_STATE_PORT", 5)]
+
+
 def test_sized_literals_read_no_signal():
     text = """module m (input clk, input rst, input [1:0] x, output reg y);
 parameter A = 1'b0;
@@ -395,3 +440,60 @@ def test_roundtrip_random_designs(text):
     first = parse_source(SourceText(text)).expect_ast()
     second = parse_source(emit_verilog(first)).expect_ast()
     assert second == first
+
+
+# -- parser fuzzing -------------------------------------------------------------
+
+_SHIPPED = sorted(DESIGNS.glob("*.v"))
+
+
+def _pieces(text: str) -> tuple[list[str], list[str]]:
+    """The text split into its tokens and the gaps around them, so that
+    text == gaps[0] + toks[0] + gaps[1] + ... + toks[-1] + gaps[-1]."""
+    starts = [0] + [i + 1 for i, c in enumerate(text) if c == "\n"]
+    toks, gaps, at = [], [], 0
+    for tok in tokenize(SourceText(text)).tokens[:-1]:
+        begin = starts[tok.line - 1] + tok.col - 1
+        gaps.append(text[at:begin])
+        toks.append(tok.text)
+        at = begin + len(tok.text)
+    gaps.append(text[at:])
+    return toks, gaps
+
+
+_MUTATION = st.tuples(st.sampled_from(("drop", "dup", "swap", "replace")),
+                      st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+                      st.sampled_from((";", "=", "end", "(")))
+
+
+@st.composite
+def mutated_designs(draw):
+    """A shipped design with one to three token-level edits: drop,
+    duplicate or swap a token, or replace it with ``;``, ``=``, ``end`` or
+    ``(``.  Comments and layout between the tokens are kept."""
+    text = _SHIPPED[draw(st.integers(0, len(_SHIPPED) - 1))].read_text(encoding="utf-8")
+    toks, gaps = _pieces(text)
+    for op, i, j, word in draw(st.lists(_MUTATION, min_size=1, max_size=3)):
+        i, j = i % len(toks), j % len(toks)
+        if op == "drop":
+            toks[i] = ""
+        elif op == "dup":
+            toks[i] = f"{toks[i]} {toks[i]}"
+        elif op == "swap":
+            toks[i], toks[j] = toks[j], toks[i]
+        else:
+            toks[i] = word
+    states = [toks[k + 1] for k, t in enumerate(toks[:-1]) if t == "parameter"]
+    protected = draw(st.sampled_from(states)) if states else "S0"
+    return "".join(g + t for g, t in zip(gaps, toks + [""])) or ";", protected
+
+
+@settings(max_examples=250, deadline=None)
+@given(mutated_designs())
+def test_mutated_designs_never_crash_and_round_trip(case):
+    text, protected = case
+    src = SourceText(text)
+    result = parse_source(src)
+    run_all_checks(src, frozenset({protected}), RuleConfig(fif=True))
+    if result.ok:
+        assert parse_source(emit_verilog(result.ast)).ast == result.ast

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import fsmguard.inject
 from fsmguard import (
     InjectError,
     Rule,
@@ -329,6 +330,22 @@ def test_unreachable_injection_into_aes_no_default():
 # set and with the base's reset state protected: the emitted design and the
 # plan JSON of each injection, or the error of each refused one.
 INJECT_GOLDEN_SHA256 = "3382ece929df36a6ccfd311dfa6ab7e9b30cf9f7f6c221bfc29991d745bc1b0f"
+
+
+def test_injection_gate_lets_checker_faults_propagate(monkeypatch):
+    """The gate drops a candidate whose STG cannot be extracted; any other
+    error from the checker is a fault and must reach the caller."""
+    base = design_ast("vending")
+    real = fsmguard.inject.run_checks_on_ast
+
+    def faulty(ast, *args, **kwargs):
+        if ast is base:
+            return real(ast, *args, **kwargs)
+        raise RuntimeError("checker fault")
+
+    monkeypatch.setattr(fsmguard.inject, "run_checks_on_ast", faulty)
+    with pytest.raises(RuntimeError, match="checker fault"):
+        plan_injection(VulnClass.STATIC_DEADLOCK, base, seed=0)
 
 
 def injection_digest() -> str:

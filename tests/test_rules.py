@@ -3,6 +3,7 @@ default handling, and the aggregate report."""
 import hashlib
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -160,6 +161,85 @@ def test_hd_rule_self_edge_config():
     widened = {v.transition for v in check_hd_rule(stg, include_self_edges=True)}
     assert default == {("A", "B")}
     assert widened == {("A", "A"), ("A", "B")}
+
+
+# -- FIF and HD against an independent oracle ------------------------------------------
+
+@st.composite
+def small_fsms(draw):
+    """Width 2-5, random (possibly repeated) codes, random edges and one or
+    two protected states, as (width, codes, edges, protected indices)."""
+    width = draw(st.integers(2, 5))
+    n = draw(st.integers(2, min(8, 2 ** width)))
+    codes = draw(st.lists(st.integers(0, 2 ** width - 1), min_size=n, max_size=n))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    protected = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=2))
+    return width, codes, edges, protected
+
+
+def small_fsm_verilog(width, codes, edges) -> str:
+    """State i takes its edges in order under guards g0, g1, ..., else holds."""
+    out = {i: [d for s, d in edges if s == i] for i in range(len(codes))}
+    guards = max(len(targets) for targets in out.values())
+    lines = ["module m (", "    input clk,", "    input reset,"]
+    lines += [f"    input g{k}," for k in range(guards)]
+    lines += ["    output reg busy", ");"]
+    lines += [f"parameter S{i} = {width}'b{c:0{width}b};" for i, c in enumerate(codes)]
+    lines += [f"reg [{width - 1}:0] cs;", f"reg [{width - 1}:0] ns;",
+              "always @(posedge clk or posedge reset) begin",
+              "    if (reset) cs <= S0;", "    else cs <= ns;", "end",
+              "always @(*) begin", "    busy = 0;", "    case (cs)"]
+    for i, targets in out.items():
+        lines.append(f"        S{i}: begin")
+        keyword = "if"
+        for k, d in enumerate(targets):
+            lines.append(f"            {keyword} (g{k}) ns = S{d};")
+            keyword = "else if"
+        lines.append(f"            {'else ' if targets else ''}ns = S{i};")
+        lines.append("        end")
+    lines += ["        default: ns = S0;", "    endcase", "end", "endmodule"]
+    return "\n".join(lines)
+
+
+def encoding_oracle(width, codes, edges, protected) -> list:
+    """HD by popcount, FIF by the per-bit product, over unprotected non-self
+    edges, written apart from the package."""
+    found = []
+    for s, d in edges:
+        if s == d or s in protected or d in protected:
+            continue
+        x, y = codes[s], codes[d]
+        if bin(x ^ y).count("1") != 1:
+            found.append(("HD_NOT_ONE", (f"S{s}", f"S{d}")))
+        for p in protected:
+            bit = [((x >> i) & 1, (y >> i) & 1, (codes[p] >> i) & 1) for i in range(width)]
+            if all((bx ^ by) | (bx & bp) for bx, by, bp in bit):
+                found.append(("FIF_NONZERO", (f"S{s}", f"S{d}", f"S{p}")))
+    return sorted(found)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_fsms())
+def test_fif_and_hd_findings_match_an_independent_oracle(fsm):
+    width, codes, edges, protected = fsm
+    names = frozenset(f"S{p}" for p in protected)
+    report = run_all_checks(SourceText(small_fsm_verilog(width, codes, edges)), names,
+                            RuleConfig(fif=True))
+    assert report.parse_ok
+    found = [v for v in report.violations if v.rule in (Rule.HD_NOT_ONE, Rule.FIF_NONZERO)]
+    assert sorted((v.rule.value, v.states) for v in found) == \
+        encoding_oracle(width, codes, edges, protected)
+    enc = {f"S{i}": Encoding(format(c, f"0{width}b")) for i, c in enumerate(codes)}
+    for v in found:
+        if v.rule is Rule.FIF_NONZERO:
+            s, d, p = v.states
+            want = replace(fif_metric(enc[s], enc[d], enc[p]), source=s, target=d, protected_ref=p)
+            assert v.evidence == {"fif": want.to_json()}
+        else:
+            s, d = v.states
+            hd = sum(a != b for a, b in zip(enc[s].bits, enc[d].bits))
+            assert v.evidence == {"hamming_distance": hd, "encodings": [enc[s].bits, enc[d].bits]}
 
 
 # -- deadlock ---------------------------------------------------------------------

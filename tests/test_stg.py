@@ -130,6 +130,15 @@ def test_hamming_metric_properties(triple):
     assert hamming_distance(a, c) <= hamming_distance(a, b) + hamming_distance(b, c)
 
 
+def test_integer_codes_follow_the_first_declaration():
+    states = (State("a", Encoding("011")), State("b", Encoding("000")),
+              State("a", Encoding("100")))
+    stg = Stg(states=states, transitions=(Transition("a", "b", Guard.always()),),
+              reset_state="a", width=3)
+    assert [stg.code_of(n) for n in ("a", "b")] == [0b011, 0]
+    assert stg.encoding_of("a") == Encoding("011")
+
+
 # -- reachability -----------------------------------------------------------------
 
 def test_reachable_excludes_unreachable_state():
