@@ -54,10 +54,6 @@ from .inject import (
     InjectionPlan,
     RULE_FOR_CLASS,
     VulnClass,
-    inject_duplicate_encoding,
-    inject_static_deadlock,
-    inject_trap_loop,
-    inject_unreachable_state,
     plan_injection,
     remove_default_arm,
 )

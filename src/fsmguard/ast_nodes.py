@@ -33,7 +33,6 @@ class ParamDecl:
     width: int
     bits: str                           # e.g. "000"; index 0 is the MSB
     span: Span = field(default=_NOSPAN, compare=False)
-    was_localparam: bool = field(default=False, compare=False)
 
 
 @dataclass
@@ -47,7 +46,6 @@ class Assign:
 class Branch:
     guard: Optional[str]                # None for a bare else branch
     body: list["Stmt"]
-    guard_inputs: tuple[str, ...] = field(default=(), compare=False)
     span: Span = field(default=_NOSPAN, compare=False)
 
 

@@ -105,8 +105,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     result = parse_source(src)
     report = run_checks_on_parse(result, protected, rule_config, src.origin)
     if args.dump_stg and result.ast is not None:
-        merged = protected | result.ast.protected_annotations
-        sys.stdout.write(dump_stg(extract_stg(result.ast, merged)))
+        sys.stdout.write(dump_stg(extract_stg(result.ast, protected)))
     if args.json:
         sys.stdout.write(report.to_json_text())
     else:

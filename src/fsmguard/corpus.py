@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -19,7 +19,7 @@ from .emitter import emit_verilog
 from .inject import RULE_FOR_CLASS, InjectError, InjectionPlan, VulnClass, plan_injection
 from .parser import parse_source
 from .rules import CheckReport, Rule, RuleConfig, RuleViolation, run_checks_on_parse
-from .source import SourceText
+from .source import SourceText, Span
 
 SCHEMA_VERSION = 1
 
@@ -64,12 +64,10 @@ class CorpusRecord:
 
     @classmethod
     def from_json(cls, data: dict) -> "CorpusRecord":
-        from .inject import InjectionPlan as IP
-        from .source import Span
         plan = None
         if data.get("plan"):
             p = data["plan"]
-            plan = IP(
+            plan = InjectionPlan(
                 vuln=VulnClass(p["vuln"]),
                 seed=p["seed"],
                 target_state=p["target_state"],
@@ -207,33 +205,22 @@ def verify_mitigation(original: SourceText, mitigated: SourceText,
 
 # -- generation ----------------------------------------------------------------
 
-@dataclass
-class CorpusSpec:
-    bases: Sequence[SourceText]
-    mix: dict[VulnClass, int]
-    master_seed: int
-    protected: frozenset[str] = frozenset()
-    clean_ratio: float = 1.0
-    config: RuleConfig = field(default_factory=RuleConfig)
-
-
 _Base = tuple[SourceText, FsmAst, CheckReport]
 
 
-def _make_record(spec: CorpusSpec, vuln: VulnClass, index: int,
-                 bases: Sequence[_Base]) -> CorpusRecord:
-    seed = derive_seed(spec.master_seed, index, vuln.value)
+def _make_record(vuln: VulnClass, index: int, bases: Sequence[_Base], master_seed: int,
+                 protected: frozenset[str], config: RuleConfig) -> CorpusRecord:
+    seed = derive_seed(master_seed, index, vuln.value)
     errors = []
     for offset in range(len(bases)):
         base_src, base_ast, base_report = bases[(index + offset) % len(bases)]
         try:
-            injected_ast, plan = plan_injection(vuln, base_ast, seed, spec.protected)
+            injected_ast, plan = plan_injection(vuln, base_ast, seed, protected)
         except InjectError as exc:
             errors.append(f"{base_src.origin}: {exc}")
             continue
         text = emit_verilog(injected_ast)
-        verdict = _insertion_verdict(base_ast, base_report, text, vuln,
-                                     spec.protected, spec.config)
+        verdict = _insertion_verdict(base_ast, base_report, text, vuln, protected, config)
         if not verdict.overall:
             errors.append(f"{base_src.origin}: fidelity gate failed")
             continue
@@ -245,7 +232,7 @@ def _make_record(spec: CorpusSpec, vuln: VulnClass, index: int,
             source=text.content,
             vuln=vuln,
             plan=plan,
-            protected=tuple(sorted(spec.protected)),
+            protected=tuple(sorted(protected)),
             seed=seed,
             labels=(RULE_FOR_CLASS[vuln].value,),
         )
@@ -262,8 +249,6 @@ def generate_corpus(bases: Sequence[SourceText], mix: dict[VulnClass, int],
     oracle, interleaved with clean records at the configured ratio."""
     if not bases:
         raise CorpusError("no base designs")
-    spec = CorpusSpec(bases=bases, mix=dict(mix), master_seed=master_seed,
-                      protected=protected, clean_ratio=clean_ratio, config=config)
     parsed: list[_Base] = []
     for src in bases:
         result = parse_source(src)
@@ -278,12 +263,12 @@ def generate_corpus(bases: Sequence[SourceText], mix: dict[VulnClass, int],
                 + ", ".join(v.rule.value for v in base_report.violations))
         parsed.append((src, ast, base_report))
 
-    jobs = [(vuln, i) for vuln in sorted(spec.mix, key=lambda v: v.value)
-            for i in range(spec.mix[vuln])]
+    jobs = [(vuln, i) for vuln in sorted(mix, key=lambda v: v.value)
+            for i in range(mix[vuln])]
 
     def work(job: tuple[VulnClass, int]) -> CorpusRecord:
         vuln, i = job
-        return _make_record(spec, vuln, i, parsed)
+        return _make_record(vuln, i, parsed, master_seed, protected, config)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -296,7 +281,7 @@ def generate_corpus(bases: Sequence[SourceText], mix: dict[VulnClass, int],
     clean_index = 0
     for record in buggy:
         records.append(record)
-        clean_due += spec.clean_ratio
+        clean_due += clean_ratio
         while clean_due >= 1.0:
             base_src = parsed[clean_index % len(parsed)][0]
             records.append(CorpusRecord(

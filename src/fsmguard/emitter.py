@@ -93,9 +93,12 @@ def emit_with_markers(ast: FsmAst) -> tuple[SourceText, dict[str, Span]]:
         w.mark(f"param:{p.name}", line)
     w.put()
 
+    # A state register that is a port is already an output reg in the header.
     rng = f"[{ast.state_width - 1}:0] " if ast.state_width > 1 else ""
-    w.put(f"reg {rng}{ast.state_cur};")
-    w.put(f"reg {rng}{ast.state_next};")
+    ports = {p.name for p in ast.ports}
+    for reg in (ast.state_cur, ast.state_next):
+        if reg not in ports:
+            w.put(f"reg {rng}{reg};")
     w.put()
 
     seq = ast.seq

@@ -306,7 +306,7 @@ def _unreachable_state_edits(ast: FsmAst, protected: frozenset[str],
             def apply(trial: FsmAst, target: str = target, sig: Optional[str] = sig) -> FsmAst:
                 nxt = trial.state_next
                 body = [Assign(nxt, target)] if sig is None else [IfChain([
-                    Branch(sig, [Assign(nxt, target)], (sig,)),
+                    Branch(sig, [Assign(nxt, target)]),
                     Branch(None, [Assign(nxt, name)]),
                 ])]
                 return _add_state(trial, name, bits, body)
@@ -328,31 +328,6 @@ _EDITS = {
 
 
 # -- public entries -----------------------------------------------------------------
-
-def inject_static_deadlock(ast: FsmAst, seed: int, protected: frozenset[str] = frozenset()
-                           ) -> tuple[FsmAst, InjectionPlan]:
-    """Redirect one branch of a seeded eligible state into a fresh
-    self-looping state."""
-    return _inject(VulnClass.STATIC_DEADLOCK, ast, seed, protected)
-
-
-def inject_trap_loop(ast: FsmAst, seed: int, protected: frozenset[str] = frozenset()
-                     ) -> tuple[FsmAst, InjectionPlan]:
-    """Add a two-state cycle with no exit, entered from a seeded branch."""
-    return _inject(VulnClass.CWE835_TRAP, ast, seed, protected)
-
-
-def inject_duplicate_encoding(ast: FsmAst, seed: int, protected: frozenset[str] = frozenset()
-                              ) -> tuple[FsmAst, InjectionPlan]:
-    """Overwrite a seeded second state's encoding with a first state's."""
-    return _inject(VulnClass.DUPLICATE_ENCODING, ast, seed, protected)
-
-
-def inject_unreachable_state(ast: FsmAst, seed: int, protected: frozenset[str] = frozenset()
-                             ) -> tuple[FsmAst, InjectionPlan]:
-    """Add a state with outgoing transitions and no incoming edge anywhere."""
-    return _inject(VulnClass.UNREACHABLE_STATE, ast, seed, protected)
-
 
 def remove_default_arm(ast: FsmAst) -> tuple[FsmAst, InjectionPlan]:
     """Delete the default arm, leaving unused encodings unhandled."""
@@ -379,7 +354,11 @@ def remove_default_arm(ast: FsmAst) -> tuple[FsmAst, InjectionPlan]:
 def plan_injection(vuln: VulnClass, ast: FsmAst, seed: int,
                    protected: frozenset[str] = frozenset()
                    ) -> tuple[FsmAst, InjectionPlan]:
-    """Dispatch to the class-specific injection."""
+    """Apply one seeded injection of the class.  STATIC_DEADLOCK and
+    CWE835_TRAP redirect a branch of a reachable state into a fresh
+    self-looping state or exit-less two-state cycle; DUPLICATE_ENCODING
+    gives a second state a first state's code; UNREACHABLE_STATE adds a
+    state with exits and no entry; MISSING_DEFAULT drops the default arm."""
     if vuln is VulnClass.MISSING_DEFAULT:
         injected, plan = remove_default_arm(ast)
         return injected, replace(plan, seed=seed)

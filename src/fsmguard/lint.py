@@ -4,7 +4,7 @@ Warnings never block downstream analysis; they ride along in reports.
 """
 from __future__ import annotations
 
-from .ast_nodes import Assign, CaseArm, FsmAst, IfChain, Stmt
+from .ast_nodes import Assign, CaseArm, FsmAst, Stmt
 from .parser import expr_identifiers
 from .source import Diagnostic, warning
 

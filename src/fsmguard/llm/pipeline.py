@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
 
 from ..source import SourceText
-from .params import GenerationParams, temperature_grid
+from .params import GenerationParams
 from .parsing import (
     ResponseParseError,
     parse_delimited_code,
@@ -49,7 +49,6 @@ class PipelineStep:
     bindings: dict[str, str] = field(default_factory=dict)
     captures: tuple[CaptureRule, ...] = ()
     params: GenerationParams = GenerationParams()
-    code_delimiters: tuple[str, str] = ("[code:", "]")
     policy_count: int = 0
 
 
@@ -131,9 +130,7 @@ def _fail(transcript: Transcript, step: str, reason: str) -> Transcript:
 def _final_artifact(step: PipelineStep, response: str) -> dict:
     kind = step.template.expected_output
     if kind == "code":
-        open_d, close_d = step.code_delimiters
-        code = parse_delimited_code(response, open_d, close_d)
-        inner = code.content
+        inner = parse_delimited_code(response, "[code:", "]").content
         if inner.startswith("<") and inner.endswith(">"):
             inner = inner[1:-1].strip()
         return {"kind": "code", "text": inner}
@@ -163,31 +160,13 @@ def run_pipeline(spec: PipelineSpec, design: SourceText,
             name="self_review",
             template=SELF_REVIEW,
             params=last.params,
-            code_delimiters=last.code_delimiters,
         ))
 
     for step in steps:
-        bindings = dict(step.bindings)
-        bindings["design"] = design.content
-        for key, value in captured.items():
-            bindings[f"capture:{key}"] = value
-        template_bindings = {}
-        for ph in step.template.placeholders():
-            if ph == "design":
-                template_bindings["design"] = bindings["design"]
-            elif ph.startswith("capture:"):
-                ref = ph.split(":", 1)[1]
-                if f"capture:{ref}" not in bindings:
-                    return _fail(transcript, step.name, f"unbound capture {ref}")
-                template_bindings[ph] = bindings[f"capture:{ref}"]
-            elif ph.startswith("literal:"):
-                key = ph.split(":", 1)[1]
-                if key not in step.bindings:
-                    return _fail(transcript, step.name, f"unbound literal {key}")
-                template_bindings[ph] = step.bindings[key]
-
+        bindings = {"design": design.content, **captured}
+        bindings.update((f"literal:{key}", value) for key, value in step.bindings.items())
         try:
-            prompt = render_prompt(step.template, template_bindings)
+            prompt = render_prompt(step.template, bindings)
         except TemplateError as exc:
             return _fail(transcript, step.name, str(exc))
         if len(prompt) > spec.char_budget:
@@ -202,7 +181,7 @@ def run_pipeline(spec: PipelineSpec, design: SourceText,
             record.attempts = spec.retry.max_attempts
             return _fail(transcript, step.name, record.raw_response or "provider failure")
         for name, value in record.captures.items():
-            captured[f"{step.name}.{name}"] = value
+            captured[f"capture:{step.name}.{name}"] = value
 
     last_step = steps[-1]
     try:
@@ -287,25 +266,21 @@ def fif_pipeline(protected: str, params: GenerationParams = GenerationParams()) 
                 template=TEMPLATES["fif_transitions"],
                 bindings={"protected": protected},
                 captures=(
-                    CaptureRule("list", "pattern",
-                                pattern=r"^.*state transition \d+:.*$", all_matches=True),
-                    CaptureRule("protected", "pattern",
-                                pattern=r"^.*protected_state.*$"),
+                    CaptureRule("list", r"^.*state transition \d+:.*$", all_matches=True),
+                    CaptureRule("protected", r"^.*protected_state.*$"),
                 ),
                 params=params,
             ),
             PipelineStep(
                 name="bit_table",
                 template=TEMPLATES["fif_bit_table"],
-                captures=(CaptureRule("table", "pattern", pattern=r"^.*$",
-                                      all_matches=True),),
+                captures=(CaptureRule("table", r"^.*$", all_matches=True),),
                 params=params,
             ),
             PipelineStep(
                 name="compute",
                 template=TEMPLATES["fif_compute"],
-                captures=(CaptureRule("fif_table", "pattern", pattern=r"^.*$",
-                                      all_matches=True),),
+                captures=(CaptureRule("fif_table", r"^.*$", all_matches=True),),
                 params=params,
             ),
         ),

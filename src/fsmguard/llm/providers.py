@@ -131,7 +131,6 @@ class ProviderConfig:
     endpoint: str
     model: str
     timeout: float = 60.0
-    char_budget: int = 24000
 
     @classmethod
     def from_dict(cls, section: dict) -> "ProviderConfig":
@@ -139,7 +138,6 @@ class ProviderConfig:
             endpoint=section["endpoint"],
             model=section["model"],
             timeout=float(section.get("timeout", 60.0)),
-            char_budget=int(section.get("char_budget", 24000)),
         )
 
     @classmethod

@@ -1,19 +1,16 @@
 """Prompt templates, placeholder rendering, and capture rules.
 
 Placeholders:
-  {{design}}            the design payload, wrapped in the template's
-                        declared delimiters
+  {{design}}            the design payload, wrapped in <>
   {{capture:step.name}} a named capture from an earlier pipeline step
   {{literal:key}}       a caller-provided binding
 
-Captures support exactly two mechanisms: delimiter pairs and line-anchored
-patterns.
+A capture takes the lines of a response that match a line-anchored pattern.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 _PLACEHOLDER_RE = re.compile(r"\{\{(design|capture:[\w.]+|literal:[\w]+)\}\}")
 
@@ -27,28 +24,20 @@ class CaptureRule:
     """Named extraction from a raw response."""
 
     name: str
-    kind: str                       # "delimiter" | "pattern"
-    open: str = ""
-    close: str = ""
-    pattern: str = ""
-    all_matches: bool = False       # pattern mode: join every matching line
+    pattern: str
+    all_matches: bool = False       # join every matching line
 
     def apply(self, response: str) -> str:
-        from .parsing import parse_delimited_code
-        if self.kind == "delimiter":
-            return parse_delimited_code(response, self.open, self.close).content
-        if self.kind == "pattern":
-            rx = re.compile(self.pattern, re.MULTILINE)
-            if self.all_matches:
-                lines = [m.group(0) for m in rx.finditer(response)]
-                if not lines:
-                    raise TemplateError(f"capture {self.name}: no line matches {self.pattern!r}")
-                return "\n".join(lines)
-            m = rx.search(response)
-            if not m:
-                raise TemplateError(f"capture {self.name}: no match for {self.pattern!r}")
-            return m.group(1) if m.groups() else m.group(0)
-        raise TemplateError(f"capture {self.name}: unknown kind {self.kind!r}")
+        rx = re.compile(self.pattern, re.MULTILINE)
+        if self.all_matches:
+            lines = [m.group(0) for m in rx.finditer(response)]
+            if not lines:
+                raise TemplateError(f"capture {self.name}: no line matches {self.pattern!r}")
+            return "\n".join(lines)
+        m = rx.search(response)
+        if not m:
+            raise TemplateError(f"capture {self.name}: no match for {self.pattern!r}")
+        return m.group(1) if m.groups() else m.group(0)
 
 
 @dataclass(frozen=True)
@@ -56,25 +45,19 @@ class PromptTemplate:
     name: str
     body: str
     expected_output: str = "free_text"   # code | table | policy_verdicts | free_text
-    design_delimiters: tuple[str, str] = ("<", ">")
 
     def placeholders(self) -> list[str]:
         return [m.group(1) for m in _PLACEHOLDER_RE.finditer(self.body)]
 
 
 def render_prompt(template: PromptTemplate, bindings: dict[str, str]) -> str:
-    """Substitute every placeholder; design payloads get wrapped in the
-    template's delimiters.  Unbound placeholders raise, naming the hole."""
+    """Substitute every placeholder; the design payload gets wrapped in <>.
+    Unbound placeholders raise, naming the hole."""
     def sub(m: re.Match) -> str:
         key = m.group(1)
-        if key == "design":
-            if "design" not in bindings:
-                raise TemplateError("unbound placeholder: design")
-            open_d, close_d = template.design_delimiters
-            return f"{open_d}{bindings['design']}{close_d}"
         if key not in bindings:
             raise TemplateError(f"unbound placeholder: {key}")
-        return bindings[key]
+        return f"<{bindings[key]}>" if key == "design" else bindings[key]
 
     return _PLACEHOLDER_RE.sub(sub, template.body)
 

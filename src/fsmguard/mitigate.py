@@ -20,7 +20,6 @@ from .source import SourceText
 from .stg import (
     Encoding,
     Stg,
-    Transition,
     extract_stg,
     hamming_distance,
     reachable_states,
@@ -130,7 +129,7 @@ def remove_static_deadlock(ast: FsmAst, state: str, exit_target: str,
     keep = [s for s in arm.body if not (isinstance(s, Assign) and s.lhs == nxt)]
     if guard:
         exit_stmt: Stmt = IfChain([
-            Branch(guard, [Assign(nxt, exit_target)], (guard,)),
+            Branch(guard, [Assign(nxt, exit_target)]),
             Branch(None, [Assign(nxt, hold[-1].rhs if hold else state)]),
         ])
     else:

@@ -305,8 +305,7 @@ class _Parser:
                              value.span)
                     digits = digits.zfill(width)[:width]
                 bits = digits.zfill(width)[-width:]
-                self.params.append(ParamDecl(name.text, width, bits, name.span,
-                                             was_localparam=head.text == "localparam"))
+                self.params.append(ParamDecl(name.text, width, bits, name.span))
             else:
                 self.err("E_ENCODING", f"unsized state literal for {name.text}", value.span)
             if self.peek().text == ",":
@@ -650,11 +649,12 @@ class _Parser:
                      seq.span)
         ports = {p.name: p for p in self.ports}
         for name in (seq_cur, seq_next):
-            if name in self.regs and self.regs[name] != width:
-                self.err("E_REG_WIDTH",
-                         f"register {name} width {self.regs[name]} does not match encoding width {width}",
-                         seq.span)
             port = ports.get(name)
+            reg_width = port.width if port is not None else self.regs.get(name, width)
+            if reg_width != width:
+                self.err("E_REG_WIDTH",
+                         f"register {name} width {reg_width} does not match encoding width {width}",
+                         seq.span)
             if port is not None and (port.direction != "output" or port.kind != "reg"):
                 self.err("E_STATE_PORT", f"state register {name} is a port but not an output reg",
                          seq.span)
@@ -705,16 +705,14 @@ class _Parser:
             span=Span(1, last_line),
         )
 
-    def _check_declared(self, expr: str, declared: set[str], span: Span) -> list[str]:
-        """The names expr reads, once each; an undeclared one is an error."""
+    def _check_declared(self, expr: str, declared: set[str], span: Span) -> None:
+        """Each undeclared name expr reads is an error, reported once."""
         if expr in declared:   # a declared name alone reads just itself
-            return [expr]
-        names = list(dict.fromkeys(expr_identifiers(expr)))
-        for name in names:
+            return
+        for name in dict.fromkeys(expr_identifiers(expr)):
             if name not in declared:
                 self.err("E_UNDECLARED", f"{name} is not a port, state register or state",
                          span)
-        return names
 
     def _check_stmts(self, stmts: list[Stmt], next_reg: str, params: set[str],
                      assignable: set[str], declared: set[str]) -> None:
@@ -732,8 +730,7 @@ class _Parser:
             else:
                 for br in stmt.branches:
                     if br.guard is not None:
-                        names = self._check_declared(br.guard, declared, br.span)
-                        br.guard_inputs = tuple(n for n in names if n not in params)
+                        self._check_declared(br.guard, declared, br.span)
                     self._check_stmts(br.body, next_reg, params, assignable, declared)
 
 

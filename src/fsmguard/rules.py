@@ -380,7 +380,7 @@ def detect_duplicate_encodings(stg: Stg) -> list[RuleViolation]:
     return violations
 
 
-def check_default_handling(ast: FsmAst, stg: Stg) -> list[RuleViolation]:
+def check_default_handling(ast: FsmAst) -> list[RuleViolation]:
     """Unused encodings must be handled: by a default arm, or by a leading
     next-state default that every unmatched encoding falls through to."""
     unused = ast.unused_encodings()
@@ -410,8 +410,8 @@ def _sort_violations(violations: list[RuleViolation]) -> list[RuleViolation]:
 def run_checks_on_ast(ast: FsmAst, protected: frozenset[str] | set[str],
                       config: RuleConfig = RuleConfig(),
                       design_id: str = "<ast>") -> CheckReport:
-    merged = frozenset(protected) | ast.protected_annotations
-    stg = extract_stg(ast, merged)
+    stg = extract_stg(ast, protected)
+    merged = stg.protected_names
     violations: list[RuleViolation] = []
     skipped: list[tuple[str, str]] = []
 
@@ -434,7 +434,7 @@ def run_checks_on_ast(ast: FsmAst, protected: frozenset[str] | set[str],
     if config.duplicate_encoding:
         violations += detect_duplicate_encodings(stg)
     if config.missing_default:
-        violations += check_default_handling(ast, stg)
+        violations += check_default_handling(ast)
 
     return CheckReport(
         design_id=design_id,

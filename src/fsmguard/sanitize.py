@@ -11,7 +11,7 @@ import random
 import re
 from dataclasses import dataclass
 
-from .ast_nodes import Assign, FsmAst, IfChain, Stmt
+from .ast_nodes import Assign, FsmAst, Stmt
 
 DEFAULT_KEYWORDS = ("trojan", "trigger", "malicious", "backdoor")
 
@@ -59,7 +59,6 @@ def _rewrite_stmts(stmts: list[Stmt], rename: dict[str, str]) -> None:
             for br in stmt.branches:
                 if br.guard is not None:
                     br.guard = _rewrite_expr(br.guard, rename)
-                    br.guard_inputs = tuple(rename.get(i, i) for i in br.guard_inputs)
                 _rewrite_stmts(br.body, rename)
 
 

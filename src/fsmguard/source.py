@@ -46,9 +46,6 @@ class Span:
     def point(cls, line: int) -> "Span":
         return cls(line, line)
 
-    def contains_line(self, line: int) -> bool:
-        return self.start <= line <= self.end
-
     def to_json(self) -> list[int]:
         return [self.start, self.end]
 

@@ -60,7 +60,6 @@ class GuardKind(Enum):
 class Guard:
     kind: GuardKind
     text: str = ""
-    inputs: tuple[str, ...] = ()
 
     @property
     def is_constant_false(self) -> bool:
@@ -82,8 +81,8 @@ class Guard:
         return cls(GuardKind.HOLD, text)
 
     @classmethod
-    def expr(cls, text: str, inputs: Iterable[str] = ()) -> "Guard":
-        return cls(GuardKind.EXPR, text, tuple(inputs))
+    def expr(cls, text: str) -> "Guard":
+        return cls(GuardKind.EXPR, text)
 
 
 @dataclass(frozen=True)
@@ -173,11 +172,11 @@ def _eval_block(stmts: list[Stmt], next_reg: str):
     """Walk one statement list.
 
     Returns (guarded, base, covered) where guarded is a list of
-    (guard_texts, inputs, target) for conditional next-state outcomes, base is
+    (guard_texts, target) for conditional next-state outcomes, base is
     the unconditional target in effect after the block (None if none), and
     covered says whether every path through the block assigns next-state.
     """
-    guarded: list[tuple[list[str], tuple[str, ...], str]] = []
+    guarded: list[tuple[list[str], str]] = []
     base: Optional[str] = None
     covered = False
     for stmt in stmts:
@@ -189,24 +188,22 @@ def _eval_block(stmts: list[Stmt], next_reg: str):
             guarded = []  # a later unconditional assignment wins on every path
         else:
             chain_guards: list[str] = []
-            chain_edges: list[tuple[list[str], tuple[str, ...], str]] = []
+            chain_edges: list[tuple[list[str], str]] = []
             all_branches_cover = True
             assigns_next = False
             for br in stmt.branches:
                 sub_guarded, sub_base, sub_cov = _eval_block(br.body, next_reg)
                 if br.guard is not None:
                     this_guard = [br.guard]
-                    this_inputs = br.guard_inputs
                     chain_guards.append(br.guard)
                 else:
                     neg = _negate(chain_guards)
                     this_guard = [neg] if neg else []
-                    this_inputs = ()
-                for sub_texts, sub_inputs, target in sub_guarded:
-                    chain_edges.append((this_guard + sub_texts, this_inputs + sub_inputs, target))
+                for sub_texts, target in sub_guarded:
+                    chain_edges.append((this_guard + sub_texts, target))
                     assigns_next = True
                 if sub_base is not None:
-                    chain_edges.append((list(this_guard), this_inputs, sub_base))
+                    chain_edges.append((list(this_guard), sub_base))
                     assigns_next = True
                 if not sub_cov:
                     all_branches_cover = False
@@ -230,9 +227,8 @@ def _arm_transitions(arm_label: str, arm: CaseArm, ast: FsmAst,
                      leading_target: Optional[str]) -> list[Transition]:
     guarded, base, covered = _eval_block(arm.body, ast.state_next)
     edges: list[Transition] = []
-    for texts, inputs, target in guarded:
-        text = " && ".join(texts) if texts else "1"
-        guard = Guard.expr(text, inputs) if texts else Guard.always()
+    for texts, target in guarded:
+        guard = Guard.expr(" && ".join(texts)) if texts else Guard.always()
         edges.append(Transition(arm_label, target, guard, arm.span))
     fall_guards = _chain_guard_texts(arm.body)
     fall_text = _negate(fall_guards)
@@ -346,11 +342,11 @@ def rename_states(stg: Stg, mapping: dict[str, str]) -> Stg:
         return mapping.get(name, name)
 
     def m_guard(g: Guard) -> Guard:
-        if not g.text and not g.inputs:
+        if not g.text:
             return g
         text = _re.sub(r"[A-Za-z_][A-Za-z0-9_$]*",
                        lambda match: m(match.group(0)), g.text)
-        return Guard(g.kind, text, tuple(m(i) for i in g.inputs))
+        return Guard(g.kind, text)
 
     return Stg(
         states=tuple(replace(s, name=m(s.name)) for s in stg.states),

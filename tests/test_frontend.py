@@ -22,6 +22,7 @@ from fsmguard.lint import (
     LOCALPARAM_NORMALIZED,
     SEMICOLON_AFTER_END,
 )
+from fsmguard.parser import expr_identifiers
 
 from conftest import DESIGNS, design_ast, design_source
 
@@ -273,6 +274,39 @@ endmodule"""
         assert [(d.code, d.span.start) for d in result.errors] == [("E_STATE_PORT", 5)]
 
 
+def test_emit_does_not_redeclare_a_state_register_port():
+    text = """module m (input clk, input rst, output reg [1:0] n);
+parameter A = 2'b00;
+parameter B = 2'b01;
+reg [1:0] s;
+always @(posedge clk) begin if (rst) s <= A; else s <= n; end
+always @(*) begin case (s) A: n = B; B: n = A; endcase end
+endmodule"""
+    ast = parse_source(SourceText(text)).expect_ast()
+    emitted = emit_verilog(ast).content
+    assert "reg [1:0] s;" in emitted.splitlines()
+    assert "reg [1:0] n;" not in emitted.splitlines()
+    assert parse_source(SourceText(emitted)).ast == ast
+
+
+@pytest.mark.parametrize("port, reg, name, width", [
+    ("output reg n", "reg [1:0] s;", "n", 1),
+    ("output reg [2:0] n", "reg [1:0] s;", "n", 3),
+    ("output reg [2:0] s", "reg [1:0] n;", "s", 3),
+])
+def test_parse_state_register_port_width_must_match_encoding(port, reg, name, width):
+    text = f"""module m (input clk, input rst, {port});
+parameter A = 2'b00;
+parameter B = 2'b01;
+{reg}
+always @(posedge clk) begin if (rst) s <= A; else s <= n; end
+always @(*) begin case (s) A: n = B; B: n = A; endcase end
+endmodule"""
+    result = parse_source(SourceText(text))
+    assert [(d.code, d.span.start) for d in result.errors] == [("E_REG_WIDTH", 5)]
+    assert f"register {name} width {width} does not match encoding width 2" in result.errors[0].message
+
+
 def test_sized_literals_read_no_signal():
     text = """module m (input clk, input rst, input [1:0] x, output reg y);
 parameter A = 1'b0;
@@ -283,7 +317,8 @@ always @(posedge clk) begin if (rst) s <= A; else s <= n; end
 always @(s or x) begin y = 1'b0; case (s) A: if (x == 2'b01) n = B; else n = A; B: n = A; endcase end
 endmodule"""
     ast = parse_source(SourceText(text)).expect_ast()
-    assert ast.arm_for("A").body[0].branches[0].guard_inputs == ("x",)
+    guard = ast.arm_for("A").body[0].branches[0].guard
+    assert expr_identifiers(guard) == ["x"]
     assert not any(w.code == INCOMPLETE_SENSITIVITY for w in lint(ast))
 
 

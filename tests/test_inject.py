@@ -13,10 +13,6 @@ from fsmguard import (
     VulnClass,
     emit_verilog,
     extract_stg,
-    inject_duplicate_encoding,
-    inject_static_deadlock,
-    inject_trap_loop,
-    inject_unreachable_state,
     parse_source,
     plan_injection,
     remove_default_arm,
@@ -36,7 +32,7 @@ def _violated(text, protected=frozenset()):
 
 def test_deadlock_injection_flags_exactly_one(vending):
     ast = design_ast("vending")
-    injected, plan = inject_static_deadlock(ast, seed=3)
+    injected, plan = plan_injection(VulnClass.STATIC_DEADLOCK, ast, seed=3)
     report = run_all_checks(emit_verilog(injected))
     assert [v.rule for v in report.violations] == [Rule.STATIC_DEADLOCK]
     assert report.violations[0].states == ("deadlock_state",)
@@ -49,7 +45,7 @@ def test_deadlock_injection_matches_reference_shape():
     base = design_ast("vending")
     reference = extract_stg(design_ast("vending_deadlock"))
     for seed in range(200):
-        injected, plan = inject_static_deadlock(base, seed=seed)
+        injected, plan = plan_injection(VulnClass.STATIC_DEADLOCK, base, seed=seed)
         if plan.target_state != "IDLE":
             continue
         stg = extract_stg(injected)
@@ -62,20 +58,20 @@ def test_deadlock_injection_matches_reference_shape():
 
 def test_deadlock_injection_deterministic(vending):
     ast = design_ast("vending")
-    a = emit_verilog(inject_static_deadlock(ast, seed=11)[0]).content
-    b = emit_verilog(inject_static_deadlock(ast, seed=11)[0]).content
+    a = emit_verilog(plan_injection(VulnClass.STATIC_DEADLOCK, ast, seed=11)[0]).content
+    b = emit_verilog(plan_injection(VulnClass.STATIC_DEADLOCK, ast, seed=11)[0]).content
     assert a == b
 
 
 def test_deadlock_injection_leaves_sequential_block(vending):
     ast = design_ast("vending")
-    injected, _ = inject_static_deadlock(ast, seed=5)
+    injected, _ = plan_injection(VulnClass.STATIC_DEADLOCK, ast, seed=5)
     assert injected.seq == ast.seq
 
 
 def test_deadlock_injection_rejects_deadlocked_design():
     with pytest.raises(InjectError):
-        inject_static_deadlock(design_ast("vending_deadlock"), seed=0)
+        plan_injection(VulnClass.STATIC_DEADLOCK, design_ast("vending_deadlock"), seed=0)
 
 
 def test_deadlock_injection_needs_free_encoding():
@@ -102,7 +98,7 @@ end
 endmodule"""
     ast = parse_source(SourceText(text)).expect_ast()
     with pytest.raises(InjectError):
-        inject_static_deadlock(ast, seed=0)
+        plan_injection(VulnClass.STATIC_DEADLOCK, ast, seed=0)
 
 
 # -- duplicate encoding ------------------------------------------------------------
@@ -111,7 +107,7 @@ def test_duplicate_injection_aes_pair():
     """Some seed picks (WAIT_DATA, DO_ROUND): DO_ROUND becomes 3'b001."""
     ast = design_ast("aes_ctrl")
     for seed in range(200):
-        injected, plan = inject_duplicate_encoding(ast, seed=seed)
+        injected, plan = plan_injection(VulnClass.DUPLICATE_ENCODING, ast, seed=seed)
         if plan.target_state == "DO_ROUND" and injected.param("DO_ROUND").bits == "001":
             report = run_all_checks(emit_verilog(injected))
             dups = report.violations_of(Rule.DUPLICATE_ENCODING)
@@ -133,12 +129,12 @@ always @(*) begin case (s) A: n = A; default: n = A; endcase end
 endmodule"""
     ast = parse_source(SourceText(text)).expect_ast()
     with pytest.raises(InjectError):
-        inject_duplicate_encoding(ast, seed=0)
+        plan_injection(VulnClass.DUPLICATE_ENCODING, ast, seed=0)
 
 
 def test_duplicate_plan_names_rewritten_parameter(vending):
     ast = design_ast("vending")
-    injected, plan = inject_duplicate_encoding(ast, seed=9)
+    injected, plan = plan_injection(VulnClass.DUPLICATE_ENCODING, ast, seed=9)
     assert plan.target_state in ast.param_names
     original = ast.param(plan.target_state).bits
     assert injected.param(plan.target_state).bits != original
@@ -148,7 +144,7 @@ def test_duplicate_plan_names_rewritten_parameter(vending):
 
 def test_unreachable_injection_aes_default():
     ast = design_ast("aes_ctrl_default")
-    injected, plan = inject_unreachable_state(ast, seed=4)
+    injected, plan = plan_injection(VulnClass.UNREACHABLE_STATE, ast, seed=4)
     report = run_all_checks(emit_verilog(injected))
     assert [v.rule for v in report.violations] == [Rule.UNREACHABLE_STATE]
     (v,) = report.violations
@@ -168,7 +164,7 @@ always @(*) begin case (s) A: n = B; B: n = A; endcase end
 endmodule"""
     ast = parse_source(SourceText(text)).expect_ast()
     with pytest.raises(InjectError):
-        inject_unreachable_state(ast, seed=0)
+        plan_injection(VulnClass.UNREACHABLE_STATE, ast, seed=0)
 
 
 # -- default removal -----------------------------------------------------------------
@@ -210,7 +206,7 @@ endmodule"""
 
 def test_trap_injection_two_added_states(vending):
     ast = design_ast("vending")
-    injected, plan = inject_trap_loop(ast, seed=2)
+    injected, plan = plan_injection(VulnClass.CWE835_TRAP, ast, seed=2)
     assert len(plan.added_states) == 2
     report = run_all_checks(emit_verilog(injected))
     traps = report.violations_of(Rule.TRAP_LOOP_CWE835)
@@ -243,17 +239,10 @@ end
 endmodule"""
     small = parse_source(SourceText(text)).expect_ast()
     with pytest.raises(InjectError):
-        inject_trap_loop(small, seed=0)
+        plan_injection(VulnClass.CWE835_TRAP, small, seed=0)
 
 
 # -- dispatch ------------------------------------------------------------------------
-
-def test_dispatch_equals_direct_call(vending):
-    ast = design_ast("vending")
-    via_dispatch = plan_injection(VulnClass.STATIC_DEADLOCK, ast, 7)
-    direct = inject_static_deadlock(ast, 7)
-    assert emit_verilog(via_dispatch[0]).content == emit_verilog(direct[0]).content
-
 
 def test_dispatch_unknown_class(vending):
     with pytest.raises((InjectError, AttributeError, ValueError)):
@@ -313,7 +302,7 @@ def test_unreachable_injection_into_aes_no_default():
     ast = design_ast("aes_ctrl")
     base_rules = {v.rule for v in run_all_checks(design_source("aes_ctrl")).violations}
     for seed in range(100):
-        injected, plan = inject_unreachable_state(ast, seed=seed)
+        injected, plan = plan_injection(VulnClass.UNREACHABLE_STATE, ast, seed=seed)
         if plan.target_state == "WAIT_KEY":
             break
     else:

@@ -275,6 +275,19 @@ def test_pipeline_single_step_code_extraction(vending):
     assert transcript.final == {"kind": "code", "text": "module m; endmodule"}
 
 
+def test_pipeline_unbound_literal_fails_at_its_step(vending):
+    first = PipelineStep(name="first", template=PromptTemplate(name="a", body="{{design}}"))
+    second = PipelineStep(name="second", bindings={"other": "x"},
+                          template=PromptTemplate(name="b", body="{{literal:missing}}"))
+    spec = PipelineSpec(name="p", steps=(first, second))
+    transcript = run_pipeline(spec, vending, MockProvider(["ok", "never sent"]))
+    assert transcript.failed
+    assert transcript.failed_step == "second"
+    assert transcript.failure_reason == "unbound placeholder: literal:missing"
+    assert [s.name for s in transcript.steps] == ["first"]
+    assert transcript.final is None
+
+
 def test_pipeline_garbage_fails_transcript(rsa_ctrl):
     spec = fif_pipeline("RESULT")
     mock = MockProvider(["garbage"] * 10)

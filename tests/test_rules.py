@@ -476,13 +476,13 @@ def test_duplicates_pairwise_count(k):
 
 def test_default_missing_in_aes():
     ast = design_ast("aes_ctrl")
-    (v,) = check_default_handling(ast, extract_stg(ast))
+    (v,) = check_default_handling(ast)
     assert v.evidence["unused_encodings"] == ["101", "110", "111"]
 
 
 def test_default_present_in_listing8():
     ast = design_ast("aes_ctrl_default")
-    assert check_default_handling(ast, extract_stg(ast)) == []
+    assert check_default_handling(ast) == []
 
 
 def test_default_not_needed_with_full_coverage():
@@ -495,12 +495,12 @@ always @(posedge clk) begin if (rst) s <= A; else s <= n; end
 always @(*) begin case (s) A: n = B; B: n = A; endcase end
 endmodule"""
     ast = parse_source(SourceText(text)).expect_ast()
-    assert check_default_handling(ast, extract_stg(ast)) == []
+    assert check_default_handling(ast) == []
 
 
 def test_leading_default_counts_as_handling():
     ast = design_ast("fsm_review")
-    assert check_default_handling(ast, extract_stg(ast)) == []
+    assert check_default_handling(ast) == []
 
 
 # -- aggregation -----------------------------------------------------------------------
