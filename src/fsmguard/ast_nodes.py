@@ -16,7 +16,7 @@ from .source import Span
 _NOSPAN = Span(1, 1)
 
 
-@dataclass
+@dataclass(slots=True)
 class Port:
     name: str
     direction: str                      # input / output / inout
@@ -25,7 +25,7 @@ class Port:
     span: Span = field(default=_NOSPAN, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class ParamDecl:
     """One state parameter with its sized binary encoding."""
 
@@ -35,21 +35,21 @@ class ParamDecl:
     span: Span = field(default=_NOSPAN, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Assign:
     lhs: str
     rhs: str                            # normalized expression text
     span: Span = field(default=_NOSPAN, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Branch:
     guard: Optional[str]                # None for a bare else branch
     body: list["Stmt"]
     span: Span = field(default=_NOSPAN, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class IfChain:
     branches: list[Branch]
     span: Span = field(default=_NOSPAN, compare=False)
@@ -62,14 +62,14 @@ class IfChain:
 Stmt = Union[Assign, IfChain]
 
 
-@dataclass
+@dataclass(slots=True)
 class CaseArm:
     label: Optional[str]                # None for the default arm
     body: list[Stmt]
     span: Span = field(default=_NOSPAN, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class SeqBlock:
     """The single sequential always block: clocked state register update."""
 
@@ -81,7 +81,7 @@ class SeqBlock:
     span: Span = field(default=_NOSPAN, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class CombBlock:
     """The single combinational always block holding the case statement."""
 
@@ -100,7 +100,7 @@ class CombBlock:
         return None
 
 
-@dataclass
+@dataclass(slots=True)
 class FsmAst:
     module_name: str
     ports: list[Port]

@@ -37,10 +37,10 @@ from .report import (
     compute_metrics,
     config_hash,
 )
-from .rules import Rule, RuleConfig, run_all_checks, run_checks_on_parse
+from .rules import Rule, RuleConfig, run_all_checks
 from .sanitize import DEFAULT_KEYWORDS, sanitize_identifiers
 from .source import SourceText
-from .stg import StgError, dump_stg, extract_stg
+from .stg import StgError, dump_stg
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -102,10 +102,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     rule_config = _rule_config(config, args.fif, args.include_self_edges)
     src = _read_design(args.design)
     protected = _protected_set(args.protected)
-    result = parse_source(src)
-    report = run_checks_on_parse(result, protected, rule_config, src.origin)
-    if args.dump_stg and result.ast is not None:
-        sys.stdout.write(dump_stg(extract_stg(result.ast, protected)))
+    report = run_all_checks(src, protected, rule_config)
+    if args.dump_stg and report.ast is not None:
+        sys.stdout.write(dump_stg(report.expect_stg()))
     if args.json:
         sys.stdout.write(report.to_json_text())
     else:

@@ -20,6 +20,7 @@ from .inject import RULE_FOR_CLASS, InjectError, InjectionPlan, VulnClass, plan_
 from .parser import parse_source
 from .rules import CheckReport, Rule, RuleConfig, RuleViolation, run_checks_on_parse
 from .source import SourceText, Span
+from .stg import stg_isomorphic_modulo_encoding
 
 SCHEMA_VERSION = 1
 
@@ -169,8 +170,6 @@ def verify_mitigation(original: SourceText, mitigated: SourceText,
     meaningful for encoding-only fixes; default arms are outside the
     comparison).
     """
-    from .stg import StgError, extract_stg, stg_isomorphic_modulo_encoding
-
     orig_result = parse_source(original)
     orig_ast = orig_result.expect_ast()
     targets = set(target_rules)
@@ -188,12 +187,9 @@ def verify_mitigation(original: SourceText, mitigated: SourceText,
     cleared = not (targets & mit_report.violated_rules)
     new_rules = mit_report.violated_rules - orig_report.violated_rules
     unintended = tuple(v for v in mit_report.violations if v.rule in new_rules)
-    stg_ok = None
-    try:
-        stg_ok = stg_isomorphic_modulo_encoding(
-            extract_stg(orig_ast, protected), extract_stg(mit_result.ast, protected))
-    except StgError:
-        stg_ok = False
+    # A report with no STG (E_STG) gives False.
+    stg_ok = (orig_report.stg is not None and mit_report.stg is not None
+              and stg_isomorphic_modulo_encoding(orig_report.stg, mit_report.stg))
     return FidelityVerdict(
         syntax_ok=True,
         intended_present=cleared,

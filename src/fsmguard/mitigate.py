@@ -14,7 +14,6 @@ from typing import Iterable, Optional
 
 from .ast_nodes import Assign, Branch, CaseArm, FsmAst, IfChain, Stmt
 from .emitter import emit_verilog
-from .parser import parse_source
 from .rules import CheckReport, Rule, RuleConfig, RuleViolation, run_checks_on_ast
 from .source import SourceText
 from .stg import (
@@ -257,15 +256,13 @@ def apply_encoding_assignment(ast: FsmAst, assignment: EncodingAssignment) -> Fs
 
 # -- the driver ---------------------------------------------------------------
 
-def _removable_unreachable(ast: FsmAst, report: CheckReport,
-                           protected: frozenset[str]) -> list[str]:
+def _removable_unreachable(report: CheckReport, protected: frozenset[str]) -> list[str]:
     """The flagged unreachable states that can go.  A protected state stays,
     and so does every state it leads to, or its arm would name a deleted
     label; their findings remain in the residual."""
     flagged = [v.states[0] for v in report.violations_of(Rule.UNREACHABLE_STATE)]
     stay = {name for name in flagged if name in protected}
-    transitions = extract_stg(ast, protected).transitions if stay else ()
-    while grown := {t.target for t in transitions if t.source in stay} - stay:
+    while grown := {t.target for t in report.stg.transitions if t.source in stay} - stay:
         stay |= grown
     return [name for name in flagged if name not in stay]
 
@@ -275,18 +272,23 @@ def mitigate(src: SourceText, report: CheckReport,
              rule_config: RuleConfig = RuleConfig()) -> MitigationOutcome:
     """Fix every fixable violation in the report, re-checking between fixes.
 
+    The report is ``run_all_checks`` of src: its AST is the design repaired,
+    and it is the first round's check when it was made under rule_config.
     Residual violations are reported, never dropped.  ``stg_preserved`` is
     computed against the original design, so encoding-only repairs (default
     arm plus re-encoding) keep it true.
     """
-    result = parse_source(src)
-    ast = result.expect_ast()
-    protected = frozenset(report.protected) | ast.protected_annotations
+    if report.source != src:
+        raise MitigationError(f"the report was not built from {src.origin}")
+    original_stg = report.expect_stg()
+    current = report.ast
+    protected = frozenset(report.protected)
     initial_rules = {v.rule for v in report.violations}
-    current = ast
     rounds = 0
     encoding_optimal = True
-    rep: Optional[CheckReport] = None   # report of `current`; None once a fix changes it
+    # The report of `current`; None once a fix changes it.
+    rep: Optional[CheckReport] = (report if report.config == rule_config
+                                  else run_checks_on_ast(current, protected, rule_config))
 
     for rounds in range(1, MAX_ROUNDS + 1):
         if rep is None:
@@ -297,7 +299,7 @@ def mitigate(src: SourceText, report: CheckReport,
 
         if Rule.DUPLICATE_ENCODING in rules:
             current = uniquify_encodings(current)
-        elif unreachable := _removable_unreachable(current, rep, protected):
+        elif unreachable := _removable_unreachable(rep, protected):
             # Removed as a group: mutually-referencing unreachable states
             # would otherwise leave dangling labels mid-sequence.
             current = remove_unreachable_state(current, unreachable)
@@ -314,7 +316,7 @@ def mitigate(src: SourceText, report: CheckReport,
             target = config.default_arm_target or current.seq.reset_target
             current = add_default_arm(current, target)
         elif Rule.HD_NOT_ONE in rules:
-            assignment = reencode_states(extract_stg(current, protected))
+            assignment = reencode_states(rep.stg)
             encoding_optimal = encoding_optimal and assignment.optimal
             current = apply_encoding_assignment(current, assignment)
             rep = run_checks_on_ast(current, protected, rule_config)
@@ -328,8 +330,7 @@ def mitigate(src: SourceText, report: CheckReport,
     final_report = rep if rep is not None else run_checks_on_ast(current, protected, rule_config)
     fixed = sorted(initial_rules - final_report.violated_rules, key=lambda r: r.value)
     residual = list(final_report.violations)
-    stg_preserved = stg_isomorphic_modulo_encoding(
-        extract_stg(ast, protected), extract_stg(current, protected))
+    stg_preserved = stg_isomorphic_modulo_encoding(original_stg, final_report.stg)
     return MitigationOutcome(
         design=emit_verilog(current),
         fixed=fixed,

@@ -147,6 +147,13 @@ class CheckReport:
     config: RuleConfig
     skipped_rules: list[tuple[str, str]] = field(default_factory=list)
     parse_ok: bool = True
+    # What was judged, kept in memory so later steps need not parse or
+    # extract again; never serialized or compared.  ``ast`` is set once the
+    # design parses, ``stg`` once its STG is extracted, and ``source`` by
+    # ``run_all_checks``.
+    ast: Optional[FsmAst] = field(default=None, compare=False, repr=False)
+    stg: Optional[Stg] = field(default=None, compare=False, repr=False)
+    source: Optional[SourceText] = field(default=None, compare=False, repr=False)
 
     @property
     def violated_rules(self) -> set[Rule]:
@@ -158,6 +165,14 @@ class CheckReport:
     @property
     def errors(self) -> list[Diagnostic]:
         return [d for d in self.lint if d.is_error]
+
+    def expect_stg(self) -> Stg:
+        """The STG judged; raises the ParseFailure or StgError that stopped
+        the check when there is none."""
+        if self.stg is None:
+            ParseResult(self.ast, self.lint).expect_ast()
+            raise StgError(next(d.message for d in self.errors if d.code == "E_STG"))
+        return self.stg
 
     def to_json(self) -> dict:
         return {
@@ -443,6 +458,8 @@ def run_checks_on_ast(ast: FsmAst, protected: frozenset[str] | set[str],
         lint=lint(ast),
         config=config,
         skipped_rules=skipped,
+        ast=ast,
+        stg=stg,
     )
 
 
@@ -474,6 +491,7 @@ def run_checks_on_parse(result: ParseResult, protected: frozenset[str] | set[str
             lint=list(result.diagnostics) + [error("E_STG", str(exc), Span(1, 1))],
             config=config,
             parse_ok=False,
+            ast=result.ast,
         )
     report.lint = list(result.diagnostics) + report.lint
     return report
@@ -482,4 +500,6 @@ def run_checks_on_parse(result: ParseResult, protected: frozenset[str] | set[str
 def run_all_checks(src: SourceText, protected: frozenset[str] | set[str] = frozenset(),
                    config: RuleConfig = RuleConfig()) -> CheckReport:
     """Parse the design once, then check it with ``run_checks_on_parse``."""
-    return run_checks_on_parse(parse_source(src), protected, config, src.origin)
+    report = run_checks_on_parse(parse_source(src), protected, config, src.origin)
+    report.source = src
+    return report

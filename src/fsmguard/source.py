@@ -31,7 +31,7 @@ class SourceText:
         return max(1, len(self.lines))
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Span:
     """Inclusive 1-based line range."""
 

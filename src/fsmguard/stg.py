@@ -18,7 +18,7 @@ class StgError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Encoding:
     """Fixed-width bit vector; index 0 is the most significant bit."""
 
@@ -56,7 +56,7 @@ class GuardKind(Enum):
     HOLD = "hold"       # implicit hold (arm did not fully assign next-state)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Guard:
     kind: GuardKind
     text: str = ""
@@ -85,7 +85,7 @@ class Guard:
         return cls(GuardKind.EXPR, text)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class State:
     name: str
     encoding: Encoding
@@ -93,7 +93,7 @@ class State:
     span: Span = field(default=_NOSPAN, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transition:
     source: str
     target: str

@@ -51,6 +51,14 @@ def test_check_dump_stg(capsys):
     assert "IDLE -> PRODUCT_SELECTED [productSelected]" in out
 
 
+def test_check_dump_stg_without_an_stg_exits_two(capsys):
+    code = run("check", "--dump-stg", "--protected", "NOPE", DESIGNS / "vending.v")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: protected state NOPE is not declared\n"
+
+
 def test_check_unreadable_file_exits_two(capsys):
     assert run("check", "/nonexistent/file.v") == 2
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-import fsmguard.stg
+import fsmguard.rules
 from fsmguard import (
     CorpusError,
     Rule,
@@ -111,12 +111,15 @@ def test_verify_mitigation_rejects_untripped_targets(vending, aes_ctrl_default):
 
 @pytest.mark.parametrize("fault", [StgError, RuntimeError])
 def test_verify_mitigation_stg_comparison_faults(aes_ctrl, aes_ctrl_default, monkeypatch, fault):
-    """An STG that cannot be extracted reads stg_ok=False; any other error
-    in the comparison is a fault and reaches the caller."""
-    def faulty(*args, **kwargs):
-        raise fault("extraction fault")
+    """verify_mitigation compares the STGs its two checks extracted.  When the
+    mitigated design's extraction raises StgError, its report has no STG and
+    stg_ok reads False; any other error is a fault and reaches the caller."""
+    def faulty(ast, *args, **kwargs):
+        if ast.comb.default_arm is not None:  # only the mitigated design has one
+            raise fault("extraction fault")
+        return extract_stg(ast, *args, **kwargs)
 
-    monkeypatch.setattr(fsmguard.stg, "extract_stg", faulty)
+    monkeypatch.setattr(fsmguard.rules, "extract_stg", faulty)
     args = (aes_ctrl, aes_ctrl_default, [Rule.MISSING_DEFAULT], frozenset({"WAIT_KEY"}))
     if fault is StgError:
         assert verify_mitigation(*args).stg_ok is False

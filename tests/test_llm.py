@@ -58,6 +58,30 @@ def test_temperature_grid_has_eleven_points():
     assert [p.temperature for p in grid] == [round(i / 10, 1) for i in range(11)]
 
 
+# -- capture rules ----------------------------------------------------------------
+
+def test_capture_returns_the_first_group_when_the_pattern_has_one():
+    rule = CaptureRule("k", r"^key: (\w+)$")
+    assert rule.apply("noise\nkey: abc\nkey: def\n") == "abc"
+
+
+def test_capture_returns_the_whole_match_without_a_group():
+    rule = CaptureRule("k", r"^key: \w+$")
+    assert rule.apply("noise\nkey: abc\nkey: def\n") == "key: abc"
+
+
+def test_capture_all_matches_joins_the_matching_lines():
+    rule = CaptureRule("k", r"^\w+ -> \w+$", all_matches=True)
+    assert rule.apply("A -> B\nnoise\nB -> C\n") == "A -> B\nB -> C"
+
+
+@pytest.mark.parametrize("all_matches", [False, True])
+def test_capture_without_a_match_raises(all_matches):
+    rule = CaptureRule("k", r"^key: (\w+)$", all_matches=all_matches)
+    with pytest.raises(TemplateError, match="capture k"):
+        rule.apply("no keys here\n")
+
+
 # -- render -----------------------------------------------------------------------
 
 def test_render_wraps_design_in_delimiters():

@@ -9,9 +9,11 @@ from fsmguard import (
     Encoding,
     EncodingAssignment,
     MitigationError,
+    ParseFailure,
     Rule,
     RuleConfig,
     SourceText,
+    StgError,
     VulnClass,
     add_default_arm,
     apply_encoding_assignment,
@@ -25,10 +27,13 @@ from fsmguard import (
     remove_static_deadlock,
     remove_unreachable_state,
     run_all_checks,
+    run_checks_on_ast,
     score_assignment,
     stg_isomorphic_modulo_encoding,
+    tokenize,
     uniquify_encodings,
     unprotected_transitions,
+    verify_mitigation,
 )
 
 from conftest import FIXTURES, design_ast, design_source, design_stg
@@ -397,6 +402,45 @@ def test_mitigate_deterministic(aes_ctrl):
     a = mitigate(aes_ctrl, report).design.content
     b = mitigate(aes_ctrl, report).design.content
     assert a == b
+
+
+def test_check_repair_verify_lexes_each_design_once(aes_ctrl, monkeypatch):
+    """The report carries the AST and STG it judged, so mitigate parses
+    nothing and verify_mitigation lexes only the original and the repair."""
+    parser = importlib.import_module("fsmguard.parser")
+    lexed = []
+
+    def counting_tokenize(*args, **kwargs):
+        lexed.append(args)
+        return tokenize(*args, **kwargs)
+
+    monkeypatch.setattr(parser, "tokenize", counting_tokenize)
+    protected = frozenset({"WAIT_KEY"})
+    cfg = RuleConfig(fif=True)
+    outcome = mitigate(aes_ctrl, run_all_checks(aes_ctrl, protected, cfg), rule_config=cfg)
+    verdict = verify_mitigation(aes_ctrl, outcome.design, outcome.fixed, protected, cfg)
+    assert outcome.fixed and verdict.intended_present
+    assert len(lexed) == 3
+
+
+def test_mitigate_rejects_a_report_of_another_source(aes_ctrl, aes_ctrl_default):
+    with pytest.raises(MitigationError, match="not built from"):
+        mitigate(aes_ctrl, run_all_checks(aes_ctrl_default, {"WAIT_KEY"}))
+    ast = parse_source(aes_ctrl).expect_ast()
+    with pytest.raises(MitigationError, match="not built from"):
+        mitigate(aes_ctrl, run_checks_on_ast(ast, {"WAIT_KEY"}))
+
+
+def test_mitigate_raises_the_reports_parse_or_stg_failure(aes_ctrl):
+    broken = SourceText("module nope")
+    with pytest.raises(ParseFailure) as caught:
+        parse_source(broken).expect_ast()
+    with pytest.raises(ParseFailure) as raised:
+        mitigate(broken, run_all_checks(broken))
+    assert str(raised.value) == str(caught.value)
+    assert raised.value.diagnostics == caught.value.diagnostics
+    with pytest.raises(StgError, match="^protected state NOPE is not declared$"):
+        mitigate(aes_ctrl, run_all_checks(aes_ctrl, {"NOPE"}))
 
 
 def test_uniquify_pigeonhole_error():
