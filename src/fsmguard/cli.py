@@ -11,36 +11,19 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .corpus import (
-    CorpusError,
-    generate_corpus,
-    read_corpus,
-    write_corpus,
-)
-from .inject import InjectError, VulnClass, plan_injection
+from .corpus import generate_corpus, read_corpus, write_corpus
+from .inject import VulnClass, plan_injection
 from .emitter import emit_verilog
 from .llm.params import GenerationParams, temperature_grid
-from .llm.pipeline import (
-    PIPELINES,
-    PipelineError,
-    PipelineSpec,
-    run_pipeline,
-    sweep_params,
-)
+from .llm.pipeline import PIPELINES, PipelineSpec, sweep_params
 from .llm.providers import HttpProvider, MockProvider, ProviderConfig, load_mock_script
-from .mitigate import MitigationConfig, MitigationError, mitigate
+from .mitigate import MitigationConfig, mitigate
 from .parser import ParseFailure, parse_source
-from .report import (
-    OutcomeRecord,
-    Provenance,
-    ReportError,
-    compute_metrics,
-    config_hash,
-)
+from .report import OutcomeRecord, Provenance, compute_metrics, config_hash
 from .rules import Rule, RuleConfig, run_all_checks
 from .sanitize import DEFAULT_KEYWORDS, sanitize_identifiers
 from .source import SourceText
-from .stg import StgError, dump_stg
+from .stg import dump_stg
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -491,8 +474,9 @@ def cli_dispatch(argv: Sequence[str]) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (CliError, CorpusError, InjectError, MitigationError, ParseFailure,
-            PipelineError, ReportError, StgError) as exc:
+    # The library's input errors other than ParseFailure derive from
+    # ValueError; OSError is a path that cannot be read or written.
+    except (CliError, OSError, ParseFailure, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

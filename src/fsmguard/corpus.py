@@ -14,11 +14,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .ast_nodes import FsmAst
 from .emitter import emit_verilog
 from .inject import RULE_FOR_CLASS, InjectError, InjectionPlan, VulnClass, plan_injection
-from .parser import parse_source
-from .rules import CheckReport, Rule, RuleConfig, RuleViolation, run_checks_on_parse
+from .rules import CheckReport, Rule, RuleConfig, RuleViolation, run_all_checks
 from .source import SourceText, Span
 from .stg import stg_isomorphic_modulo_encoding
 
@@ -117,10 +115,6 @@ class FidelityVerdict:
         }
 
 
-def _interface_matches(a: FsmAst, b: FsmAst) -> bool:
-    return a.interface_key() == b.interface_key()
-
-
 def verify_insertion(original: SourceText, modified: SourceText,
                      intended: VulnClass,
                      protected: frozenset[str] = frozenset(),
@@ -132,22 +126,19 @@ def verify_insertion(original: SourceText, modified: SourceText,
     original; the interface must be byte-compatible (ports, module name,
     clock and reset).
     """
-    orig_result = parse_source(original)
-    orig_ast = orig_result.expect_ast()
-    orig_report = run_checks_on_parse(orig_result, protected, config, original.origin)
-    return _insertion_verdict(orig_ast, orig_report, modified, intended, protected, config)
+    orig_report = run_all_checks(original, protected, config)
+    orig_report.expect_ast()
+    return _insertion_verdict(orig_report, modified, intended, protected)
 
 
-def _insertion_verdict(orig_ast: FsmAst, orig_report: CheckReport, modified: SourceText,
-                       intended: VulnClass, protected: frozenset[str],
-                       config: RuleConfig) -> FidelityVerdict:
-    """``verify_insertion`` against an original already parsed and checked."""
-    mod_result = parse_source(modified)
-    if mod_result.ast is None:
+def _insertion_verdict(orig_report: CheckReport, modified: SourceText,
+                       intended: VulnClass, protected: frozenset[str]) -> FidelityVerdict:
+    """``verify_insertion`` against the report of an original that parsed."""
+    mod_report = run_all_checks(modified, protected, orig_report.config)
+    if mod_report.ast is None:
         return FidelityVerdict(False, False, (), False,
                                notes="modified design does not parse")
     target_rule = RULE_FOR_CLASS[intended]
-    mod_report = run_checks_on_parse(mod_result, protected, config, modified.origin)
     intended_present = target_rule in mod_report.violated_rules
     pre_existing = orig_report.violated_rules
     unintended = tuple(v for v in mod_report.violations
@@ -156,7 +147,7 @@ def _insertion_verdict(orig_ast: FsmAst, orig_report: CheckReport, modified: Sou
         syntax_ok=True,
         intended_present=intended_present,
         unintended=unintended,
-        interface_ok=_interface_matches(orig_ast, mod_result.ast),
+        interface_ok=orig_report.ast.interface_key() == mod_report.ast.interface_key(),
     )
 
 
@@ -170,20 +161,18 @@ def verify_mitigation(original: SourceText, mitigated: SourceText,
     meaningful for encoding-only fixes; default arms are outside the
     comparison).
     """
-    orig_result = parse_source(original)
-    orig_ast = orig_result.expect_ast()
+    orig_report = run_all_checks(original, protected, config)
+    orig_ast = orig_report.expect_ast()
     targets = set(target_rules)
-    orig_report = run_checks_on_parse(orig_result, protected, config, original.origin)
     missing = targets - orig_report.violated_rules
     if missing:
         raise CorpusError(
             "target rules not violated by the original: "
             + ", ".join(r.value for r in sorted(missing, key=lambda r: r.value)))
-    mit_result = parse_source(mitigated)
-    if mit_result.ast is None:
+    mit_report = run_all_checks(mitigated, protected, config)
+    if mit_report.ast is None:
         return FidelityVerdict(False, False, (), False,
                                notes="mitigated design does not parse")
-    mit_report = run_checks_on_parse(mit_result, protected, config, mitigated.origin)
     cleared = not (targets & mit_report.violated_rules)
     new_rules = mit_report.violated_rules - orig_report.violated_rules
     unintended = tuple(v for v in mit_report.violations if v.rule in new_rules)
@@ -194,37 +183,34 @@ def verify_mitigation(original: SourceText, mitigated: SourceText,
         syntax_ok=True,
         intended_present=cleared,
         unintended=unintended,
-        interface_ok=_interface_matches(orig_ast, mit_result.ast),
+        interface_ok=orig_ast.interface_key() == mit_report.ast.interface_key(),
         stg_ok=stg_ok,
     )
 
 
 # -- generation ----------------------------------------------------------------
 
-_Base = tuple[SourceText, FsmAst, CheckReport]
-
-
-def _make_record(vuln: VulnClass, index: int, bases: Sequence[_Base], master_seed: int,
-                 protected: frozenset[str], config: RuleConfig) -> CorpusRecord:
+def _make_record(vuln: VulnClass, index: int, bases: Sequence[CheckReport], master_seed: int,
+                 protected: frozenset[str]) -> CorpusRecord:
     seed = derive_seed(master_seed, index, vuln.value)
     errors = []
     for offset in range(len(bases)):
-        base_src, base_ast, base_report = bases[(index + offset) % len(bases)]
+        base = bases[(index + offset) % len(bases)]
         try:
-            injected_ast, plan = plan_injection(vuln, base_ast, seed, protected)
+            injected_ast, plan = plan_injection(vuln, base.ast, seed, protected)
         except InjectError as exc:
-            errors.append(f"{base_src.origin}: {exc}")
+            errors.append(f"{base.design_id}: {exc}")
             continue
         text = emit_verilog(injected_ast)
-        verdict = _insertion_verdict(base_ast, base_report, text, vuln, protected, config)
+        verdict = _insertion_verdict(base, text, vuln, protected)
         if not verdict.overall:
-            errors.append(f"{base_src.origin}: fidelity gate failed")
+            errors.append(f"{base.design_id}: fidelity gate failed")
             continue
         # The base is clean, so a passing verdict means the intended rule is
         # the only one the injected design violates.
         return CorpusRecord(
             id=f"{vuln.value.lower()}-{index:05d}",
-            base_id=base_src.origin,
+            base_id=base.design_id,
             source=text.content,
             vuln=vuln,
             plan=plan,
@@ -245,26 +231,25 @@ def generate_corpus(bases: Sequence[SourceText], mix: dict[VulnClass, int],
     oracle, interleaved with clean records at the configured ratio."""
     if not bases:
         raise CorpusError("no base designs")
-    parsed: list[_Base] = []
+    reports: list[CheckReport] = []
     for src in bases:
-        result = parse_source(src)
-        ast = result.expect_ast()
-        base_report = run_checks_on_parse(result, protected, config, src.origin)
-        if not base_report.parse_ok:  # the parse held, so the STG could not be extracted
+        base = run_all_checks(src, protected, config)
+        base.expect_ast()
+        if not base.parse_ok:  # the parse held, so the STG could not be extracted
             raise CorpusError(f"base design {src.origin} has no STG: "
-                              + "; ".join(str(d) for d in base_report.errors))
-        if base_report.violations:
+                              + "; ".join(str(d) for d in base.errors))
+        if base.violations:
             raise CorpusError(
                 f"base design {src.origin} is not clean: "
-                + ", ".join(v.rule.value for v in base_report.violations))
-        parsed.append((src, ast, base_report))
+                + ", ".join(v.rule.value for v in base.violations))
+        reports.append(base)
 
     jobs = [(vuln, i) for vuln in sorted(mix, key=lambda v: v.value)
             for i in range(mix[vuln])]
 
     def work(job: tuple[VulnClass, int]) -> CorpusRecord:
         vuln, i = job
-        return _make_record(vuln, i, parsed, master_seed, protected, config)
+        return _make_record(vuln, i, reports, master_seed, protected)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -279,7 +264,7 @@ def generate_corpus(bases: Sequence[SourceText], mix: dict[VulnClass, int],
         records.append(record)
         clean_due += clean_ratio
         while clean_due >= 1.0:
-            base_src = parsed[clean_index % len(parsed)][0]
+            base_src = reports[clean_index % len(reports)].source
             records.append(CorpusRecord(
                 id=f"clean-{clean_index:05d}",
                 base_id=base_src.origin,

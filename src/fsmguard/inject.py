@@ -16,9 +16,9 @@ from typing import Callable, Iterator, Optional
 
 from .ast_nodes import Assign, Branch, CaseArm, FsmAst, IfChain, ParamDecl
 from .emitter import emit_with_markers
-from .rules import Rule, RuleConfig, run_checks_on_ast
+from .rules import CheckReport, Rule, RuleConfig, run_checks_on_ast
 from .source import Span
-from .stg import StgError, extract_stg, reachable_states
+from .stg import StgError, reachable_states
 
 
 class VulnClass(Enum):
@@ -205,9 +205,10 @@ def _inject(vuln: VulnClass, ast: FsmAst, seed: int,
         raise InjectError(f"unknown vulnerability class {vuln!r}")
     edits, exhausted = _EDITS[vuln]
     protected = protected | ast.protected_annotations
-    base_rules = frozenset(run_checks_on_ast(ast, protected, _GATE_CONFIG).violated_rules)
+    base = run_checks_on_ast(ast, protected, _GATE_CONFIG)
+    base_rules = frozenset(base.violated_rules)
     kept: dict[Optional[str], list[tuple[_Edit, FsmAst]]] = {}
-    for edit in edits(ast, protected, base_rules):
+    for edit in edits(base):
         try:
             trial = edit.apply(ast)
         except InjectError:
@@ -241,16 +242,17 @@ def _add_state(ast: FsmAst, name: str, bits: str, body: list) -> FsmAst:
 
 # -- per-class edit generators ----------------------------------------------------
 
-def _redirect_edits(ast: FsmAst, protected: frozenset[str], added: tuple[str, ...],
+def _redirect_edits(base: CheckReport, added: tuple[str, ...],
                     codes: list[str], note: str) -> Iterator[_Edit]:
     """Add states that hand over to each other in a ring (one state: a
     self-loop), then redirect one outcome of a reachable, unprotected arm
     into the first of them."""
-    reach = reachable_states(extract_stg(ast, protected))
+    ast = base.ast
+    reach = reachable_states(base.stg)
     markers = tuple(f"param:{n}" for n in added)
     for arm in ast.comb.arms:
         label = arm.label
-        if label is None or label in protected or label not in reach:
+        if label is None or label in base.protected or label not in reach:
             continue
         for ref in _enumerate_refs(ast, arm):
             def apply(trial: FsmAst, ref: _EdgeRef = ref) -> FsmAst:
@@ -262,27 +264,25 @@ def _redirect_edits(ast: FsmAst, protected: frozenset[str], added: tuple[str, ..
                         f"redirected a {ref.kind} path of {label} into {note}", arm=label)
 
 
-def _static_deadlock_edits(ast: FsmAst, protected: frozenset[str],
-                           base_rules: frozenset[Rule]) -> Iterator[_Edit]:
-    if Rule.STATIC_DEADLOCK in base_rules:
+def _static_deadlock_edits(base: CheckReport) -> Iterator[_Edit]:
+    if Rule.STATIC_DEADLOCK in base.violated_rules:
         raise InjectError("design already contains a static deadlock")
-    codes = _lowest_unused_encodings(ast, 1)
-    name = _fresh_name("deadlock_state", _taken_names(ast))
-    return _redirect_edits(ast, protected, (name,), codes, f"self-looping {name}")
+    codes = _lowest_unused_encodings(base.ast, 1)
+    name = _fresh_name("deadlock_state", _taken_names(base.ast))
+    return _redirect_edits(base, (name,), codes, f"self-looping {name}")
 
 
-def _trap_loop_edits(ast: FsmAst, protected: frozenset[str],
-                     base_rules: frozenset[Rule]) -> Iterator[_Edit]:
-    codes = _lowest_unused_encodings(ast, 2)
-    taken = _taken_names(ast)
+def _trap_loop_edits(base: CheckReport) -> Iterator[_Edit]:
+    codes = _lowest_unused_encodings(base.ast, 2)
+    taken = _taken_names(base.ast)
     name_a = _fresh_name("trap_state_1", taken)
     name_b = _fresh_name("trap_state_2", taken | {name_a})
-    return _redirect_edits(ast, protected, (name_a, name_b), codes,
+    return _redirect_edits(base, (name_a, name_b), codes,
                            f"the {name_a}/{name_b} cycle")
 
 
-def _duplicate_encoding_edits(ast: FsmAst, protected: frozenset[str],
-                              base_rules: frozenset[Rule]) -> Iterator[_Edit]:
+def _duplicate_encoding_edits(base: CheckReport) -> Iterator[_Edit]:
+    ast = base.ast
     if len(ast.parameters) < 2:
         raise InjectError("need at least two states to duplicate an encoding")
     names = ast.param_names
@@ -296,8 +296,8 @@ def _duplicate_encoding_edits(ast: FsmAst, protected: frozenset[str],
                         (f"param:{second}",), f"{second} now shares {first}'s encoding")
 
 
-def _unreachable_state_edits(ast: FsmAst, protected: frozenset[str],
-                             base_rules: frozenset[Rule]) -> Iterator[_Edit]:
+def _unreachable_state_edits(base: CheckReport) -> Iterator[_Edit]:
+    ast = base.ast
     bits = _lowest_unused_encodings(ast, 1)[0]
     name = _fresh_name("unreachable_state", _taken_names(ast))
     markers = (f"param:{name}", f"arm:{name}")

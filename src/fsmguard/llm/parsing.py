@@ -133,10 +133,6 @@ def parse_transition_list(text: str) -> list[TransitionCapture]:
 
 _OVERALL_RE = re.compile(r"Overall\s+FIF\s*=.*?=\s*([01])\s*$",
                          re.IGNORECASE | re.MULTILINE)
-_FIF_HEADER_RE = re.compile(
-    r"State transition\s+(\d+)\s*:\s*(\w+)\s*\((\w+)\)\s*(?:->|→)\s*(\w+)\s*\((\w+)\)",
-    re.IGNORECASE,
-)
 
 
 @dataclass(frozen=True)
@@ -148,7 +144,7 @@ class FifCapture:
 
 def parse_fif_results(text: str) -> list[FifCapture]:
     """Per-transition overall FIF values from a tabular metric response."""
-    headers = list(_FIF_HEADER_RE.finditer(text))
+    headers = list(_TRANSITION_RE.finditer(text))
     if not headers:
         raise ResponseParseError("no per-transition FIF blocks found")
     results = []

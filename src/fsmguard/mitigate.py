@@ -19,7 +19,6 @@ from .source import SourceText
 from .stg import (
     Encoding,
     Stg,
-    extract_stg,
     hamming_distance,
     reachable_states,
     stg_isomorphic_modulo_encoding,
@@ -89,37 +88,38 @@ def add_default_arm(ast: FsmAst, target: str) -> FsmAst:
                                      default_arm=CaseArm(None, [Assign(ast.state_next, target)])))
 
 
-def remove_unreachable_state(ast: FsmAst, state: str | Iterable[str]) -> FsmAst:
-    """Delete the parameters and case arms of unreachable, non-reset states.
+def remove_unreachable_state(report: CheckReport, states: str | Iterable[str]) -> FsmAst:
+    """Delete the parameters and case arms of unreachable, non-reset states
+    from the design the report judged.
 
     Several states go in one step, so states that only reference each other
     never leave a dangling label behind.
     """
-    states = {state} if isinstance(state, str) else set(state)
-    stg = extract_stg(ast)
+    states = {states} if isinstance(states, str) else set(states)
+    stg = report.expect_stg()
     reach = reachable_states(stg)
     for name in sorted(states):
         if name == stg.reset_state:
             raise MitigationError("refusing to remove the reset state")
         if name in reach:
             raise MitigationError(f"{name} is reachable; not removing it")
+    ast = report.ast
     return replace(ast, parameters=[p for p in ast.parameters if p.name not in states],
                    comb=replace(ast.comb, arms=[a for a in ast.comb.arms if a.label not in states]))
 
 
-def remove_static_deadlock(ast: FsmAst, state: str, exit_target: str,
+def remove_static_deadlock(report: CheckReport, state: str, exit_target: str,
                            exit_input: Optional[str] = None) -> FsmAst:
-    """Give a deadlocked state a way out: guarded by an input when one
-    exists, otherwise an unconditional exit."""
+    """Give a state the report flags as deadlocked or trapped a way out of
+    the design the report judged: guarded by an input when one exists,
+    otherwise an unconditional exit."""
+    ast = report.expect_ast()
     if exit_target == state:
         raise MitigationError("exit target must differ from the deadlocked state")
     if exit_target not in ast.param_names:
         raise MitigationError(f"exit target {exit_target} is not a declared state")
-    report = run_checks_on_ast(ast, frozenset(), RuleConfig(hd=False))
-    flagged = {v.states[0] for v in report.violations_of(Rule.STATIC_DEADLOCK)}
-    flagged |= {name for v in report.violations_of(Rule.TRAP_LOOP_CWE835)
-                for name in v.states}
-    if state not in flagged:
+    stuck = report.violations_of(Rule.STATIC_DEADLOCK) + report.violations_of(Rule.TRAP_LOOP_CWE835)
+    if not any(state in v.states for v in stuck):
         raise MitigationError(f"{state} is not currently deadlocked or trapped")
     arm = ast.arm_for(state) or CaseArm(state, [])
     guard = exit_input if exit_input is not None else next(iter(ast.data_inputs), None)
@@ -302,7 +302,7 @@ def mitigate(src: SourceText, report: CheckReport,
         elif unreachable := _removable_unreachable(rep, protected):
             # Removed as a group: mutually-referencing unreachable states
             # would otherwise leave dangling labels mid-sequence.
-            current = remove_unreachable_state(current, unreachable)
+            current = remove_unreachable_state(rep, unreachable)
         elif Rule.STATIC_DEADLOCK in rules or Rule.TRAP_LOOP_CWE835 in rules:
             stuck = rep.violations_of(Rule.STATIC_DEADLOCK) + rep.violations_of(Rule.TRAP_LOOP_CWE835)
             v = stuck[0]
@@ -310,7 +310,7 @@ def mitigate(src: SourceText, report: CheckReport,
             reset = current.seq.reset_target
             exit_target = reset if reset != state else next(
                 n for n in current.param_names if n != state)
-            current = remove_static_deadlock(current, state, exit_target,
+            current = remove_static_deadlock(rep, state, exit_target,
                                              config.deadlock_exit_input)
         elif Rule.MISSING_DEFAULT in rules:
             target = config.default_arm_target or current.seq.reset_target

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import Mapping
 
 from .ast_nodes import (
     Assign,
@@ -38,6 +39,7 @@ from .tokens import (
 
 _PROTECTED_RE = re.compile(r"@protected\s+([A-Za-z_][A-Za-z0-9_$]*)")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
+_SIZED_OR_IDENT_RE = re.compile(f"{SIZED_RE.pattern}|{_IDENT_RE.pattern}")
 
 _OPERANDS = (TokKind.IDENT, TokKind.NUMBER, TokKind.SIZED)
 _ENDS_ASSIGN = frozenset({"", "=", "end", "endcase", "endmodule", "begin", "if", "else"})
@@ -60,6 +62,12 @@ def render_expr(tokens: list[Token]) -> str:
 def expr_identifiers(text: str) -> list[str]:
     """Names an expression reads; the digits of a sized literal are none."""
     return _IDENT_RE.findall(SIZED_RE.sub(" ", text))
+
+
+def rename_identifiers(text: str, rename: Mapping[str, str]) -> str:
+    """An expression with each name it reads mapped through rename; a sized
+    literal matches whole, so its digits and base are never renamed."""
+    return _SIZED_OR_IDENT_RE.sub(lambda m: rename.get(m[0], m[0]), text)
 
 
 @dataclass

@@ -166,11 +166,15 @@ class CheckReport:
     def errors(self) -> list[Diagnostic]:
         return [d for d in self.lint if d.is_error]
 
+    def expect_ast(self) -> FsmAst:
+        """The AST judged; raises ParseFailure when the design did not parse."""
+        return ParseResult(self.ast, self.lint).expect_ast()
+
     def expect_stg(self) -> Stg:
         """The STG judged; raises the ParseFailure or StgError that stopped
         the check when there is none."""
         if self.stg is None:
-            ParseResult(self.ast, self.lint).expect_ast()
+            self.expect_ast()
             raise StgError(next(d.message for d in self.errors if d.code == "E_STG"))
         return self.stg
 
@@ -398,12 +402,11 @@ def detect_duplicate_encodings(stg: Stg) -> list[RuleViolation]:
 def check_default_handling(ast: FsmAst) -> list[RuleViolation]:
     """Unused encodings must be handled: by a default arm, or by a leading
     next-state default that every unmatched encoding falls through to."""
+    if (ast.comb.default_arm is not None
+            or ast.comb.leading_target_for(ast.state_next) is not None):
+        return []
     unused = ast.unused_encodings()
     if not unused:
-        return []
-    if ast.comb.default_arm is not None:
-        return []
-    if ast.comb.leading_target_for(ast.state_next) is not None:
         return []
     return [RuleViolation(
         rule=Rule.MISSING_DEFAULT,
@@ -463,43 +466,32 @@ def run_checks_on_ast(ast: FsmAst, protected: frozenset[str] | set[str],
     )
 
 
-def run_checks_on_parse(result: ParseResult, protected: frozenset[str] | set[str] = frozenset(),
-                        config: RuleConfig = RuleConfig(),
-                        design_id: str = "<ast>") -> CheckReport:
-    """Lint, extract the STG, and run every rule enabled in config on one
-    parse of a design.
-
-    A parse failure yields a report holding only the error diagnostics; an
-    STG that cannot be extracted yields one holding an E_STG error.
-    """
-    if result.ast is None:
-        return CheckReport(
-            design_id=design_id,
-            protected=tuple(sorted(protected)),
-            violations=[],
-            lint=list(result.diagnostics),
-            config=config,
-            parse_ok=False,
-        )
-    try:
-        report = run_checks_on_ast(result.ast, protected, config, design_id=design_id)
-    except StgError as exc:
-        return CheckReport(
-            design_id=design_id,
-            protected=tuple(sorted(protected)),
-            violations=[],
-            lint=list(result.diagnostics) + [error("E_STG", str(exc), Span(1, 1))],
-            config=config,
-            parse_ok=False,
-            ast=result.ast,
-        )
-    report.lint = list(result.diagnostics) + report.lint
-    return report
-
-
 def run_all_checks(src: SourceText, protected: frozenset[str] | set[str] = frozenset(),
                    config: RuleConfig = RuleConfig()) -> CheckReport:
-    """Parse the design once, then check it with ``run_checks_on_parse``."""
-    report = run_checks_on_parse(parse_source(src), protected, config, src.origin)
-    report.source = src
-    return report
+    """Parse the design once, lint it, extract its STG, and run every rule
+    enabled in config.
+
+    A parse failure yields a report holding only the error diagnostics; an
+    STG that cannot be extracted yields one holding an E_STG error.  Every
+    report carries src.
+    """
+    result = parse_source(src)
+    if result.ast is not None:
+        try:
+            report = run_checks_on_ast(result.ast, protected, config, src.origin)
+        except StgError as exc:
+            result.diagnostics.append(error("E_STG", str(exc), Span(1, 1)))
+        else:
+            report.lint = result.diagnostics + report.lint
+            report.source = src
+            return report
+    return CheckReport(
+        design_id=src.origin,
+        protected=tuple(sorted(protected)),
+        violations=[],
+        lint=result.diagnostics,
+        config=config,
+        parse_ok=False,
+        ast=result.ast,
+        source=src,
+    )

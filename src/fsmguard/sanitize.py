@@ -12,10 +12,11 @@ import re
 from dataclasses import dataclass
 
 from .ast_nodes import Assign, FsmAst, Stmt
+from .parser import rename_identifiers
 
 DEFAULT_KEYWORDS = ("trojan", "trigger", "malicious", "backdoor")
 
-_WORD_RE = re.compile(r"[A-Za-z0-9_$]+")
+_WORD_RE = re.compile(r"[A-Za-z0-9_$]+")  # a comment word
 
 
 @dataclass(frozen=True)
@@ -46,19 +47,15 @@ def _scrub_comment(text: str, keywords: tuple[str, ...],
     return re.sub(r"[ \t]{2,}", " ", scrubbed).rstrip()
 
 
-def _rewrite_expr(text: str, rename: dict[str, str]) -> str:
-    return _WORD_RE.sub(lambda m: rename.get(m.group(0), m.group(0)), text)
-
-
 def _rewrite_stmts(stmts: list[Stmt], rename: dict[str, str]) -> None:
     for stmt in stmts:
         if isinstance(stmt, Assign):
             stmt.lhs = rename.get(stmt.lhs, stmt.lhs)
-            stmt.rhs = _rewrite_expr(stmt.rhs, rename)
+            stmt.rhs = rename_identifiers(stmt.rhs, rename)
         else:
             for br in stmt.branches:
                 if br.guard is not None:
-                    br.guard = _rewrite_expr(br.guard, rename)
+                    br.guard = rename_identifiers(br.guard, rename)
                 _rewrite_stmts(br.body, rename)
 
 
@@ -109,7 +106,7 @@ def sanitize_identifiers(ast: FsmAst, keywords: tuple[str, ...] = DEFAULT_KEYWOR
     seq = out.seq
     seq.clock = rename.get(seq.clock, seq.clock)
     seq.reset = rename.get(seq.reset, seq.reset)
-    seq.reset_cond = _rewrite_expr(seq.reset_cond, rename)
+    seq.reset_cond = rename_identifiers(seq.reset_cond, rename)
     seq.reset_target = rename.get(seq.reset_target, seq.reset_target)
 
     comb = out.comb
@@ -117,7 +114,7 @@ def sanitize_identifiers(ast: FsmAst, keywords: tuple[str, ...] = DEFAULT_KEYWOR
     comb.sens_list = tuple(rename.get(s, s) for s in comb.sens_list)
     for a in comb.leading:
         a.lhs = rename.get(a.lhs, a.lhs)
-        a.rhs = _rewrite_expr(a.rhs, rename)
+        a.rhs = rename_identifiers(a.rhs, rename)
     arms = list(comb.arms) + ([comb.default_arm] if comb.default_arm else [])
     for arm in arms:
         if arm.label is not None:

@@ -7,6 +7,7 @@ from enum import Enum
 from typing import Iterable, Optional
 
 from .ast_nodes import Assign, CaseArm, FsmAst, IfChain, Stmt
+from .parser import rename_identifiers
 from .source import Span
 
 _NOSPAN = Span(1, 1)
@@ -336,17 +337,11 @@ def rename_states(stg: Stg, mapping: dict[str, str]) -> Stg:
     """Rebuild the graph under a rename map covering states and guard
     signals; used to compare sanitized or generated designs against their
     originals."""
-    import re as _re
-
     def m(name: str) -> str:
         return mapping.get(name, name)
 
     def m_guard(g: Guard) -> Guard:
-        if not g.text:
-            return g
-        text = _re.sub(r"[A-Za-z_][A-Za-z0-9_$]*",
-                       lambda match: m(match.group(0)), g.text)
-        return Guard(g.kind, text)
+        return Guard(g.kind, rename_identifiers(g.text, mapping))
 
     return Stg(
         states=tuple(replace(s, name=m(s.name)) for s in stg.states),

@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,22 @@ def design_ast(name: str):
 
 def design_stg(name: str, protected=()):
     return extract_stg(design_ast(name), protected)
+
+
+def count_calls(monkeypatch, module: str, name: str) -> list:
+    """Wrap module.name in every fsmguard module that holds it (callers
+    import it by name); the returned list grows by one per call."""
+    original = getattr(sys.modules[module], name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("fsmguard") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
 
 
 @pytest.fixture

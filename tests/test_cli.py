@@ -234,3 +234,40 @@ def test_check_warning_only_design_exits_zero(tmp_path, capsys):
     design.write_text(text)
     assert run("check", design) == 0
     assert "W_LOCALPARAM" in capsys.readouterr().out
+
+
+_POLICY = ("--pipeline", "policy-check", "--policy", "Each state must be encoded uniquely.")
+_MOCK = ("--mock-script", FIXTURES / "policy_clean.txt")
+_VENDING = ("--design", DESIGNS / "vending.v")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("check", "<tmp>/empty.v"), id="empty-design"),
+    pytest.param(("run-pipeline", *_POLICY, *_VENDING, *_MOCK, "--temperature", "2",
+                  "--out", "<tmp>/t.jsonl"), id="temperature-out-of-range"),
+    pytest.param(("sweep", *_POLICY, *_VENDING, *_MOCK, "--grid", "1.5",
+                  "--out", "<tmp>/t.jsonl"), id="grid-out-of-range"),
+    pytest.param(("run-pipeline", *_POLICY, *_MOCK, "--corpus", "<tmp>/missing.jsonl",
+                  "--out", "<tmp>/t.jsonl"), id="missing-corpus"),
+    pytest.param(("score", "--transcripts", "<tmp>/missing.jsonl", "--corpus",
+                  "<tmp>/empty.jsonl", "--rule", "static_deadlock", "--out", "<tmp>/r.json"),
+                 id="missing-transcripts"),
+    pytest.param(("run-pipeline", *_POLICY, *_VENDING, "--mock-script", "<tmp>/missing.txt",
+                  "--out", "<tmp>/t.jsonl"), id="missing-mock-script"),
+    pytest.param(("run-pipeline", *_POLICY, *_MOCK, "--corpus", "<tmp>/bad.jsonl",
+                  "--out", "<tmp>/t.jsonl"), id="malformed-corpus"),
+    pytest.param(("score", "--transcripts", "<tmp>/bad.jsonl", "--corpus",
+                  "<tmp>/empty.jsonl", "--rule", "static_deadlock", "--out", "<tmp>/r.json"),
+                 id="malformed-transcripts"),
+    pytest.param(("gen-corpus", "--mix", "static_deadlock=1", "--seed", "1",
+                  "--out", "<tmp>/no/such/dir/c.jsonl", DESIGNS / "vending.v"),
+                 id="missing-out-directory"),
+])
+def test_io_and_value_errors_exit_two(tmp_path, capsys, argv):
+    (tmp_path / "empty.v").write_text("")
+    (tmp_path / "empty.jsonl").write_text("")
+    (tmp_path / "bad.jsonl").write_text("{not json\n")
+    code = run(*(str(a).replace("<tmp>", str(tmp_path)) for a in argv))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -349,6 +349,22 @@ def test_sanitize_deterministic():
     assert a == b
 
 
+def test_renaming_keeps_sized_literals():
+    """With an input named b1, the b1 inside the literal 1'b1 is no name:
+    neither sanitize nor rename_states may rewrite it."""
+    text = (design_source("vending").content.replace("coin", "b1")
+            .replace("if (b1)", "if (b1 == 1'b1)"))
+    ast = parse_source(SourceText(text, origin="b1.v")).expect_ast()
+    result = sanitize_identifiers(ast, keywords=("b1",))
+    assert result.rename_map == {"b1": "sig0"}
+    emitted = emit_verilog(result.ast)
+    assert "if (sig0 == 1'b1)" in emitted.content
+    assert parse_source(emitted).ok
+    renamed = rename_states(extract_stg(ast), result.rename_map)
+    assert "sig0 == 1'b1" in {t.guard.text for t in renamed.transitions}
+    assert stg_isomorphic_modulo_encoding(renamed, extract_stg(result.ast))
+
+
 def test_sanitize_requires_keywords():
     ast = parse_source(SourceText(TROJAN_TEXT)).expect_ast()
     with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ from fsmguard import (
     stg_isomorphic_modulo_encoding,
 )
 
-from conftest import design_ast, design_source
+from conftest import count_calls, design_ast, design_source
 
 
 def _violated(text, protected=frozenset()):
@@ -335,6 +335,18 @@ def test_injection_gate_lets_checker_faults_propagate(monkeypatch):
     monkeypatch.setattr(fsmguard.inject, "run_checks_on_ast", faulty)
     with pytest.raises(RuntimeError, match="checker fault"):
         plan_injection(VulnClass.STATIC_DEADLOCK, base, seed=0)
+
+
+@pytest.mark.parametrize("vuln", [VulnClass.STATIC_DEADLOCK, VulnClass.CWE835_TRAP])
+def test_redirect_injection_extracts_only_what_it_checks(vuln, monkeypatch):
+    """The redirect edits read reachability from the base check's STG, so
+    every extraction belongs to a check: the base's or a candidate's."""
+    base = design_ast("vending")
+    checks = count_calls(monkeypatch, "fsmguard.rules", "run_checks_on_ast")
+    extractions = count_calls(monkeypatch, "fsmguard.stg", "extract_stg")
+    plan_injection(vuln, base, seed=0)
+    assert len(checks) > 1
+    assert len(extractions) == len(checks)
 
 
 def injection_digest() -> str:

@@ -36,7 +36,7 @@ from fsmguard import (
     verify_mitigation,
 )
 
-from conftest import FIXTURES, design_ast, design_source, design_stg
+from conftest import DESIGNS, FIXTURES, count_calls, design_ast, design_source, design_stg
 from test_stg import make_stg
 
 
@@ -259,28 +259,28 @@ def test_score_assignment_listing8():
 def test_remove_deadlock_clears_flag():
     src = design_source("vending_deadlock")
     ast = design_ast("vending_deadlock")
-    fixed = remove_static_deadlock(ast, "DEADLOCK_STATE", "IDLE")
+    fixed = remove_static_deadlock(run_checks_on_ast(ast, frozenset()), "DEADLOCK_STATE", "IDLE")
     report = run_all_checks(emit_verilog(fixed))
     assert Rule.STATIC_DEADLOCK not in report.violated_rules
 
 
 def test_remove_deadlock_same_state_errors():
-    ast = design_ast("vending_deadlock")
+    report = run_checks_on_ast(design_ast("vending_deadlock"), frozenset())
     with pytest.raises(MitigationError):
-        remove_static_deadlock(ast, "DEADLOCK_STATE", "DEADLOCK_STATE")
+        remove_static_deadlock(report, "DEADLOCK_STATE", "DEADLOCK_STATE")
 
 
 def test_remove_deadlock_requires_flagged_state():
     ast = design_ast("vending")
     with pytest.raises(MitigationError):
-        remove_static_deadlock(ast, "IDLE", "ACCEPTING_COINS")
+        remove_static_deadlock(run_checks_on_ast(ast, frozenset()), "IDLE", "ACCEPTING_COINS")
 
 
 def test_remove_trap_by_exiting_one_member():
     ast = design_ast("vending")
     injected, plan = plan_injection(VulnClass.CWE835_TRAP, ast, 5)
     member = plan.added_states[0]
-    fixed = remove_static_deadlock(injected, member, "IDLE")
+    fixed = remove_static_deadlock(run_checks_on_ast(injected, frozenset()), member, "IDLE")
     report = run_all_checks(emit_verilog(fixed))
     assert Rule.TRAP_LOOP_CWE835 not in report.violated_rules
     assert Rule.STATIC_DEADLOCK not in report.violated_rules
@@ -288,7 +288,7 @@ def test_remove_trap_by_exiting_one_member():
 
 def test_remove_unreachable_listing6():
     ast = design_ast("fsm_review")
-    fixed = remove_unreachable_state(ast, "s3")
+    fixed = remove_unreachable_state(run_checks_on_ast(ast, frozenset()), "s3")
     emitted = emit_verilog(fixed)
     report = run_all_checks(emitted)
     assert Rule.UNREACHABLE_STATE not in report.violated_rules
@@ -298,20 +298,35 @@ def test_remove_unreachable_listing6():
 def test_remove_unreachable_refuses_reset():
     ast = design_ast("fsm_review")
     with pytest.raises(MitigationError):
-        remove_unreachable_state(ast, "s0")
+        remove_unreachable_state(run_checks_on_ast(ast, frozenset()), "s0")
 
 
 def test_remove_unreachable_refuses_reachable():
     ast = design_ast("fsm_review")
     with pytest.raises(MitigationError):
-        remove_unreachable_state(ast, "s2")
+        remove_unreachable_state(run_checks_on_ast(ast, frozenset()), "s2")
 
 
 def test_remove_unreachable_group_at_once():
     ast = parse_source(SourceText.from_file(FIXTURES / "mutual_unreachable.v")).expect_ast()
-    fixed = remove_unreachable_state(ast, ["U1", "U2"])
+    fixed = remove_unreachable_state(run_checks_on_ast(ast, frozenset()), ["U1", "U2"])
     assert fixed.param_names == ["IDLE", "RUN"]
     assert run_all_checks(emit_verilog(fixed)).violations == []
+
+
+@pytest.mark.parametrize("path", [DESIGNS / "vending_deadlock.v",
+                                  FIXTURES / "mutual_unreachable.v"])
+def test_fixes_read_the_rounds_report(path, monkeypatch):
+    """The deadlock and unreachable fixes validate against the report of the
+    round, so the repair costs one check and one extraction: the check of
+    the repaired design."""
+    src = SourceText.from_file(path)
+    report = run_all_checks(src)
+    checks = count_calls(monkeypatch, "fsmguard.rules", "run_checks_on_ast")
+    extractions = count_calls(monkeypatch, "fsmguard.stg", "extract_stg")
+    outcome = mitigate(src, report)
+    assert outcome.fixed and outcome.residual == []
+    assert (len(checks), len(extractions)) == (1, 1)
 
 
 def test_uniquify_assigns_lowest_free_code():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fsmguard import (
     Encoding,
+    FsmAst,
     Guard,
     Rule,
     RuleConfig,
@@ -501,6 +502,19 @@ endmodule"""
 def test_leading_default_counts_as_handling():
     ast = design_ast("fsm_review")
     assert check_default_handling(ast) == []
+
+
+@pytest.mark.parametrize("name", ["vending", "fsm_review"])
+def test_handled_defaults_never_enumerate_unused_codes(name, monkeypatch):
+    """A default arm (vending) or a leading default (fsm_review) handles
+    every unused code, so the check must not list all 2^w of them first."""
+    def refuse(self):
+        raise AssertionError("unused_encodings enumerated")
+
+    monkeypatch.setattr(FsmAst, "unused_encodings", refuse)
+    report = run_all_checks(design_source(name))
+    assert report.parse_ok
+    assert Rule.MISSING_DEFAULT not in report.violated_rules
 
 
 # -- aggregation -----------------------------------------------------------------------

@@ -19,6 +19,7 @@ from fsmguard import (
     remove_static_deadlock,
     remove_unreachable_state,
     run_all_checks,
+    run_checks_on_ast,
     uniquify_encodings,
 )
 
@@ -37,6 +38,11 @@ def _untouched(src: SourceText, edit):
     return out
 
 
+def _checked(ast):
+    """The report the fixers read: a check of ast itself."""
+    return run_checks_on_ast(ast, frozenset())
+
+
 def _injected(base: str, vuln: VulnClass, seed: int) -> SourceText:
     ast = parse_source(design_source(base)).expect_ast()
     return emit_verilog(plan_injection(vuln, ast, seed)[0])
@@ -47,18 +53,19 @@ def test_add_default_arm_leaves_input():
 
 
 def test_remove_unreachable_state_leaves_input():
-    _untouched(design_source("fsm_review"), lambda ast: remove_unreachable_state(ast, "s3"))
+    _untouched(design_source("fsm_review"),
+               lambda ast: remove_unreachable_state(_checked(ast), "s3"))
     _untouched(SourceText.from_file(FIXTURES / "mutual_unreachable.v"),
-               lambda ast: remove_unreachable_state(ast, ["U1", "U2"]))
+               lambda ast: remove_unreachable_state(_checked(ast), ["U1", "U2"]))
 
 
 def test_remove_static_deadlock_leaves_input():
     _untouched(design_source("vending_deadlock"),
-               lambda ast: remove_static_deadlock(ast, "DEADLOCK_STATE", "IDLE"))
+               lambda ast: remove_static_deadlock(_checked(ast), "DEADLOCK_STATE", "IDLE"))
     trapped = parse_source(_injected("vending", VulnClass.CWE835_TRAP, 5)).expect_ast()
     member = next(p.name for p in trapped.parameters if p.name.startswith("trap_state"))
     _untouched(emit_verilog(trapped),
-               lambda ast: remove_static_deadlock(ast, member, "IDLE"))
+               lambda ast: remove_static_deadlock(_checked(ast), member, "IDLE"))
 
 
 def test_remove_static_deadlock_without_inputs_leaves_input():
@@ -70,7 +77,8 @@ reg [1:0] n;
 always @(posedge clk) begin if (rst) s <= A; else s <= n; end
 always @(*) begin case (s) A: n = B; B: n = B; default: n = A; endcase end
 endmodule"""
-    fixed = _untouched(SourceText(text), lambda ast: remove_static_deadlock(ast, "B", "A"))
+    fixed = _untouched(SourceText(text),
+                       lambda ast: remove_static_deadlock(_checked(ast), "B", "A"))
     assert fixed.arm_for("B").body[-1].rhs == "A"
 
 
