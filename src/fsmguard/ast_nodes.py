@@ -9,6 +9,7 @@ that rebuilds the nodes on the path it changes and shares all the others.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Optional, Union
 
 from .source import Span
@@ -157,10 +158,14 @@ class FsmAst:
                                          for p in self.parameters])
 
     def unused_encodings(self) -> list[str]:
+        return self.lowest_unused_encodings(2 ** self.state_width)
+
+    def lowest_unused_encodings(self, count: int) -> list[str]:
+        """The count lowest codes no state uses, or all of them if fewer; the
+        scan stops there, so a wide register costs count + #states codes."""
         used = {p.bits for p in self.parameters}
-        width = self.state_width
-        return [format(i, f"0{width}b") for i in range(2 ** width)
-                if format(i, f"0{width}b") not in used]
+        codes = (format(i, f"0{self.state_width}b") for i in range(2 ** self.state_width))
+        return list(islice((c for c in codes if c not in used), count))
 
     def interface_key(self) -> tuple:
         """Everything an edit must leave untouched: name, ports, clock/reset."""

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .corpus import generate_corpus, read_corpus, write_corpus
+from .corpus import generate_corpus, read_corpus, read_jsonl, write_corpus
 from .inject import VulnClass, plan_injection
 from .emitter import emit_verilog
 from .llm.params import GenerationParams, temperature_grid
@@ -326,26 +326,21 @@ def _cmd_score(args: argparse.Namespace) -> int:
     seeds = {r.seed for r in corpus}
     records = []
     provider = "static-oracle"
-    with Path(args.transcripts).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            data = json.loads(line)
-            design_id = data["design_id"]
-            if design_id not in labels:
-                raise CliError(f"transcript for unknown design {design_id}")
-            provider = data.get("provider_id", provider)
-            predicted = _predicted_violation(data.get("final"))
-            if predicted is None:
-                continue
-            actual = rule.value in labels[design_id]
-            records.append(OutcomeRecord(
-                task="detection",
-                label=rule.value,
-                success=predicted == actual,
-                temperature=data.get("temperature"),
-            ))
+    transcripts = read_jsonl(args.transcripts, lambda data: (
+        data["design_id"], data, _predicted_violation(data.get("final"))))
+    for design_id, data, predicted in transcripts:
+        if design_id not in labels:
+            raise CliError(f"transcript for unknown design {design_id}")
+        provider = data.get("provider_id", provider)
+        if predicted is None:
+            continue
+        actual = rule.value in labels[design_id]
+        records.append(OutcomeRecord(
+            task="detection",
+            label=rule.value,
+            success=predicted == actual,
+            temperature=data.get("temperature"),
+        ))
     if not records:
         raise CliError("no scoreable transcripts")
     report = compute_metrics(records, Provenance(

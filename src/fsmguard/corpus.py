@@ -12,7 +12,7 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from .emitter import emit_verilog
 from .inject import RULE_FOR_CLASS, InjectError, InjectionPlan, VulnClass, plan_injection
@@ -21,6 +21,7 @@ from .source import SourceText, Span
 from .stg import stg_isomorphic_modulo_encoding
 
 SCHEMA_VERSION = 1
+T = TypeVar("T")
 
 
 class CorpusError(ValueError):
@@ -290,11 +291,22 @@ def write_corpus(records: Iterable[CorpusRecord], path: str | Path) -> None:
     tmp.replace(path)
 
 
-def read_corpus(path: str | Path) -> list[CorpusRecord]:
-    records = []
+def read_jsonl(path: str | Path, build: Callable[[dict], T]) -> list[T]:
+    """build of each record of a JSON-lines file; a record that lacks a field
+    or holds a value of the wrong type is a CorpusError naming its line."""
+    out = []
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(CorpusRecord.from_json(json.loads(line)))
-    return records
+        for n, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                out.append(build(json.loads(line)))
+            except KeyError as exc:
+                raise CorpusError(f"{path} line {n}: missing field {exc}") from None
+            except (AttributeError, TypeError) as exc:
+                raise CorpusError(f"{path} line {n}: malformed record: {exc}") from None
+    return out
+
+
+def read_corpus(path: str | Path) -> list[CorpusRecord]:
+    return read_jsonl(path, CorpusRecord.from_json)

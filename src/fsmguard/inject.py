@@ -81,11 +81,11 @@ def _taken_names(ast: FsmAst) -> set[str]:
 
 
 def _lowest_unused_encodings(ast: FsmAst, count: int) -> list[str]:
-    unused = ast.unused_encodings()
+    unused = ast.lowest_unused_encodings(count)
     if len(unused) < count:
         raise InjectError(
             f"need {count} unused encoding(s), only {len(unused)} available")
-    return sorted(unused)[:count]
+    return unused
 
 
 @dataclass(frozen=True)
@@ -333,8 +333,7 @@ def remove_default_arm(ast: FsmAst) -> tuple[FsmAst, InjectionPlan]:
     """Delete the default arm, leaving unused encodings unhandled."""
     if ast.comb.default_arm is None:
         raise InjectError("design has no default arm to remove")
-    unused = ast.unused_encodings()
-    if not unused:
+    if not ast.lowest_unused_encodings(1):
         raise InjectError("all encodings are used; removal creates no weakness")
     if ast.comb.leading_target_for(ast.state_next) is not None:
         raise InjectError("a leading next-state default still handles unused encodings")
@@ -346,7 +345,9 @@ def remove_default_arm(ast: FsmAst) -> tuple[FsmAst, InjectionPlan]:
         target_state=None,
         added_states=(),
         modified_spans=(markers["endcase"],),
-        notes="default arm removed; unhandled encodings: " + ", ".join(unused),
+        # the plan names every code left unhandled, as the MISSING_DEFAULT
+        # finding does; the refusals above take one code at most
+        notes="default arm removed; unhandled encodings: " + ", ".join(ast.unused_encodings()),
     )
     return injected, plan
 

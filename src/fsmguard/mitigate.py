@@ -142,7 +142,7 @@ def uniquify_encodings(ast: FsmAst) -> FsmAst:
     colliders = [p.name for p in ast.parameters if first[p.bits] != p.name]
     if not colliders:
         raise MitigationError("no duplicate encodings to fix")
-    free = ast.unused_encodings()
+    free = ast.lowest_unused_encodings(len(colliders))
     if len(free) < len(colliders):
         raise MitigationError("not enough unused codes to uniquify")
     return ast.with_encodings(dict(zip(colliders, free)))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Mapping
 
 from .ast_nodes import (
@@ -31,7 +30,6 @@ from .tokens import (
     Lexed,
     SIZED_RE,
     TokKind,
-    Token,
     UNSUPPORTED_KEYWORDS,
     parse_sized_literal,
     tokenize,
@@ -47,15 +45,15 @@ _NO_SPACE_BEFORE = {")", "]", ";", ",", ":"}
 _NO_SPACE_AFTER = {"(", "[", "!", "~"}
 
 
-def render_expr(tokens: list[Token]) -> str:
-    """Join expression tokens into a normalized, re-parseable text form."""
-    if len(tokens) == 1:
-        return tokens[0].text
+def render_expr(texts: list[str]) -> str:
+    """Join expression token texts into a normalized, re-parseable text form."""
+    if len(texts) == 1:
+        return texts[0]
     out: list[str] = []
-    for tok in tokens:
-        if out and tok.text not in _NO_SPACE_BEFORE and out[-1] not in _NO_SPACE_AFTER:
+    for text in texts:
+        if out and text not in _NO_SPACE_BEFORE and out[-1] not in _NO_SPACE_AFTER:
             out.append(" ")
-        out.append(tok.text)
+        out.append(text)
     return "".join(out)
 
 
@@ -102,7 +100,9 @@ class _Abort(Exception):
 
 class _Parser:
     def __init__(self, lexed: Lexed):
-        self.toks = lexed.tokens
+        self.texts = lexed.texts
+        self.kinds = lexed.kinds
+        self.lines = lexed.lines
         self.trivia = lexed.trivia
         self.pos = 0
         self.diags: list[Diagnostic] = list(lexed.diagnostics)
@@ -121,107 +121,119 @@ class _Parser:
         self.aborted = False
 
     # -- token plumbing --------------------------------------------------
-    # A token's text determines its kind: the lexer gives keywords, operators
-    # and EOF ("") texts that no other token can have.  So a test for a
-    # keyword or an operator compares the text alone.
-    def peek(self) -> Token:
-        return self.toks[self.pos]   # next() never moves past the EOF token
+    # A token is its index into the parallel lists.  Its text determines its
+    # kind: the lexer gives keywords, operators and EOF ("") texts that no
+    # other token can have.  So a test for a keyword or an operator compares
+    # the text alone.
+    def peek(self) -> str:
+        return self.texts[self.pos]   # next() never moves past the EOF token
 
-    def next(self) -> Token:
-        tok = self.toks[self.pos]
-        if tok.text:
+    def next(self) -> int:
+        i = self.pos
+        if self.texts[i]:
             self.pos += 1
-        return tok
+        return i
+
+    def accept(self, text: str) -> bool:
+        """Step past the next token if it is text."""
+        if self.texts[self.pos] == text:
+            self.pos += 1
+            return True
+        return False
 
     def at_eof(self) -> bool:
-        return not self.toks[self.pos].text
+        return not self.texts[self.pos]
+
+    def span(self, i: int) -> Span:
+        return Span.point(self.lines[i])
 
     def err(self, code: str, message: str, span: Span | None = None) -> None:
-        self.diags.append(error(code, message, span or self.peek().span))
+        self.diags.append(error(code, message, span or self.span(self.pos)))
 
-    def expect(self, text: str) -> Token:
-        tok = self.toks[self.pos]
-        if tok.text == text:
+    def expect(self, text: str) -> int:
+        i = self.pos
+        if self.texts[i] == text:
             self.pos += 1
-            return tok
-        self.err("E_SYNTAX", f"expected {text!r}, found {tok.text!r}")
+            return i
+        self.err("E_SYNTAX", f"expected {text!r}, found {self.texts[i]!r}")
         raise _Abort()
 
-    def expect_ident(self, what: str) -> Token:
-        tok = self.toks[self.pos]
-        if tok.kind is TokKind.IDENT:
+    def expect_ident(self, what: str) -> int:
+        i = self.pos
+        if self.kinds[i] is TokKind.IDENT:
             self.pos += 1
-            return tok
-        self.err("E_SYNTAX", f"expected {what}, found {tok.text!r}")
+            return i
+        self.err("E_SYNTAX", f"expected {what}, found {self.texts[i]!r}")
         raise _Abort()
 
     def skip_past_semi(self) -> None:
         while not self.at_eof():
-            tok = self.next()
-            if tok.text == ";":
+            if self.texts[self.next()] == ";":
                 return
 
     def eat_stray_semis(self) -> None:
-        while self.toks[self.pos].text == ";":
-            self.stray_semis.append(self.next().span)
+        while self.texts[self.pos] == ";":
+            self.stray_semis.append(self.span(self.next()))
 
     # -- module structure --------------------------------------------------
     def parse(self) -> FsmAst | None:
         try:
             self._reject_unsupported_keywords()
             self._parse_header()
-            while not self.at_eof() and self.peek().text != "endmodule":
+            while not self.at_eof() and self.peek() != "endmodule":
                 self._parse_item()
-            if self.peek().text == "endmodule":
-                self.next()
+            self.accept("endmodule")
         except _Abort:
             self.aborted = True
         return self._finalize()
 
     def _reject_unsupported_keywords(self) -> None:
-        if UNSUPPORTED_KEYWORDS.isdisjoint(map(attrgetter("text"), self.toks)):
+        if UNSUPPORTED_KEYWORDS.isdisjoint(self.texts):
             return
         seen: set[str] = set()
-        for tok in self.toks:
-            if tok.text in UNSUPPORTED_KEYWORDS and tok.text not in seen:
-                seen.add(tok.text)
-                self.err("E_SV", f"construct {tok.text!r} is outside the supported subset", tok.span)
+        for i, text in enumerate(self.texts):
+            if text in UNSUPPORTED_KEYWORDS and text not in seen:
+                seen.add(text)
+                self.err("E_SV", f"construct {text!r} is outside the supported subset", self.span(i))
         raise _Abort()
 
     def _parse_header(self) -> None:
         self.expect("module")
-        name_tok = self.expect_ident("module name")
-        self.module_name = name_tok.text
-        self.module_line = name_tok.line
-        if self.peek().text == "(":
-            self.next()
-            if self.peek().text != ")":
-                if self.peek().text in ("input", "output", "inout"):
+        name = self.expect_ident("module name")
+        self.module_name = self.texts[name]
+        self.module_line = self.lines[name]
+        if self.accept("("):
+            if self.peek() != ")":
+                if self.peek() in ("input", "output", "inout"):
                     self._parse_ansi_ports()
                 else:
                     self._parse_port_name_list()
             self.expect(")")
         self.expect(";")
 
-    def _parse_kinds(self) -> tuple[str, list[Token]]:
-        kinds: list[Token] = []
-        while self.peek().text in ("wire", "reg"):
+    def _parse_kinds(self) -> tuple[str, list[int]]:
+        """The net kind and the indices of the wire/reg keywords that gave it."""
+        kinds: list[int] = []
+        while self.peek() in ("wire", "reg"):
             kinds.append(self.next())
-        kind = kinds[0].text if kinds else "wire"
+        kind = self.texts[kinds[0]] if kinds else "wire"
         return kind, kinds
 
+    def _conflicting_kinds(self, kind_toks: list[int], name: str) -> None:
+        if len({self.texts[i] for i in kind_toks}) > 1:
+            self.err("E_PORT_KIND", f"conflicting net kinds for {name}", self.span(kind_toks[0]))
+
     def _parse_range(self) -> int:
-        if self.peek().text != "[":
+        if not self.accept("["):
             return 1
-        self.next()
-        hi_tok = self.next()
+        hi = self.next()
         self.expect(":")
-        lo_tok = self.next()
+        lo = self.next()
         self.expect("]")
         try:
-            return abs(int(hi_tok.text) - int(lo_tok.text)) + 1
+            return abs(int(self.texts[hi]) - int(self.texts[lo])) + 1
         except ValueError:
-            self.err("E_SYNTAX", "non-numeric port range", hi_tok.span)
+            self.err("E_SYNTAX", "non-numeric port range", self.span(hi))
             return 1
 
     def _parse_ansi_ports(self) -> None:
@@ -229,162 +241,143 @@ class _Parser:
         kind = "wire"
         width = 1
         while True:
-            tok = self.peek()
-            if tok.text in ("input", "output", "inout"):
-                direction = self.next().text
+            if self.peek() in ("input", "output", "inout"):
+                direction = self.texts[self.next()]
                 kind, kind_toks = self._parse_kinds()
-                if len({t.text for t in kind_toks}) > 1:
-                    self.err("E_PORT_KIND",
-                             f"conflicting net kinds for {self.peek().text}",
-                             kind_toks[0].span)
+                self._conflicting_kinds(kind_toks, self.peek())
                 width = self._parse_range()
             if direction is None:
                 self.err("E_SYNTAX", "port without a direction")
                 raise _Abort()
             name = self.expect_ident("port name")
-            self.ports.append(Port(name.text, direction, kind, width, name.span))
-            if self.peek().text == ",":
-                self.next()
-                continue
-            return
+            self.ports.append(Port(self.texts[name], direction, kind, width, self.span(name)))
+            if not self.accept(","):
+                return
 
     def _parse_port_name_list(self) -> None:
         while True:
-            name = self.expect_ident("port name")
-            self.port_order.append(name.text)
-            if self.peek().text == ",":
-                self.next()
-                continue
-            return
+            self.port_order.append(self.texts[self.expect_ident("port name")])
+            if not self.accept(","):
+                return
 
     def _parse_item(self) -> None:
-        tok = self.peek()
-        if tok.text in ("input", "output", "inout"):
+        text = self.peek()
+        if text in ("input", "output", "inout"):
             self._parse_port_decl()
-        elif tok.text in ("parameter", "localparam"):
+        elif text in ("parameter", "localparam"):
             self._parse_param_decl()
-        elif tok.text == "reg":
+        elif text == "reg":
             self._parse_reg_decl()
-        elif tok.text == "wire":
-            self.err("E_SYNTAX", "wire declarations are not part of the FSM subset", tok.span)
+        elif text == "wire":
+            self.err("E_SYNTAX", "wire declarations are not part of the FSM subset")
             self.skip_past_semi()
-        elif tok.text == "always":
+        elif text == "always":
             self._parse_always()
-        elif tok.text == ";":
+        elif text == ";":
             self.eat_stray_semis()
         else:
-            self.err("E_SYNTAX", f"unexpected {tok.text!r} at module level", tok.span)
+            self.err("E_SYNTAX", f"unexpected {text!r} at module level")
             self.next()
 
     def _parse_port_decl(self) -> None:
-        direction = self.next().text
+        direction = self.texts[self.next()]
         kind, kind_toks = self._parse_kinds()
         width = self._parse_range()
-        names: list[Token] = [self.expect_ident("port name")]
-        if len({t.text for t in kind_toks}) > 1:
-            self.err("E_PORT_KIND", f"conflicting net kinds for {names[0].text}",
-                     kind_toks[0].span)
-        while self.peek().text == ",":
-            self.next()
+        first = self.expect_ident("port name")
+        self._conflicting_kinds(kind_toks, self.texts[first])
+        names = [first]
+        while self.accept(","):
             names.append(self.expect_ident("port name"))
         self.expect(";")
-        for name in names:
-            existing = next((p for p in self.ports if p.name == name.text), None)
+        for i in names:
+            name = self.texts[i]
+            existing = next((p for p in self.ports if p.name == name), None)
             if existing is not None:
                 existing.direction = direction
                 existing.kind = kind
                 existing.width = width
             else:
-                self.ports.append(Port(name.text, direction, kind, width, name.span))
+                self.ports.append(Port(name, direction, kind, width, self.span(i)))
 
     def _parse_param_decl(self) -> None:
         head = self.next()
-        if head.text == "localparam":
-            self.localparam_spans.append(head.span)
+        if self.texts[head] == "localparam":
+            self.localparam_spans.append(self.span(head))
         while True:
-            name = self.expect_ident("parameter name")
+            i = self.expect_ident("parameter name")
+            name = self.texts[i]
             self.expect("=")
             value = self.next()
-            if value.kind is TokKind.SIZED:
-                width, base, digits = parse_sized_literal(value.text)
+            if self.kinds[value] is TokKind.SIZED:
+                width, base, digits = parse_sized_literal(self.texts[value])
                 if base != "b" or any(c not in "01" for c in digits):
                     self.err("E_ENCODING",
-                             f"state encoding for {name.text} must be a sized binary literal",
-                             value.span)
+                             f"state encoding for {name} must be a sized binary literal",
+                             self.span(value))
                     digits = digits.zfill(width)[:width]
                 bits = digits.zfill(width)[-width:]
-                self.params.append(ParamDecl(name.text, width, bits, name.span))
+                self.params.append(ParamDecl(name, width, bits, self.span(i)))
             else:
-                self.err("E_ENCODING", f"unsized state literal for {name.text}", value.span)
-            if self.peek().text == ",":
-                self.next()
-                continue
-            break
+                self.err("E_ENCODING", f"unsized state literal for {name}", self.span(value))
+            if not self.accept(","):
+                break
         self.expect(";")
 
     def _parse_reg_decl(self) -> None:
         self.next()
         width = self._parse_range()
         names = [self.expect_ident("register name")]
-        while self.peek().text == ",":
-            self.next()
+        while self.accept(","):
             names.append(self.expect_ident("register name"))
         self.expect(";")
-        for name in names:
-            port = next((p for p in self.ports if p.name == name.text), None)
+        for i in names:
+            name = self.texts[i]
+            port = next((p for p in self.ports if p.name == name), None)
             if port is not None:
                 port.kind = "reg"
             else:
-                self.regs[name.text] = width
+                self.regs[name] = width
 
     # -- always blocks ---------------------------------------------------
     def _parse_always(self) -> None:
-        start = self.next()
+        start_line = self.lines[self.next()]
         self.expect("@")
         star, edges, names = self._parse_sensitivity()
         if edges:
-            self._parse_seq_body(start, edges)
+            self._parse_seq_body(start_line, edges)
         else:
-            self._parse_comb_body(start, star, names)
+            self._parse_comb_body(start_line, star, names)
 
     def _parse_sensitivity(self) -> tuple[bool, list[tuple[str, str]], list[str]]:
         """Returns (is_star, [(edge, signal)], [plain signals])."""
-        if self.peek().text == "*":
-            self.next()
+        if self.accept("*"):
             return True, [], []
         self.expect("(")
-        if self.peek().text == "*":
-            self.next()
+        if self.accept("*"):
             self.expect(")")
             return True, [], []
         edges: list[tuple[str, str]] = []
         names: list[str] = []
         while True:
-            tok = self.peek()
-            if tok.text in ("posedge", "negedge"):
-                edge = self.next().text
-                sig = self.expect_ident("edge signal")
-                edges.append((edge, sig.text))
+            if self.peek() in ("posedge", "negedge"):
+                edge = self.texts[self.next()]
+                edges.append((edge, self.texts[self.expect_ident("edge signal")]))
             else:
-                sig = self.expect_ident("sensitivity signal")
-                names.append(sig.text)
-            if self.peek().text in (",", "or"):
-                self.next()
-                continue
-            break
+                names.append(self.texts[self.expect_ident("sensitivity signal")])
+            if not (self.accept(",") or self.accept("or")):
+                break
         self.expect(")")
         return False, edges, names
 
-    def _parse_seq_body(self, start: Token, edges: list[tuple[str, str]]) -> None:
+    def _parse_seq_body(self, start_line: int, edges: list[tuple[str, str]]) -> None:
         body = self._parse_stmt_block()
-        end_line = self.toks[self.pos - 1].line
-        block = self._shape_seq(start, edges, body)
+        end_line = self.lines[self.pos - 1]
+        block = self._shape_seq(Span.point(start_line), edges, body)
         if block is not None:
-            block.span = Span(start.line, max(start.line, end_line))
+            block.span = Span(start_line, max(start_line, end_line))
             self.seq_blocks.append(block)
 
-    def _shape_seq(self, start: Token, edges, body: list[Stmt]) -> SeqBlock | None:
-        span = start.span
+    def _shape_seq(self, span: Span, edges, body: list[Stmt]) -> SeqBlock | None:
         if len(body) != 1 or not isinstance(body[0], IfChain):
             self.err("E_SEQ_SHAPE", "sequential block must be a single if/else on reset", span)
             return None
@@ -424,11 +417,12 @@ class _Parser:
         self._state_next = hold_assigns[0].rhs
         return SeqBlock(clock, reset, is_async, reset_cond, reset_assigns[0].rhs)
 
-    def _parse_comb_body(self, start: Token, star: bool, names: list[str]) -> None:
+    def _parse_comb_body(self, start_line: int, star: bool, names: list[str]) -> None:
         body, case = self._parse_comb_stmts()
-        end_line = self.toks[self.pos - 1].line
+        end_line = self.lines[self.pos - 1]
         if case is None:
-            self.err("E_NO_CASE", "missing case statement in combinational block", start.span)
+            self.err("E_NO_CASE", "missing case statement in combinational block",
+                     Span.point(start_line))
             return
         subject, arms, default_arm = case
         leading: list[Assign] = []
@@ -445,35 +439,31 @@ class _Parser:
             subject=subject,
             arms=arms,
             default_arm=default_arm,
-            span=Span(start.line, max(start.line, end_line)),
+            span=Span(start_line, max(start_line, end_line)),
         ))
 
     def _parse_comb_stmts(self):
         """Parse the comb always body: leading statements and one case."""
         case = None
         stmts: list[Stmt] = []
-        has_begin = self.peek().text == "begin"
-        if has_begin:
-            self.next()
+        has_begin = self.accept("begin")
         while True:
-            tok = self.peek()
-            if tok.kind is TokKind.EOF:
+            text = self.peek()
+            if not text:
                 break
-            if has_begin and tok.text == "end":
-                self.next()
+            if has_begin and self.accept("end"):
                 self.eat_stray_semis()
                 break
-            if tok.text == "case":
+            if text == "case":
                 if case is not None:
-                    self.err("E_COMB_SHAPE", "more than one case statement", tok.span)
+                    self.err("E_COMB_SHAPE", "more than one case statement")
                     raise _Abort()
                 case = self._parse_case()
                 if not has_begin:
                     break
                 continue
             if case is not None:
-                self.err("E_COMB_SHAPE", "statements after the case statement are not supported",
-                         tok.span)
+                self.err("E_COMB_SHAPE", "statements after the case statement are not supported")
                 raise _Abort()
             stmts.append(self._parse_stmt())
             if not has_begin:
@@ -483,28 +473,27 @@ class _Parser:
     def _parse_case(self):
         self.expect("case")
         self.expect("(")
-        subject = self.expect_ident("case subject").text
+        subject = self.texts[self.expect_ident("case subject")]
         self.expect(")")
         arms: list[CaseArm] = []
         default_arm: CaseArm | None = None
-        while self.peek().text != "endcase":
+        while self.peek() != "endcase":
             if self.at_eof():
                 self.err("E_SYNTAX", "unterminated case statement")
                 raise _Abort()
-            label_tok = self.peek()
-            if label_tok.text == "default":
-                self.next()
+            start = self.pos
+            if self.accept("default"):
                 label = None
             else:
-                label = self.expect_ident("case label").text
+                label = self.texts[self.expect_ident("case label")]
             self.expect(":")
-            start_line = label_tok.line
+            start_line = self.lines[start]
             body = self._parse_stmt_block()
-            end_line = self.toks[self.pos - 1].line
+            end_line = self.lines[self.pos - 1]
             arm = CaseArm(label, body, Span(start_line, max(start_line, end_line)))
             if label is None:
                 if default_arm is not None:
-                    self.err("E_DUP_DEFAULT", "more than one default arm", label_tok.span)
+                    self.err("E_DUP_DEFAULT", "more than one default arm", self.span(start))
                 default_arm = arm
             else:
                 arms.append(arm)
@@ -513,11 +502,10 @@ class _Parser:
         return subject, arms, default_arm
 
     def _parse_stmt_block(self) -> list[Stmt]:
-        if self.toks[self.pos].text != "begin":
+        if not self.accept("begin"):
             return [self._parse_stmt()]
-        self.pos += 1
         stmts: list[Stmt] = []
-        while (text := self.toks[self.pos].text) != "end":
+        while (text := self.texts[self.pos]) != "end":
             if not text:
                 self.err("E_SYNTAX", "unterminated begin/end block")
                 raise _Abort()
@@ -527,21 +515,21 @@ class _Parser:
         return stmts
 
     def _parse_stmt(self) -> Stmt:
-        if self.toks[self.pos].text == "if":
+        if self.texts[self.pos] == "if":
             return self._parse_if()
         return self._parse_assign()
 
     def _parse_if(self) -> IfChain:
-        toks = self.toks
-        start_line = toks[self.pos].line
+        texts = self.texts
+        start_line = self.lines[self.pos]
         branches: list[Branch] = []
         while True:
-            if_tok = self.expect("if")
+            if_span = self.span(self.expect("if"))
             self.expect("(")
             pos = begin = self.pos
             depth = 1
             while True:
-                text = toks[pos].text
+                text = texts[pos]
                 if text == ")":
                     depth -= 1
                     if not depth:
@@ -549,47 +537,47 @@ class _Parser:
                 elif text == "(":
                     depth += 1
                 elif not text:
-                    self.err("E_SYNTAX", "unterminated guard expression", if_tok.span)
+                    self.err("E_SYNTAX", "unterminated guard expression", if_span)
                     raise _Abort()
                 pos += 1
             self.pos = pos + 1
-            guard = render_expr(toks[begin:pos])
+            guard = render_expr(texts[begin:pos])
             body = self._parse_stmt_block()
-            branches.append(Branch(guard, body, span=if_tok.span))
-            if toks[self.pos].text != "else":
+            branches.append(Branch(guard, body, span=if_span))
+            if not self.accept("else"):
                 break
-            self.pos += 1
-            if toks[self.pos].text == "if":
+            if texts[self.pos] == "if":
                 continue
             else_body = self._parse_stmt_block()
-            branches.append(Branch(None, else_body, span=if_tok.span))
+            branches.append(Branch(None, else_body, span=if_span))
             break
-        end_line = toks[self.pos - 1].line
+        end_line = self.lines[self.pos - 1]
         return IfChain(branches, Span(start_line, max(start_line, end_line)))
 
     def _parse_assign(self) -> Assign:
         lhs = self.expect_ident("assignment target")
-        toks = self.toks
-        op_tok = toks[self.pos]
-        if op_tok.text != "=" and op_tok.text != "<=":
-            self.err("E_SYNTAX", f"expected assignment after {lhs.text!r}", op_tok.span)
+        texts, kinds = self.texts, self.kinds
+        op = texts[self.pos]
+        if op != "=" and op != "<=":
+            self.err("E_SYNTAX", f"expected assignment after {texts[lhs]!r}")
             raise _Abort()
         pos = begin = self.pos + 1
         prev_operand = False
-        while (tok := toks[pos]).text != ";":
+        while (text := texts[pos]) != ";":
             # EOF, a statement keyword, a bare "=" or two operands in a row
             # start the next statement
-            operand = tok.kind in _OPERANDS
-            if tok.text in _ENDS_ASSIGN or (operand and prev_operand):
-                self.err("E_SYNTAX", "missing semicolon after assignment", lhs.span)
+            operand = kinds[pos] in _OPERANDS
+            if text in _ENDS_ASSIGN or (operand and prev_operand):
+                self.err("E_SYNTAX", "missing semicolon after assignment", self.span(lhs))
                 raise _Abort()
             prev_operand = operand
             pos += 1
         self.pos = pos + 1
         if pos == begin:
-            self.err("E_SYNTAX", "empty assignment right-hand side", lhs.span)
+            self.err("E_SYNTAX", "empty assignment right-hand side", self.span(lhs))
             raise _Abort()
-        return Assign(lhs.text, render_expr(toks[begin:pos]), Span(lhs.line, toks[pos].line))
+        return Assign(texts[lhs], render_expr(texts[begin:pos]),
+                      Span(self.lines[lhs], self.lines[pos]))
 
     # -- finalize ----------------------------------------------------------
     def _finalize(self) -> FsmAst | None:
@@ -696,7 +684,7 @@ class _Parser:
         if any(d.is_error for d in self.diags):
             return None
 
-        last_line = self.toks[-1].line   # EOF's line is the last
+        last_line = self.lines[-1]   # EOF's line is the last
         return FsmAst(
             module_name=self.module_name,
             ports=self.ports,

@@ -68,16 +68,20 @@ class Token(NamedTuple):
     line: int
     col: int
 
-    @property
-    def span(self) -> Span:
-        return Span.point(self.line)
-
 
 @dataclass
 class Lexed:
-    tokens: list[Token]
+    """The token stream as parallel lists, EOF last; comments are trivia."""
+    texts: list[str]
+    kinds: list[TokKind]
+    lines: list[int]
+    cols: list[int]
     trivia: list[Token]
     diagnostics: list[Diagnostic]
+
+    @property
+    def tokens(self) -> list[Token]:
+        return list(map(Token, self.kinds, self.texts, self.lines, self.cols))
 
     @property
     def ok(self) -> bool:
@@ -86,48 +90,66 @@ class Lexed:
 
 def tokenize(src: SourceText) -> Lexed:
     """Split source into tokens; comments are preserved as trivia."""
-    tokens: list[Token] = []
+    texts: list[str] = []
+    kinds: list[TokKind] = []
+    lines: list[int] = []
+    cols: list[int] = []
     trivia: list[Token] = []
     diagnostics: list[Diagnostic] = []
     text = src.content
     end = len(text)
     line, line_start = 1, 0   # current line and the offset it starts at
-    append = tokens.append
+    add_text, add_kind, add_line, add_col = texts.append, kinds.append, lines.append, cols.append
+    kw, ident, op, number = TokKind.KW, TokKind.IDENT, TokKind.OP, TokKind.NUMBER
     for m in _MASTER_RE.finditer(text):
         # lastindex is the token's group: a group closes after those inside it
         g = m.lastindex
         if g == _IDENT:
             word = m[g]
-            append(Token(TokKind.KW if word in _ALL_KEYWORDS else TokKind.IDENT, word,
-                         line, m.start(g) - line_start + 1))
+            kind = kw if word in _ALL_KEYWORDS else ident
         elif g == _OP:
-            append(Token(TokKind.OP, m[g], line, m.start(g) - line_start + 1))
+            word, kind = m[g], op
         elif g == _NEWLINE:
             word = m[g]
             line += word.count("\n")
             line_start = m.start(g) + word.rindex("\n") + 1
+            continue
         elif g == _NUMBER:
-            append(Token(TokKind.NUMBER, m[g], line, m.start(g) - line_start + 1))
+            word, kind = m[g], number
         elif g == _LINE_COMMENT:
             trivia.append(Token(TokKind.COMMENT, m[g], line, m.start(g) - line_start + 1))
+            continue
         elif g == _SIZED_G or g == _BLOCK_COMMENT:
             word, start = m[g], m.start(g)
             if g == _SIZED_G:
-                append(Token(TokKind.SIZED, word, line, start - line_start + 1))
+                add_text(word)
+                add_kind(TokKind.SIZED)
+                add_line(line)
+                add_col(start - line_start + 1)
             else:
                 trivia.append(Token(TokKind.COMMENT, word, line, start - line_start + 1))
             newlines = word.count("\n")   # the only tokens that may span lines
             if newlines:
                 line += newlines
                 line_start = start + word.rindex("\n") + 1
+            continue
         elif g == _BAD:
             diagnostics.append(error("E_CHAR", f"illegal character {m[g]!r}", Span.point(line)))
+            continue
         else:  # "open": the scan stops, and EOF sits on the "/*"
             diagnostics.append(error("E_COMMENT", "unterminated block comment", Span.point(line)))
             end = m.start(g)
             break
-    tokens.append(Token(TokKind.EOF, "", line, end - line_start + 1))
-    return Lexed(tokens=tokens, trivia=trivia, diagnostics=diagnostics)
+        # a token on one line; every branch that adds no such token continued
+        add_text(word)
+        add_kind(kind)
+        add_line(line)
+        add_col(m.start(g) - line_start + 1)
+    texts.append("")
+    kinds.append(TokKind.EOF)
+    lines.append(line)
+    cols.append(end - line_start + 1)
+    return Lexed(texts, kinds, lines, cols, trivia, diagnostics)
 
 
 def parse_sized_literal(text: str) -> tuple[int, str, str]:

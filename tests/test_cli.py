@@ -16,14 +16,26 @@ def run(*argv):
     return cli_dispatch([str(a) for a in argv])
 
 
-def test_module_entry_point_runs_without_warnings():
+def python(*argv) -> subprocess.CompletedProcess:
+    """Run the interpreter with this checkout's src first on the path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run([sys.executable, "-W", "error", "-m", "fsmguard.cli", "--help"],
+    return subprocess.run([sys.executable, *map(str, argv)],
                           env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_module_entry_point_runs_without_warnings():
+    done = python("-W", "error", "-m", "fsmguard.cli", "--help")
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
+
+
+def test_package_runs_as_a_module(capsys):
+    design = DESIGNS / "aes_ctrl.v"
+    done = python("-m", "fsmguard", "check", design)
+    assert done.returncode == run("check", design) == 1, done.stderr
+    assert done.stdout == capsys.readouterr().out
 
 
 def test_check_clean_design_exits_zero(capsys):
@@ -271,3 +283,26 @@ def test_io_and_value_errors_exit_two(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_SCORE = ("score", "--rule", "MISSING_DEFAULT", "--out", "<tmp>/r.json")
+
+
+@pytest.mark.parametrize("argv, missing", [
+    pytest.param((*_SCORE, "--corpus", "<tmp>/partial.jsonl", "--transcripts",
+                  "<tmp>/empty.jsonl"), "'base_id'", id="score-corpus"),
+    pytest.param((*_SCORE, "--corpus", "<tmp>/empty.jsonl", "--transcripts",
+                  "<tmp>/partial.jsonl"), "'design_id'", id="score-transcripts"),
+    pytest.param(("run-pipeline", *_POLICY, *_MOCK, "--corpus", "<tmp>/partial.jsonl",
+                  "--out", "<tmp>/t.jsonl"), "'base_id'", id="run-pipeline-corpus"),
+])
+@pytest.mark.parametrize("record", ['{"id": "x"}', '["x"]'], ids=["no-field", "not-an-object"])
+def test_malformed_jsonl_record_exits_two(tmp_path, capsys, argv, missing, record):
+    (tmp_path / "empty.jsonl").write_text("")
+    (tmp_path / "partial.jsonl").write_text(f"\n{record}\n")
+    code = run(*(str(a).replace("<tmp>", str(tmp_path)) for a in argv))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    reason = f"missing field {missing}" if record.startswith("{") else "malformed record"
+    assert f"partial.jsonl line 2: {reason}" in err

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsmguard import (
+    Lexed,
     RuleConfig,
     SourceText,
     TokKind,
@@ -24,7 +25,7 @@ from fsmguard.lint import (
 )
 from fsmguard.parser import expr_identifiers
 
-from conftest import DESIGNS, design_ast, design_source
+from conftest import DESIGNS, FIXTURES, design_ast, design_source
 
 
 # -- tokenize ------------------------------------------------------------------
@@ -121,6 +122,42 @@ def test_lexer_golden_identity():
             digest.update(repr((d.code, d.message, d.span.start, d.span.end)).encode())
         digest.update(b"|")
     assert digest.hexdigest() == LEXER_GOLDEN_SHA256
+
+
+# -- golden identity: the parser -----------------------------------------------
+
+# Every diagnostic parse_source gives on the lexer corpus, and the emitted
+# text of each design that parses; the error paths are most of it.
+PARSER_GOLDEN_SHA256 = "d523f75c9d5fdbaf748f6969d2527ffdf6c3697d88c014431fd07478e97ef453"
+
+
+def test_parser_golden_identity():
+    digest = hashlib.sha256()
+    for text in _lexer_corpus():
+        result = parse_source(SourceText(text))
+        for d in result.diagnostics:
+            digest.update(repr((d.code, d.message, d.span.start, d.span.end)).encode())
+        if result.ok:
+            digest.update(emit_verilog(result.ast).content.encode())
+        digest.update(b"|")
+    assert digest.hexdigest() == PARSER_GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("path", sorted(DESIGNS.glob("*.v")) + sorted(FIXTURES.glob("*.v")),
+                         ids=lambda p: p.name)
+def test_parsing_builds_no_tokens(path, monkeypatch):
+    # the parser walks the lexer's parallel lists; Lexed.tokens is for callers
+    src = SourceText.from_file(path)
+    parsed = parse_source(src)
+    report = run_all_checks(src, config=RuleConfig(fif=True)).to_json()
+
+    def refuse(self):
+        raise AssertionError("Lexed.tokens built")
+
+    monkeypatch.setattr(Lexed, "tokens", property(refuse))
+    again = parse_source(src)
+    assert (again.ast, again.diagnostics) == (parsed.ast, parsed.diagnostics)
+    assert run_all_checks(src, config=RuleConfig(fif=True)).to_json() == report
 
 
 # -- parse ---------------------------------------------------------------------

@@ -7,9 +7,11 @@ import pytest
 
 import fsmguard.inject
 from fsmguard import (
+    FsmAst,
     InjectError,
     Rule,
     RULE_FOR_CLASS,
+    SourceText,
     VulnClass,
     emit_verilog,
     extract_stg,
@@ -19,6 +21,7 @@ from fsmguard import (
     rename_states,
     run_all_checks,
     stg_isomorphic_modulo_encoding,
+    uniquify_encodings,
 )
 
 from conftest import count_calls, design_ast, design_source
@@ -187,9 +190,7 @@ def test_remove_default_twice_errors():
         remove_default_arm(injected)
 
 
-def test_remove_default_fully_covered_errors():
-    from fsmguard import SourceText
-    text = """module m (input clk, input rst);
+_ONE_BIT_FULL = """module m (input clk, input rst);
 parameter A = 1'b0;
 parameter B = 1'b1;
 reg s;
@@ -197,9 +198,47 @@ reg n;
 always @(posedge clk) begin if (rst) s <= A; else s <= n; end
 always @(*) begin case (s) A: n = B; B: n = A; default: n = A; endcase end
 endmodule"""
-    ast = parse_source(SourceText(text)).expect_ast()
+
+
+def test_remove_default_fully_covered_errors():
+    ast = parse_source(SourceText(_ONE_BIT_FULL)).expect_ast()
     with pytest.raises(InjectError):
         remove_default_arm(ast)
+
+
+def _taking_unused_codes() -> list:
+    """What each caller that takes a few unused codes gives, or its error."""
+    duplicated, _ = plan_injection(VulnClass.DUPLICATE_ENCODING, design_ast("vending"), 3)
+    full = parse_source(SourceText(_ONE_BIT_FULL)).expect_ast()
+    calls = [
+        lambda: plan_injection(VulnClass.UNREACHABLE_STATE, design_ast("vending"), 1)[0],
+        lambda: plan_injection(VulnClass.UNREACHABLE_STATE, full, 0)[0],
+        lambda: remove_default_arm(full)[0],
+        lambda: uniquify_encodings(duplicated),
+        lambda: uniquify_encodings(full.with_encodings({"B": "0"})),
+        lambda: uniquify_encodings(parse_source(SourceText(_ONE_BIT_FULL.replace(
+            "parameter B = 1'b1;", "parameter B = 1'b0;\nparameter C = 1'b1;"))).expect_ast()),
+    ]
+    out = []
+    for call in calls:
+        try:
+            out.append(emit_verilog(call()).content)
+        except ValueError as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+def test_taking_unused_codes_lists_no_others(monkeypatch):
+    """The injector and uniquify_encodings take the lowest few free codes,
+    and remove_default_arm checks that one exists before it refuses; none
+    may list all 2^w of them to do it."""
+    expected = _taking_unused_codes()
+
+    def refuse(self):
+        raise AssertionError("unused_encodings enumerated")
+
+    monkeypatch.setattr(FsmAst, "unused_encodings", refuse)
+    assert _taking_unused_codes() == expected
 
 
 # -- trap loop -----------------------------------------------------------------------
