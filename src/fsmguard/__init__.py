@@ -14,7 +14,6 @@ from .parser import ParseFailure, ParseResult, parse_module, parse_source
 from .lint import lint
 from .emitter import emit_verilog, emit_with_markers
 from .stg import (
-    Encoding,
     Guard,
     GuardKind,
     State,
@@ -23,7 +22,6 @@ from .stg import (
     Transition,
     dump_stg,
     extract_stg,
-    hamming_distance,
     reachable_states,
     rename_states,
     stg_isomorphic_modulo_encoding,

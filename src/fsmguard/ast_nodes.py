@@ -32,7 +32,7 @@ class ParamDecl:
 
     name: str
     width: int
-    bits: str                           # e.g. "000"; index 0 is the MSB
+    code: int                           # the encoding's value; 0 <= code < 2 ** width
     span: Span = field(default=_NOSPAN, compare=False)
 
 
@@ -130,8 +130,8 @@ class FsmAst:
         raise KeyError(name)
 
     @property
-    def encodings(self) -> dict[str, str]:
-        return {p.name: p.bits for p in self.parameters}
+    def encodings(self) -> dict[str, int]:
+        return {p.name: p.code for p in self.parameters}
 
     @property
     def data_inputs(self) -> list[str]:
@@ -152,20 +152,21 @@ class FsmAst:
             arms.append(arm)
         return replace(self, comb=replace(self.comb, arms=arms))
 
-    def with_encodings(self, codes: dict[str, str]) -> FsmAst:
-        """A copy whose parameters named in codes carry the given bits."""
-        return replace(self, parameters=[replace(p, bits=codes[p.name]) if p.name in codes else p
+    def with_encodings(self, codes: dict[str, int]) -> FsmAst:
+        """A copy whose parameters named in codes carry the given codes."""
+        return replace(self, parameters=[replace(p, code=codes[p.name]) if p.name in codes else p
                                          for p in self.parameters])
 
     def unused_encodings(self) -> list[str]:
-        return self.lowest_unused_encodings(2 ** self.state_width)
+        """Every code no state uses, as bit strings: the listing reports print."""
+        return [f"{c:0{self.state_width}b}"
+                for c in self.lowest_unused_encodings(1 << self.state_width)]
 
-    def lowest_unused_encodings(self, count: int) -> list[str]:
+    def lowest_unused_encodings(self, count: int) -> list[int]:
         """The count lowest codes no state uses, or all of them if fewer; the
         scan stops there, so a wide register costs count + #states codes."""
-        used = {p.bits for p in self.parameters}
-        codes = (format(i, f"0{self.state_width}b") for i in range(2 ** self.state_width))
-        return list(islice((c for c in codes if c not in used), count))
+        used = {p.code for p in self.parameters}
+        return list(islice((c for c in range(1 << self.state_width) if c not in used), count))
 
     def interface_key(self) -> tuple:
         """Everything an edit must leave untouched: name, ports, clock/reset."""

@@ -89,7 +89,7 @@ def emit_with_markers(ast: FsmAst) -> tuple[SourceText, dict[str, Span]]:
         w.put()
 
     for p in ast.parameters:
-        line = w.put(f"parameter {p.name} = {p.width}'b{p.bits};")
+        line = w.put(f"parameter {p.name} = {p.width}'b{p.code:0{p.width}b};")
         w.mark(f"param:{p.name}", line)
     w.put()
 

@@ -18,7 +18,7 @@ from .ast_nodes import Assign, Branch, CaseArm, FsmAst, IfChain, ParamDecl
 from .emitter import emit_with_markers
 from .rules import CheckReport, Rule, RuleConfig, run_checks_on_ast
 from .source import Span
-from .stg import StgError, reachable_states
+from .stg import StgError
 
 
 class VulnClass(Enum):
@@ -80,7 +80,7 @@ def _taken_names(ast: FsmAst) -> set[str]:
             | {ast.state_cur, ast.state_next, ast.module_name})
 
 
-def _lowest_unused_encodings(ast: FsmAst, count: int) -> list[str]:
+def _lowest_unused_encodings(ast: FsmAst, count: int) -> list[int]:
     unused = ast.lowest_unused_encodings(count)
     if len(unused) < count:
         raise InjectError(
@@ -235,20 +235,20 @@ def _inject(vuln: VulnClass, ast: FsmAst, seed: int,
     )
 
 
-def _add_state(ast: FsmAst, name: str, bits: str, body: list) -> FsmAst:
-    grown = replace(ast, parameters=ast.parameters + [ParamDecl(name, ast.state_width, bits)])
+def _add_state(ast: FsmAst, name: str, code: int, body: list) -> FsmAst:
+    grown = replace(ast, parameters=ast.parameters + [ParamDecl(name, ast.state_width, code)])
     return grown.with_arm(CaseArm(name, body))
 
 
 # -- per-class edit generators ----------------------------------------------------
 
 def _redirect_edits(base: CheckReport, added: tuple[str, ...],
-                    codes: list[str], note: str) -> Iterator[_Edit]:
+                    codes: list[int], note: str) -> Iterator[_Edit]:
     """Add states that hand over to each other in a ring (one state: a
     self-loop), then redirect one outcome of a reachable, unprotected arm
     into the first of them."""
     ast = base.ast
-    reach = reachable_states(base.stg)
+    reach = base.stg.reachable
     markers = tuple(f"param:{n}" for n in added)
     for arm in ast.comb.arms:
         label = arm.label
@@ -256,8 +256,8 @@ def _redirect_edits(base: CheckReport, added: tuple[str, ...],
             continue
         for ref in _enumerate_refs(ast, arm):
             def apply(trial: FsmAst, ref: _EdgeRef = ref) -> FsmAst:
-                for name, bits, exit_to in zip(added, codes, added[1:] + added[:1]):
-                    trial = _add_state(trial, name, bits, [Assign(trial.state_next, exit_to)])
+                for name, code, exit_to in zip(added, codes, added[1:] + added[:1]):
+                    trial = _add_state(trial, name, code, [Assign(trial.state_next, exit_to)])
                 return _apply_redirect(trial, ref, added[0])
             yield _Edit(apply, frozenset(added), label, added,
                         markers + (f"arm:{label}",) + tuple(f"arm:{n}" for n in added),
@@ -291,14 +291,14 @@ def _duplicate_encoding_edits(base: CheckReport) -> Iterator[_Edit]:
             if first == second:
                 continue
             def apply(trial: FsmAst, first: str = first, second: str = second) -> FsmAst:
-                return trial.with_encodings({second: trial.param(first).bits})
+                return trial.with_encodings({second: trial.param(first).code})
             yield _Edit(apply, frozenset({first, second}), second, (),
                         (f"param:{second}",), f"{second} now shares {first}'s encoding")
 
 
 def _unreachable_state_edits(base: CheckReport) -> Iterator[_Edit]:
     ast = base.ast
-    bits = _lowest_unused_encodings(ast, 1)[0]
+    code = _lowest_unused_encodings(ast, 1)[0]
     name = _fresh_name("unreachable_state", _taken_names(ast))
     markers = (f"param:{name}", f"arm:{name}")
     for target in ast.param_names:
@@ -309,7 +309,7 @@ def _unreachable_state_edits(base: CheckReport) -> Iterator[_Edit]:
                     Branch(sig, [Assign(nxt, target)]),
                     Branch(None, [Assign(nxt, name)]),
                 ])]
-                return _add_state(trial, name, bits, body)
+                return _add_state(trial, name, code, body)
             guard_note = f"guarded by {sig}" if sig else "unconditional"
             yield _Edit(apply, frozenset({name}), target, (name,), markers,
                         f"{name} exits to {target} ({guard_note}) and is never entered")

@@ -9,6 +9,7 @@ fixpoint, capped at five.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import compress
 from typing import Iterable, Optional
 
@@ -16,14 +17,7 @@ from .ast_nodes import Assign, Branch, CaseArm, FsmAst, IfChain, Stmt
 from .emitter import emit_verilog
 from .rules import CheckReport, Rule, RuleConfig, RuleViolation, run_checks_on_ast
 from .source import SourceText
-from .stg import (
-    Encoding,
-    Stg,
-    hamming_distance,
-    reachable_states,
-    stg_isomorphic_modulo_encoding,
-    unprotected_transitions,
-)
+from .stg import Stg, stg_isomorphic_modulo_encoding, unprotected_transitions
 
 MAX_ROUNDS = 5
 # State placements the re-encoding search may make before it settles for its
@@ -46,7 +40,7 @@ class MitigationConfig:
 class EncodingAssignment:
     """Injective state-to-encoding map plus the edges no assignment fixed."""
 
-    mapping: dict[str, Encoding]
+    mapping: dict[str, int]
     residual_violations: tuple[tuple[str, str], ...]
     optimal: bool  # False when the search stopped at SEARCH_NODE_BUDGET
 
@@ -97,11 +91,10 @@ def remove_unreachable_state(report: CheckReport, states: str | Iterable[str]) -
     """
     states = {states} if isinstance(states, str) else set(states)
     stg = report.expect_stg()
-    reach = reachable_states(stg)
     for name in sorted(states):
         if name == stg.reset_state:
             raise MitigationError("refusing to remove the reset state")
-        if name in reach:
+        if name in stg.reachable:
             raise MitigationError(f"{name} is reachable; not removing it")
     ast = report.ast
     return replace(ast, parameters=[p for p in ast.parameters if p.name not in states],
@@ -138,8 +131,8 @@ def remove_static_deadlock(report: CheckReport, state: str, exit_target: str,
 
 def uniquify_encodings(ast: FsmAst) -> FsmAst:
     """Reassign later-declared colliders to the lowest unused codes."""
-    first = {p.bits: p.name for p in reversed(ast.parameters)}
-    colliders = [p.name for p in ast.parameters if first[p.bits] != p.name]
+    first = {p.code: p.name for p in reversed(ast.parameters)}
+    colliders = [p.name for p in ast.parameters if first[p.code] != p.name]
     if not colliders:
         raise MitigationError("no duplicate encodings to fix")
     free = ast.lowest_unused_encodings(len(colliders))
@@ -150,14 +143,14 @@ def uniquify_encodings(ast: FsmAst) -> FsmAst:
 
 # -- re-encoding search -------------------------------------------------------
 
-def score_assignment(stg: Stg, mapping: dict[str, Encoding],
+def score_assignment(stg: Stg, mapping: dict[str, int],
                      include_self_edges: bool = False) -> list[tuple[str, str]]:
     """Unprotected transitions whose assigned encodings sit at HD != 1."""
     bad = []
     for t in unprotected_transitions(stg):
         if t.is_self and not include_self_edges:
             continue
-        if hamming_distance(mapping[t.source], mapping[t.target]) != 1:
+        if (mapping[t.source] ^ mapping[t.target]).bit_count() != 1:
             bad.append((t.source, t.target))
     return bad
 
@@ -189,9 +182,12 @@ def reencode_states(stg: Stg, protected: frozenset[str] | set[str] = frozenset()
         a, b = sorted((index[t.source], index[t.target]))
         if a != b:
             later[a][b] = later[a].get(b, 0) + 1
-    # viol[c][d] is 1 unless codes c and d sit at HD 1.
-    viol = [[0 if (x := c ^ d) and not x & (x - 1) else 1 for d in range(size)]
-            for c in range(size)]
+    # viol(c)[d] is 1 unless codes c and d sit at HD 1.  Rows are built for
+    # placed codes only: a full 2^w x 2^w table would dwarf a small search.
+    @cache
+    def viol(c: int) -> list[int]:
+        return [0 if (x := c ^ d) and not x & (x - 1) else 1 for d in range(size)]
+
     # rows[u][c]: cost of placing state u at code c against the placed states;
     # rows[k] is the incremental cost when state k is placed next.
     rows = [[0] * size for _ in names]
@@ -229,7 +225,7 @@ def reencode_states(stg: Stg, protected: frozenset[str] | set[str] = frozenset()
             free[c] = 0
             saved = [(u, rows[u]) for u in later[k]]
             for u, m in later[k].items():
-                rows[u] = [r + m * v for r, v in zip(rows[u], viol[c])]
+                rows[u] = [r + m * v for r, v in zip(rows[u], viol(c))]
             # Admissible look-ahead: each unplaced state pays at least its
             # cheapest cost against the placed states over the free codes.
             bound = sum(min(compress(rows[u], free)) for u in range(k + 1, n))
@@ -244,14 +240,14 @@ def reencode_states(stg: Stg, protected: frozenset[str] | set[str] = frozenset()
 
     search(0, 0, [size - 1])
     assert best is not None
-    mapping = {name: Encoding.from_int(code, width) for name, code in zip(names, best)}
+    mapping = dict(zip(names, best))
     residual = tuple(score_assignment(stg, mapping, include_self_edges))
     return EncodingAssignment(mapping=mapping, residual_violations=residual,
                               optimal=not exhausted)
 
 
 def apply_encoding_assignment(ast: FsmAst, assignment: EncodingAssignment) -> FsmAst:
-    return ast.with_encodings({name: enc.bits for name, enc in assignment.mapping.items()})
+    return ast.with_encodings(assignment.mapping)
 
 
 # -- the driver ---------------------------------------------------------------

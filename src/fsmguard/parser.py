@@ -244,8 +244,8 @@ class _Parser:
             if self.peek() in ("input", "output", "inout"):
                 direction = self.texts[self.next()]
                 kind, kind_toks = self._parse_kinds()
-                self._conflicting_kinds(kind_toks, self.peek())
                 width = self._parse_range()
+                self._conflicting_kinds(kind_toks, self.peek())
             if direction is None:
                 self.err("E_SYNTAX", "port without a direction")
                 raise _Abort()
@@ -310,13 +310,13 @@ class _Parser:
             value = self.next()
             if self.kinds[value] is TokKind.SIZED:
                 width, base, digits = parse_sized_literal(self.texts[value])
-                if base != "b" or any(c not in "01" for c in digits):
+                if not width or base != "b" or any(c not in "01" for c in digits):
                     self.err("E_ENCODING",
                              f"state encoding for {name} must be a sized binary literal",
                              self.span(value))
-                    digits = digits.zfill(width)[:width]
-                bits = digits.zfill(width)[-width:]
-                self.params.append(ParamDecl(name, width, bits, self.span(i)))
+                    digits = ""
+                code = int(digits or "0", 2) & ((1 << width) - 1)
+                self.params.append(ParamDecl(name, width, code, self.span(i)))
             else:
                 self.err("E_ENCODING", f"unsized state literal for {name}", self.span(value))
             if not self.accept(","):

@@ -21,13 +21,11 @@ from .lint import lint
 from .parser import ParseResult, parse_source
 from .source import Diagnostic, SourceText, Span, error
 from .stg import (
-    Encoding,
     State,
     Stg,
     StgError,
     Transition,
     extract_stg,
-    reachable_states,
     unprotected_transitions,
 )
 
@@ -106,14 +104,15 @@ class FifResult:
         }
 
 
-def fif_metric(bx: Encoding, by: Encoding, bp: Encoding) -> FifResult:
-    """Evaluate the FIF product for one (present, next, protected) triple."""
-    if not (bx.width == by.width == bp.width):
-        raise RuleError(f"width mismatch: {bx}, {by}, {bp}")
+def fif_metric(bx: str, by: str, bp: str) -> FifResult:
+    """Evaluate the FIF product for one (present, next, protected) triple of
+    equal-width bit strings such as "010", index 0 the MSB."""
+    if not bx or not len(bx) == len(by) == len(bp) or not set(bx + by + bp) <= {"0", "1"}:
+        raise RuleError(f"not three equal-width bit strings: {bx!r}, {by!r}, {bp!r}")
     per_bit = []
     overall = 1
-    for i in range(bx.width):
-        triple = BitTriple(bx.bit(i), by.bit(i), bp.bit(i), i)
+    for i, (x, y, p) in enumerate(zip(bx, by, bp)):
+        triple = BitTriple(int(x), int(y), int(p), i)
         fif_i = (triple.bx ^ triple.by) | (triple.bx & triple.bp)
         per_bit.append((triple, fif_i))
         overall &= fif_i
@@ -204,7 +203,7 @@ def _scored_edges(stg: Stg, include_self: bool) -> list[Transition]:
 
 
 def _fif_pair(stg: Stg, source: str, target: str, protected: str) -> FifResult:
-    base = fif_metric(stg.encoding_of(source), stg.encoding_of(target), stg.encoding_of(protected))
+    base = fif_metric(*(f"{stg.code_of(n):0{stg.width}b}" for n in (source, target, protected)))
     return FifResult(base.per_bit, base.overall, source, target, protected)
 
 
@@ -243,6 +242,7 @@ def check_fif_rule(stg: Stg, include_self_edges: bool = False) -> list[RuleViola
 
 def check_hd_rule(stg: Stg, include_self_edges: bool = False) -> list[RuleViolation]:
     code = stg.code_of
+    bits = {name: f"{code(name):0{stg.width}b}" for name in stg.state_names}
     violations = []
     for t in _scored_edges(stg, include_self_edges):
         hd = (code(t.source) ^ code(t.target)).bit_count()
@@ -253,8 +253,7 @@ def check_hd_rule(stg: Stg, include_self_edges: bool = False) -> list[RuleViolat
                 transition=(t.source, t.target),
                 span=t.span,
                 evidence={"hamming_distance": hd,
-                          "encodings": [str(stg.encoding_of(t.source)),
-                                        str(stg.encoding_of(t.target))]},
+                          "encodings": [bits[t.source], bits[t.target]]},
             ))
     return violations
 
@@ -262,7 +261,7 @@ def check_hd_rule(stg: Stg, include_self_edges: bool = False) -> list[RuleViolat
 def detect_static_deadlock(stg: Stg) -> list[RuleViolation]:
     """A reachable state every outgoing edge of which is a self loop, entered
     from some distinct reachable state."""
-    reach = reachable_states(stg)
+    reach = stg.reachable
     violations = []
     for s in stg.states:
         if s.name not in reach:
@@ -337,7 +336,7 @@ def detect_trap_loops(stg: Stg) -> list[RuleViolation]:
     """Strongly connected sets of reachable states with no exit edge, forming
     a proper subset of the reachable set.  Single-state traps are reported as
     static deadlocks, never twice."""
-    reach = reachable_states(stg)
+    reach = stg.reachable
     succ = {n: [t.target for t in stg.out_edges(n)] for n in reach}
     traps: list[set[str]] = []
     for comp in _tarjan_sccs([n for n in stg.state_names if n in reach], succ):
@@ -362,7 +361,7 @@ def detect_trap_loops(stg: Stg) -> list[RuleViolation]:
 
 
 def detect_unreachable_states(stg: Stg) -> list[RuleViolation]:
-    reach = reachable_states(stg)
+    reach = stg.reachable
     violations = []
     for s in stg.states:
         if s.name in reach or s.name == stg.reset_state:
@@ -381,20 +380,19 @@ def detect_unreachable_states(stg: Stg) -> list[RuleViolation]:
 def detect_duplicate_encodings(stg: Stg) -> list[RuleViolation]:
     """Every pair (a, b) sharing a code, a declared before b, ordered by a
     then b."""
-    groups: dict[str, list[State]] = {}
+    groups: dict[int, list[State]] = {}
     for s in stg.states:
-        groups.setdefault(s.encoding.bits, []).append(s)
-    taken: dict[str, int] = {}
+        groups.setdefault(s.code, []).append(s)
+    taken: dict[int, int] = {}
     violations = []
     for a in stg.states:
-        bits = a.encoding.bits
-        taken[bits] = taken.get(bits, 0) + 1
-        for b in groups[bits][taken[bits]:]:
+        taken[a.code] = taken.get(a.code, 0) + 1
+        for b in groups[a.code][taken[a.code]:]:
             violations.append(RuleViolation(
                 rule=Rule.DUPLICATE_ENCODING,
                 states=(a.name, b.name),
                 span=b.span,
-                evidence={"encoding": bits},
+                evidence={"encoding": f"{a.code:0{stg.width}b}"},
             ))
     return violations
 

@@ -1,9 +1,10 @@
-"""State-transition graph extraction and the graph/bit primitives every
+"""State-transition graph extraction and the graph primitives every
 security rule shares."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .ast_nodes import Assign, CaseArm, FsmAst, IfChain, Stmt
@@ -17,38 +18,6 @@ _CONST_FALSE = {"0", "1'b0"}
 
 class StgError(ValueError):
     pass
-
-
-@dataclass(frozen=True, slots=True)
-class Encoding:
-    """Fixed-width bit vector; index 0 is the most significant bit."""
-
-    bits: str
-
-    def __post_init__(self) -> None:
-        if not self.bits or any(c not in "01" for c in self.bits):
-            raise ValueError(f"bad encoding {self.bits!r}")
-
-    @property
-    def width(self) -> int:
-        return len(self.bits)
-
-    @classmethod
-    def from_int(cls, value: int, width: int) -> "Encoding":
-        return cls(format(value, f"0{width}b"))
-
-    def bit(self, index: int) -> int:
-        return int(self.bits[index])
-
-    def __str__(self) -> str:
-        return self.bits
-
-
-def hamming_distance(a: Encoding, b: Encoding) -> int:
-    """Number of differing bit positions between two equal-width encodings."""
-    if a.width != b.width:
-        raise StgError(f"width mismatch: {a.bits} vs {b.bits}")
-    return sum(1 for x, y in zip(a.bits, b.bits) if x != y)
 
 
 class GuardKind(Enum):
@@ -89,7 +58,7 @@ class Guard:
 @dataclass(frozen=True, slots=True)
 class State:
     name: str
-    encoding: Encoding
+    code: int
     protected: bool = False
     span: Span = field(default=_NOSPAN, compare=False)
 
@@ -118,12 +87,11 @@ class Stg:
         # The index is not a field, so ==, hash and repr ignore it.  The first
         # declaration of a name wins; adjacency skips constant-false guards.
         by_name = {s.name: s for s in reversed(self.states)}
-        code = {name: int(s.encoding.bits, 2) for name, s in by_name.items()}
         if self.reset_state not in by_name:
             raise StgError(f"reset state {self.reset_state} is not declared")
         for s in self.states:
-            if s.encoding.width != self.width:
-                raise StgError(f"state {s.name} width differs from STG width")
+            if not 0 <= s.code < 1 << self.width:
+                raise StgError(f"state {s.name} code does not fit the STG width")
         out: dict[str, list[Transition]] = {}
         into: dict[str, list[Transition]] = {}
         for t in self.transitions:
@@ -133,7 +101,6 @@ class Stg:
                 out.setdefault(t.source, []).append(t)
                 into.setdefault(t.target, []).append(t)
         object.__setattr__(self, "_by_name", by_name)
-        object.__setattr__(self, "_code", code)
         object.__setattr__(self, "_out", out)
         object.__setattr__(self, "_in", into)
 
@@ -148,13 +115,15 @@ class Stg:
     def protected_names(self) -> frozenset[str]:
         return frozenset(s.name for s in self.states if s.protected)
 
-    def encoding_of(self, name: str) -> Encoding:
-        return self.state(name).encoding
-
     def code_of(self, name: str) -> int:
         """The state's encoding as an integer; bit 0 of the encoding is its
         most significant bit."""
-        return self._code[name]
+        return self._by_name[name].code
+
+    @cached_property
+    def reachable(self) -> frozenset[str]:
+        """reachable_states of this graph, computed on first use."""
+        return reachable_states(self)
 
     def out_edges(self, name: str) -> list[Transition]:
         return list(self._out.get(name, ()))
@@ -260,7 +229,7 @@ def extract_stg(ast: FsmAst, protected: Iterable[str] = ()) -> Stg:
             raise StgError(f"protected state {name} is not declared")
 
     states = tuple(
-        State(p.name, Encoding(p.bits), p.name in protected_set, p.span)
+        State(p.name, p.code, p.name in protected_set, p.span)
         for p in ast.parameters
     )
     leading_target = ast.comb.leading_target_for(ast.state_next)

@@ -9,7 +9,6 @@ import random
 import pytest
 
 from fsmguard import (
-    Encoding,
     RULE_FOR_CLASS,
     Rule,
     SourceText,
@@ -49,8 +48,8 @@ def _announce(criterion: str, ok: bool) -> None:
 
 
 def test_c01_fif_exactness():
-    r1 = fif_metric(Encoding("010"), Encoding("011"), Encoding("000"))
-    r2 = fif_metric(Encoding("1000"), Encoding("1100"), Encoding("1110"))
+    r1 = fif_metric("010", "011", "000")
+    r2 = fif_metric("1000", "1100", "1110")
     ok = ([v for _, v in r1.per_bit] == [0, 0, 1] and r1.overall == 0
           and [v for _, v in r2.per_bit] == [1, 1, 0, 0] and r2.overall == 0)
     _announce("criterion 1 (FIF exactness)", ok)
@@ -59,7 +58,7 @@ def test_c01_fif_exactness():
 def test_c02_fif_oracle_equivalence():
     codes = [format(i, "03b") for i in range(8)]
     ok = all(
-        fif_metric(Encoding(bx), Encoding(by), Encoding(bp)).overall
+        fif_metric(bx, by, bp).overall
         == _oracle_fif(bx, by, bp)
         for bx, by, bp in itertools.product(codes, repeat=3)
     )
@@ -152,7 +151,7 @@ def test_c07_mitigation():
     brute_min = brute_force_min_residual(stg7, {"WAIT_KEY"})
     stg8 = design_stg("aes_ctrl_default", {"WAIT_KEY"})
     listing8_score = score_assignment(
-        stg8, {s.name: s.encoding for s in stg8.states})
+        stg8, {s.name: s.code for s in stg8.states})
     ok = (rate_ok
           and assignment.residual_count == 0
           and brute_min == 0

@@ -179,6 +179,16 @@ def test_parse_conflicting_net_kinds(moore_conflict):
                for d in result.errors)
 
 
+@pytest.mark.parametrize("header", [
+    "module m (input clk, output wire reg [1:0] x);",
+    "module m (clk, x);\ninput clk;\noutput wire reg [1:0] x;",
+])
+def test_port_kind_conflict_names_the_port(header):
+    result = parse_source(SourceText(header + "\nendmodule\n"))
+    assert [d.message for d in result.errors if d.code == "E_PORT_KIND"] == [
+        "conflicting net kinds for x"]
+
+
 def test_parse_empty_module_body():
     result = parse_source(SourceText("module m;\nendmodule\n"))
     assert result.ast is None
@@ -194,6 +204,19 @@ always @(*) begin case (s) A: n = A; endcase end
 endmodule"""
     result = parse_source(SourceText(text))
     assert any(d.code == "E_ENCODING" for d in result.errors)
+
+
+def test_parse_zero_width_state_literal():
+    # with no declared state registers nothing else checks the width, and
+    # every code of a zero-width register would read as 0
+    text = """module m (input clk, input rst);
+parameter A = 0'b0, B = 0'b1;
+always @(posedge clk) begin if (rst) s <= A; else s <= n; end
+always @(*) begin case (s) A: n = B; B: n = A; endcase end
+endmodule"""
+    result = parse_source(SourceText(text))
+    assert result.ast is None
+    assert [d.code for d in result.errors] == ["E_ENCODING", "E_ENCODING"]
 
 
 @pytest.mark.parametrize("cut", ["busy = 1", "busy = (1)"])

@@ -111,7 +111,7 @@ def test_duplicate_injection_aes_pair():
     ast = design_ast("aes_ctrl")
     for seed in range(200):
         injected, plan = plan_injection(VulnClass.DUPLICATE_ENCODING, ast, seed=seed)
-        if plan.target_state == "DO_ROUND" and injected.param("DO_ROUND").bits == "001":
+        if plan.target_state == "DO_ROUND" and injected.param("DO_ROUND").code == 0b001:
             report = run_all_checks(emit_verilog(injected))
             dups = report.violations_of(Rule.DUPLICATE_ENCODING)
             assert len(dups) == 1
@@ -139,8 +139,8 @@ def test_duplicate_plan_names_rewritten_parameter(vending):
     ast = design_ast("vending")
     injected, plan = plan_injection(VulnClass.DUPLICATE_ENCODING, ast, seed=9)
     assert plan.target_state in ast.param_names
-    original = ast.param(plan.target_state).bits
-    assert injected.param(plan.target_state).bits != original
+    original = ast.param(plan.target_state).code
+    assert injected.param(plan.target_state).code != original
 
 
 # -- unreachable state --------------------------------------------------------------
@@ -215,7 +215,7 @@ def _taking_unused_codes() -> list:
         lambda: plan_injection(VulnClass.UNREACHABLE_STATE, full, 0)[0],
         lambda: remove_default_arm(full)[0],
         lambda: uniquify_encodings(duplicated),
-        lambda: uniquify_encodings(full.with_encodings({"B": "0"})),
+        lambda: uniquify_encodings(full.with_encodings({"B": 0})),
         lambda: uniquify_encodings(parse_source(SourceText(_ONE_BIT_FULL.replace(
             "parameter B = 1'b1;", "parameter B = 1'b0;\nparameter C = 1'b1;"))).expect_ast()),
     ]

@@ -2,11 +2,11 @@
 import importlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from fsmguard import (
-    Encoding,
     EncodingAssignment,
     MitigationError,
     ParseFailure,
@@ -19,7 +19,6 @@ from fsmguard import (
     apply_encoding_assignment,
     emit_verilog,
     extract_stg,
-    hamming_distance,
     mitigate,
     parse_source,
     plan_injection,
@@ -91,7 +90,7 @@ def test_reencode_two_states_one_bit():
     stg = make_stg({"A": "0", "B": "1"}, [("A", "B"), ("B", "A")], "A")
     assignment = reencode_states(stg)
     assert assignment.residual_count == 0
-    assert {str(e) for e in assignment.mapping.values()} == {"0", "1"}
+    assert set(assignment.mapping.values()) == {0, 1}
 
 
 def test_reencode_too_many_states():
@@ -117,7 +116,7 @@ def test_reencode_ties_break_lexicographically():
         cost = sum(1 for x, y in edges if bin(mapping[x] ^ mapping[y]).count("1") != 1)
         if cost == 0 and (best is None or perm < best):
             best = perm
-    got = tuple(int(a.mapping[n].bits, 2) for n in names)
+    got = tuple(a.mapping[n] for n in names)
     assert got == best
 
 
@@ -178,8 +177,8 @@ def _reference_reencode(stg, protected=frozenset(), include_self_edges=False):
                 assign.pop()
 
     search([], set())
-    mapping = {name: Encoding.from_int(code, width) for name, code in zip(names, best)}
-    residual = tuple((a, b) for a, b in edges if hamming_distance(mapping[a], mapping[b]) != 1)
+    mapping = dict(zip(names, best))
+    residual = tuple((a, b) for a, b in edges if bin(mapping[a] ^ mapping[b]).count("1") != 1)
     return EncodingAssignment(mapping=mapping, residual_violations=residual, optimal=True)
 
 
@@ -240,6 +239,21 @@ def test_mitigate_reports_whether_the_encoding_is_optimal(aes_ctrl, monkeypatch)
     assert mitigate(aes_ctrl, report).encoding_optimal is False
 
 
+def test_reencode_wide_register_builds_rows_for_placed_codes_only():
+    # designs/vending.v widened to 12 bits: a full code-pair table would hold
+    # 2^24 entries, more than 100 MB, for a four-state search
+    text = design_source("vending").content.replace("3'b", "12'b").replace("[2:0]", "[11:0]")
+    wide = extract_stg(parse_source(SourceText(text)).expect_ast(), {"IDLE"})
+    tracemalloc.start()
+    try:
+        got = reencode_states(wide, {"IDLE"})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.mapping == reencode_states(design_stg("vending", {"IDLE"}), {"IDLE"}).mapping
+    assert peak < 16 * 2**20
+
+
 def test_reencode_residual_skips_edges_of_passed_protected_states():
     codes = {"a": "00", "b": "01", "c": "10", "d": "11"}
     edges = [("a", "b"), ("b", "c"), ("c", "a"), ("a", "d"), ("d", "b"), ("b", "a")]
@@ -250,7 +264,7 @@ def test_reencode_residual_skips_edges_of_passed_protected_states():
 
 def test_score_assignment_listing8():
     stg = design_stg("aes_ctrl_default", {"WAIT_KEY"})
-    mapping = {s.name: s.encoding for s in stg.states}
+    mapping = {s.name: s.code for s in stg.states}
     assert score_assignment(stg, mapping) == [("FINAL_ROUND", "WAIT_DATA")]
 
 
@@ -335,7 +349,7 @@ def test_uniquify_assigns_lowest_free_code():
     fixed = uniquify_encodings(injected)
     report = run_all_checks(emit_verilog(fixed))
     assert Rule.DUPLICATE_ENCODING not in report.violated_rules
-    seen = [p.bits for p in fixed.parameters]
+    seen = [p.code for p in fixed.parameters]
     assert len(seen) == len(set(seen))
 
 

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsmguard import (
-    Encoding,
     FsmAst,
     Guard,
     Rule,
@@ -29,39 +28,44 @@ from fsmguard import (
     detect_unreachable_states,
     extract_stg,
     fif_metric,
-    hamming_distance,
     parse_source,
     run_all_checks,
     unprotected_transitions,
 )
 
-from conftest import DESIGNS, design_ast, design_source, design_stg
+from conftest import DESIGNS, count_calls, design_ast, design_source, design_stg
 from test_stg import make_stg
 
 
 # -- FIF metric ------------------------------------------------------------------
 
 def test_fif_worked_example_zero():
-    res = fif_metric(Encoding("010"), Encoding("011"), Encoding("000"))
+    res = fif_metric("010", "011", "000")
     assert [v for _, v in res.per_bit] == [0, 0, 1]
     assert res.overall == 0
 
 
 def test_fif_idle_to_init():
-    res = fif_metric(Encoding("1000"), Encoding("1100"), Encoding("1110"))
+    res = fif_metric("1000", "1100", "1110")
     assert [v for _, v in res.per_bit] == [1, 1, 0, 0]
     assert res.overall == 0
 
 
 def test_fif_all_ones():
-    res = fif_metric(Encoding("1111"), Encoding("1111"), Encoding("1111"))
+    res = fif_metric("1111", "1111", "1111")
     assert [v for _, v in res.per_bit] == [1, 1, 1, 1]
     assert res.overall == 1
 
 
 def test_fif_width_mismatch():
     with pytest.raises(RuleError):
-        fif_metric(Encoding("01"), Encoding("011"), Encoding("010"))
+        fif_metric("01", "011", "010")
+
+
+@pytest.mark.parametrize("bits", [("01x", "011", "010"), ("", "", "")])
+def test_fif_rejects_what_is_not_a_bit_string(bits):
+    with pytest.raises(RuleError):
+        fif_metric(*bits)
 
 
 def _oracle_fif(bx: str, by: str, bp: str) -> int:
@@ -79,7 +83,7 @@ def _oracle_fif(bx: str, by: str, bp: str) -> int:
 def test_fif_matches_oracle_on_all_3bit_triples():
     codes = [format(i, "03b") for i in range(8)]
     for bx, by, bp in itertools.product(codes, repeat=3):
-        got = fif_metric(Encoding(bx), Encoding(by), Encoding(bp)).overall
+        got = fif_metric(bx, by, bp).overall
         assert got == _oracle_fif(bx, by, bp), (bx, by, bp)
 
 
@@ -90,9 +94,8 @@ _enc3 = st.integers(min_value=0, max_value=7).map(lambda i: format(i, "03b"))
 def test_fif_invariant_under_bit_permutation(bx, by, bp, perm):
     def permute(bits):
         return "".join(bits[i] for i in perm)
-    base = fif_metric(Encoding(bx), Encoding(by), Encoding(bp)).overall
-    swapped = fif_metric(Encoding(permute(bx)), Encoding(permute(by)),
-                         Encoding(permute(bp))).overall
+    base = fif_metric(bx, by, bp).overall
+    swapped = fif_metric(permute(bx), permute(by), permute(bp)).overall
     assert base == swapped
 
 
@@ -102,7 +105,7 @@ def test_fif_self_transition_closed_form(bx, bp):
     expected = 1
     for x, p in zip(bx, bp):
         expected &= int(x) & int(p)
-    assert fif_metric(Encoding(bx), Encoding(bx), Encoding(bp)).overall == expected
+    assert fif_metric(bx, bx, bp).overall == expected
 
 
 # -- FIF rule over an STG -----------------------------------------------------------
@@ -150,8 +153,7 @@ def test_hd_rule_consistent_with_unprotected_transitions():
         stg = design_stg(name, protected)
         flagged = {v.transition for v in check_hd_rule(stg, include_self_edges=True)}
         expected = {(t.source, t.target) for t in unprotected_transitions(stg)
-                    if hamming_distance(stg.encoding_of(t.source),
-                                        stg.encoding_of(t.target)) != 1}
+                    if bin(stg.code_of(t.source) ^ stg.code_of(t.target)).count("1") != 1}
         assert flagged == expected
 
 
@@ -231,7 +233,7 @@ def test_fif_and_hd_findings_match_an_independent_oracle(fsm):
     found = [v for v in report.violations if v.rule in (Rule.HD_NOT_ONE, Rule.FIF_NONZERO)]
     assert sorted((v.rule.value, v.states) for v in found) == \
         encoding_oracle(width, codes, edges, protected)
-    enc = {f"S{i}": Encoding(format(c, f"0{width}b")) for i, c in enumerate(codes)}
+    enc = {f"S{i}": format(c, f"0{width}b") for i, c in enumerate(codes)}
     for v in found:
         if v.rule is Rule.FIF_NONZERO:
             s, d, p = v.states
@@ -239,8 +241,8 @@ def test_fif_and_hd_findings_match_an_independent_oracle(fsm):
             assert v.evidence == {"fif": want.to_json()}
         else:
             s, d = v.states
-            hd = sum(a != b for a, b in zip(enc[s].bits, enc[d].bits))
-            assert v.evidence == {"hamming_distance": hd, "encodings": [enc[s].bits, enc[d].bits]}
+            hd = sum(a != b for a, b in zip(enc[s], enc[d]))
+            assert v.evidence == {"hamming_distance": hd, "encodings": [enc[s], enc[d]]}
 
 
 # -- deadlock ---------------------------------------------------------------------
@@ -535,6 +537,13 @@ def test_run_all_checks_deadlock_only(vending_deadlock):
     report = run_all_checks(vending_deadlock)
     assert [v.rule for v in report.violations] == [Rule.STATIC_DEADLOCK]
     assert report.violations[0].states == ("DEADLOCK_STATE",)
+
+
+def test_one_reachability_pass_per_check(monkeypatch):
+    calls = count_calls(monkeypatch, "fsmguard.stg", "reachable_states")
+    report = run_all_checks(design_source("fsm_review"))
+    assert Rule.UNREACHABLE_STATE in report.violated_rules
+    assert len(calls) == 1
 
 
 def test_run_all_checks_parse_failure(moore_conflict):

@@ -1,10 +1,9 @@
-"""STG extraction and the shared graph/bit primitives."""
+"""STG extraction and the shared graph primitives."""
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsmguard import (
-    Encoding,
     Guard,
     SourceText,
     State,
@@ -14,7 +13,6 @@ from fsmguard import (
     dump_stg,
     emit_verilog,
     extract_stg,
-    hamming_distance,
     parse_source,
     reachable_states,
     stg_isomorphic_modulo_encoding,
@@ -26,7 +24,7 @@ from conftest import design_ast, design_stg
 
 def make_stg(codes: dict[str, str], edges, reset, protected=(), default=None):
     width = len(next(iter(codes.values())))
-    states = tuple(State(n, Encoding(c), n in protected) for n, c in codes.items())
+    states = tuple(State(n, int(c, 2), n in protected) for n, c in codes.items())
     transitions = tuple(Transition(a, b, Guard.always()) for a, b in edges)
     return Stg(states=states, transitions=transitions, reset_state=reset,
                width=width, default_arm_target=default)
@@ -104,39 +102,11 @@ endmodule"""
     assert [(t.target, t.guard.kind.value) for t in stg.out_edges("B")] == [("B", "hold")]
 
 
-# -- hamming --------------------------------------------------------------------
-
-def test_hamming_golden_cases():
-    assert hamming_distance(Encoding("001"), Encoding("010")) == 2
-    assert hamming_distance(Encoding("011"), Encoding("100")) == 3
-    assert hamming_distance(Encoding("101"), Encoding("101")) == 0
-
-
-def test_hamming_width_mismatch():
-    with pytest.raises(StgError):
-        hamming_distance(Encoding("01"), Encoding("011"))
-
-
-_bits = st.integers(min_value=1, max_value=6).flatmap(
-    lambda w: st.tuples(*(st.lists(st.sampled_from("01"), min_size=w, max_size=w)
-                          .map("".join) for _ in range(3))))
-
-
-@given(_bits)
-def test_hamming_metric_properties(triple):
-    a, b, c = (Encoding(x) for x in triple)
-    assert hamming_distance(a, b) == hamming_distance(b, a)
-    assert (hamming_distance(a, b) == 0) == (a == b)
-    assert hamming_distance(a, c) <= hamming_distance(a, b) + hamming_distance(b, c)
-
-
 def test_integer_codes_follow_the_first_declaration():
-    states = (State("a", Encoding("011")), State("b", Encoding("000")),
-              State("a", Encoding("100")))
+    states = (State("a", 0b011), State("b", 0b000), State("a", 0b100))
     stg = Stg(states=states, transitions=(Transition("a", "b", Guard.always()),),
               reset_state="a", width=3)
     assert [stg.code_of(n) for n in ("a", "b")] == [0b011, 0]
-    assert stg.encoding_of("a") == Encoding("011")
 
 
 # -- reachability -----------------------------------------------------------------
@@ -159,7 +129,7 @@ def test_reachable_single_state():
 def test_reachable_skips_constant_false_guards():
     states = {"A": "00", "B": "01", "C": "10"}
     stg = Stg(
-        states=tuple(State(n, Encoding(c)) for n, c in states.items()),
+        states=tuple(State(n, int(c, 2)) for n, c in states.items()),
         transitions=(
             Transition("A", "B", Guard.always()),
             Transition("B", "C", Guard.expr("1'b0")),
@@ -250,8 +220,8 @@ def test_extract_commutes_with_emit(name):
     direct = extract_stg(ast)
     reparsed = parse_source(emit_verilog(ast)).expect_ast()
     assert stg_isomorphic_modulo_encoding(direct, extract_stg(reparsed))
-    assert [s.encoding for s in direct.states] == [
-        s.encoding for s in extract_stg(reparsed).states]
+    assert [s.code for s in direct.states] == [
+        s.code for s in extract_stg(reparsed).states]
 
 
 def test_dump_stg_format():
