@@ -4,15 +4,17 @@ Equality between nodes is structural: spans and other layout trivia do not
 participate, so a parse -> emit -> parse round trip compares equal.
 
 No node is mutated once the parser has built it.  An edit returns a new tree
-that rebuilds the nodes on the path it changes and shares all the others.
+that rebuilds the nodes on the path it changes and shares all the others; a
+rename (``FsmAst.renamed``) rebuilds every node that holds a name.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import islice
-from typing import Optional, Union
+from typing import Mapping, Optional, Union
 
 from .source import Span
+from .tokens import rename_identifiers
 
 _NOSPAN = Span(1, 1)
 
@@ -61,6 +63,20 @@ class IfChain:
 
 
 Stmt = Union[Assign, IfChain]
+
+
+def walk(stmts: list[Stmt]) -> list[Union[Assign, Branch]]:
+    """Every Assign and Branch under stmts, in source order: a branch comes
+    before the statements of its body."""
+    out: list[Union[Assign, Branch]] = []
+    for stmt in stmts:
+        if isinstance(stmt, Assign):
+            out.append(stmt)
+        else:
+            for br in stmt.branches:
+                out.append(br)
+                out += walk(br.body)
+    return out
 
 
 @dataclass(slots=True)
@@ -130,6 +146,12 @@ class FsmAst:
         raise KeyError(name)
 
     @property
+    def names(self) -> set[str]:
+        """The declared identifiers: module, ports, state registers, states."""
+        return ({self.module_name, self.state_cur, self.state_next}
+                | {p.name for p in self.ports} | set(self.param_names))
+
+    @property
     def encodings(self) -> dict[str, int]:
         return {p.name: p.code for p in self.parameters}
 
@@ -156,6 +178,43 @@ class FsmAst:
         """A copy whose parameters named in codes carry the given codes."""
         return replace(self, parameters=[replace(p, code=codes[p.name]) if p.name in codes else p
                                          for p in self.parameters])
+
+    def renamed(self, rename: Mapping[str, str]) -> FsmAst:
+        """A copy with every name it holds, declared or read, mapped through
+        rename; names rename lacks stay."""
+        def name(n):    # an arm label may be None
+            return rename.get(n, n)
+
+        def expr(text: str) -> str:
+            return rename_identifiers(text, rename)
+
+        def stmts(body: list[Stmt]) -> list[Stmt]:
+            return [Assign(name(s.lhs), expr(s.rhs), s.span) if isinstance(s, Assign)
+                    else IfChain(list(map(branch, s.branches)), s.span) for s in body]
+
+        def branch(br: Branch) -> Branch:
+            return Branch(None if br.guard is None else expr(br.guard), stmts(br.body), br.span)
+
+        def arm(a: CaseArm) -> CaseArm:
+            return CaseArm(name(a.label), stmts(a.body), a.span)
+
+        seq, comb = self.seq, self.comb
+        return replace(
+            self,
+            module_name=name(self.module_name),
+            ports=[replace(p, name=name(p.name)) for p in self.ports],
+            parameters=[replace(p, name=name(p.name)) for p in self.parameters],
+            state_cur=name(self.state_cur),
+            state_next=name(self.state_next),
+            seq=replace(seq, clock=name(seq.clock), reset=name(seq.reset),
+                        reset_cond=expr(seq.reset_cond),
+                        reset_target=name(seq.reset_target)),
+            comb=replace(comb, sens_list=tuple(map(name, comb.sens_list)),
+                         leading=stmts(comb.leading), subject=name(comb.subject),
+                         arms=list(map(arm, comb.arms)),
+                         default_arm=comb.default_arm and arm(comb.default_arm)),
+            protected_annotations=frozenset(map(name, self.protected_annotations)),
+        )
 
     def unused_encodings(self) -> list[str]:
         """Every code no state uses, as bit strings: the listing reports print."""

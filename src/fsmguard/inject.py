@@ -75,11 +75,6 @@ def _fresh_name(base: str, taken: set[str]) -> str:
     return name
 
 
-def _taken_names(ast: FsmAst) -> set[str]:
-    return (set(ast.param_names) | {p.name for p in ast.ports}
-            | {ast.state_cur, ast.state_next, ast.module_name})
-
-
 def _lowest_unused_encodings(ast: FsmAst, count: int) -> list[int]:
     unused = ast.lowest_unused_encodings(count)
     if len(unused) < count:
@@ -268,13 +263,13 @@ def _static_deadlock_edits(base: CheckReport) -> Iterator[_Edit]:
     if Rule.STATIC_DEADLOCK in base.violated_rules:
         raise InjectError("design already contains a static deadlock")
     codes = _lowest_unused_encodings(base.ast, 1)
-    name = _fresh_name("deadlock_state", _taken_names(base.ast))
+    name = _fresh_name("deadlock_state", base.ast.names)
     return _redirect_edits(base, (name,), codes, f"self-looping {name}")
 
 
 def _trap_loop_edits(base: CheckReport) -> Iterator[_Edit]:
     codes = _lowest_unused_encodings(base.ast, 2)
-    taken = _taken_names(base.ast)
+    taken = base.ast.names
     name_a = _fresh_name("trap_state_1", taken)
     name_b = _fresh_name("trap_state_2", taken | {name_a})
     return _redirect_edits(base, (name_a, name_b), codes,
@@ -299,7 +294,7 @@ def _duplicate_encoding_edits(base: CheckReport) -> Iterator[_Edit]:
 def _unreachable_state_edits(base: CheckReport) -> Iterator[_Edit]:
     ast = base.ast
     code = _lowest_unused_encodings(ast, 1)[0]
-    name = _fresh_name("unreachable_state", _taken_names(ast))
+    name = _fresh_name("unreachable_state", ast.names)
     markers = (f"param:{name}", f"arm:{name}")
     for target in ast.param_names:
         for sig in ast.data_inputs or [None]:

@@ -4,38 +4,14 @@ Warnings never block downstream analysis; they ride along in reports.
 """
 from __future__ import annotations
 
-from .ast_nodes import Assign, CaseArm, FsmAst, Stmt
-from .parser import expr_identifiers
+from .ast_nodes import Assign, CaseArm, FsmAst, walk
 from .source import Diagnostic, warning
+from .tokens import expr_identifiers
 
 LATCH_INFERENCE = "W_LATCH"
 INCOMPLETE_SENSITIVITY = "W_SENS"
 SEMICOLON_AFTER_END = "W_SEMI"
 LOCALPARAM_NORMALIZED = "W_LOCALPARAM"
-
-
-def _assigned_signals(stmts: list[Stmt]) -> set[str]:
-    names: set[str] = set()
-    for stmt in stmts:
-        if isinstance(stmt, Assign):
-            names.add(stmt.lhs)
-        else:
-            for br in stmt.branches:
-                names |= _assigned_signals(br.body)
-    return names
-
-
-def _read_signals(stmts: list[Stmt], params: set[str]) -> set[str]:
-    reads: set[str] = set()
-    for stmt in stmts:
-        if isinstance(stmt, Assign):
-            reads |= {i for i in expr_identifiers(stmt.rhs) if i not in params}
-        else:
-            for br in stmt.branches:
-                if br.guard:
-                    reads |= {i for i in expr_identifiers(br.guard) if i not in params}
-                reads |= _read_signals(br.body, params)
-    return reads
 
 
 def lint(ast: FsmAst) -> list[Diagnostic]:
@@ -49,7 +25,7 @@ def lint(ast: FsmAst) -> list[Diagnostic]:
     # Latch inference: a comb-driven signal assigned in some arms but not all,
     # with no leading default to fall back on.
     defaulted = {a.lhs for a in comb.leading}
-    per_arm = [(_assigned_signals(arm.body), arm) for arm in arms]
+    per_arm = [({n.lhs for n in walk(arm.body) if isinstance(n, Assign)}, arm) for arm in arms]
     all_assigned = set().union(*(s for s, _ in per_arm)) if per_arm else set()
     for sig in sorted(all_assigned):
         if sig in defaulted:
@@ -66,12 +42,13 @@ def lint(ast: FsmAst) -> list[Diagnostic]:
     # Sensitivity list: @(*) is always fine; a named list must cover every
     # signal the block reads.
     if not comb.sens_star:
-        reads = {comb.subject}
-        for arm in arms:
-            reads |= _read_signals(arm.body, params)
-        for a in comb.leading:
-            reads |= {i for i in expr_identifiers(a.rhs) if i not in params}
-        missing_sens = sorted(reads - set(comb.sens_list))
+        reads: set[str] = set()
+        for body in [comb.leading, *(arm.body for arm in arms)]:
+            for node in walk(body):
+                expr = node.rhs if isinstance(node, Assign) else node.guard
+                if expr:
+                    reads.update(expr_identifiers(expr))
+        missing_sens = sorted(((reads - params) | {comb.subject}) - set(comb.sens_list))
         if missing_sens:
             out.append(warning(
                 INCOMPLETE_SENSITIVITY,

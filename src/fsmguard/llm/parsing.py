@@ -17,17 +17,13 @@ _BRACKET_PAIRS = {"(": ")", "[": "]", "{": "}", "<": ">"}
 
 def _find_matching(text: str, start: int, open_m: str, close_m: str) -> int:
     """Index of the close marker matching the open marker at start
-    (nesting-aware when the markers differ).
+    (nesting-aware when the markers differ; equal markers close at the
+    next one).
 
     When the open marker begins with a bracket character whose pair is the
     close marker (e.g. "[code:" / "]"), nesting counts bare brackets, so
     bracketed payload content like bit ranges cannot end the block early.
     """
-    if open_m == close_m:
-        idx = text.find(close_m, start + len(open_m))
-        if idx == -1:
-            raise ResponseParseError(f"unbalanced markers {open_m!r}...{close_m!r}")
-        return idx
     nest_open = open_m
     if len(close_m) == 1 and open_m and _BRACKET_PAIRS.get(open_m[0]) == close_m:
         nest_open = open_m[0]

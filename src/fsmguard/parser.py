@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from .ast_nodes import (
     Assign,
@@ -24,20 +23,20 @@ from .ast_nodes import (
     Port,
     SeqBlock,
     Stmt,
+    walk,
 )
 from .source import Diagnostic, SourceText, Span, error
 from .tokens import (
+    IDENT_RE,
     Lexed,
-    SIZED_RE,
     TokKind,
     UNSUPPORTED_KEYWORDS,
+    expr_identifiers,
     parse_sized_literal,
     tokenize,
 )
 
-_PROTECTED_RE = re.compile(r"@protected\s+([A-Za-z_][A-Za-z0-9_$]*)")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
-_SIZED_OR_IDENT_RE = re.compile(f"{SIZED_RE.pattern}|{_IDENT_RE.pattern}")
+_PROTECTED_RE = re.compile(rf"@protected\s+({IDENT_RE.pattern})")
 
 _OPERANDS = (TokKind.IDENT, TokKind.NUMBER, TokKind.SIZED)
 _ENDS_ASSIGN = frozenset({"", "=", "end", "endcase", "endmodule", "begin", "if", "else"})
@@ -55,17 +54,6 @@ def render_expr(texts: list[str]) -> str:
             out.append(" ")
         out.append(text)
     return "".join(out)
-
-
-def expr_identifiers(text: str) -> list[str]:
-    """Names an expression reads; the digits of a sized literal are none."""
-    return _IDENT_RE.findall(SIZED_RE.sub(" ", text))
-
-
-def rename_identifiers(text: str, rename: Mapping[str, str]) -> str:
-    """An expression with each name it reads mapped through rename; a sized
-    literal matches whole, so its digits and base are never renamed."""
-    return _SIZED_OR_IDENT_RE.sub(lambda m: rename.get(m[0], m[0]), text)
 
 
 @dataclass
@@ -310,12 +298,14 @@ class _Parser:
             value = self.next()
             if self.kinds[value] is TokKind.SIZED:
                 width, base, digits = parse_sized_literal(self.texts[value])
-                if not width or base != "b" or any(c not in "01" for c in digits):
+                # Verilog lets "_" separate digits but not lead them
+                if (not width or base != "b" or digits[0] not in "01"
+                        or any(c not in "01_" for c in digits)):
                     self.err("E_ENCODING",
                              f"state encoding for {name} must be a sized binary literal",
                              self.span(value))
-                    digits = ""
-                code = int(digits or "0", 2) & ((1 << width) - 1)
+                    digits = "0"
+                code = int(digits.replace("_", ""), 2) & ((1 << width) - 1)
                 self.params.append(ParamDecl(name, width, code, self.span(i)))
             else:
                 self.err("E_ENCODING", f"unsized state literal for {name}", self.span(value))
@@ -667,14 +657,20 @@ class _Parser:
         # Nothing in the subset drives a register other than the state pair,
         # and the emitter declares only those two.
         declared = param_names | {seq_cur, seq_next} | set(ports)
-        for arm in all_arms:
-            self._check_stmts(arm.body, seq_next, param_names, assignable, declared)
-        for a in comb.leading:
-            self._check_declared(a.rhs, declared, a.span)
-            if a.lhs == seq_next and a.rhs not in param_names:
-                self.err("E_NEXT_TARGET", f"next-state assigned to undeclared state {a.rhs}", a.span)
-            if a.lhs not in assignable:
-                self.err("E_LHS", f"assignment to {a.lhs}, which is not next-state or an output", a.span)
+        # diagnostics follow the arms in source order, then the leading defaults
+        for node in walk([s for arm in all_arms for s in arm.body] + comb.leading):
+            if isinstance(node, Branch):
+                if node.guard is not None:
+                    self._check_declared(node.guard, declared, node.span)
+                continue
+            self._check_declared(node.rhs, declared, node.span)
+            if node.lhs == seq_next:
+                if node.rhs not in param_names:
+                    self.err("E_NEXT_TARGET",
+                             f"next-state assigned to undeclared state {node.rhs}", node.span)
+            elif node.lhs not in assignable:
+                self.err("E_LHS", f"assignment to {node.lhs}, which is not next-state or an output",
+                         node.span)
 
         for name in annotations:
             if name not in param_names:
@@ -709,25 +705,6 @@ class _Parser:
             if name not in declared:
                 self.err("E_UNDECLARED", f"{name} is not a port, state register or state",
                          span)
-
-    def _check_stmts(self, stmts: list[Stmt], next_reg: str, params: set[str],
-                     assignable: set[str], declared: set[str]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, Assign):
-                self._check_declared(stmt.rhs, declared, stmt.span)
-                if stmt.lhs == next_reg:
-                    if stmt.rhs not in params:
-                        self.err("E_NEXT_TARGET",
-                                 f"next-state assigned to undeclared state {stmt.rhs}", stmt.span)
-                elif stmt.lhs not in assignable:
-                    self.err("E_LHS",
-                             f"assignment to {stmt.lhs}, which is not next-state or an output",
-                             stmt.span)
-            else:
-                for br in stmt.branches:
-                    if br.guard is not None:
-                        self._check_declared(br.guard, declared, br.span)
-                    self._check_stmts(br.body, next_reg, params, assignable, declared)
 
 
 def parse_module(lexed: Lexed) -> ParseResult:

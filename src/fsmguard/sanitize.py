@@ -6,13 +6,11 @@ outright.  The rename map comes back so results can be de-anonymized.
 """
 from __future__ import annotations
 
-import copy
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .ast_nodes import Assign, FsmAst, Stmt
-from .parser import rename_identifiers
+from .ast_nodes import FsmAst
 
 DEFAULT_KEYWORDS = ("trojan", "trigger", "malicious", "backdoor")
 
@@ -47,85 +45,39 @@ def _scrub_comment(text: str, keywords: tuple[str, ...],
     return re.sub(r"[ \t]{2,}", " ", scrubbed).rstrip()
 
 
-def _rewrite_stmts(stmts: list[Stmt], rename: dict[str, str]) -> None:
-    for stmt in stmts:
-        if isinstance(stmt, Assign):
-            stmt.lhs = rename.get(stmt.lhs, stmt.lhs)
-            stmt.rhs = rename_identifiers(stmt.rhs, rename)
-        else:
-            for br in stmt.branches:
-                if br.guard is not None:
-                    br.guard = rename_identifiers(br.guard, rename)
-                _rewrite_stmts(br.body, rename)
-
-
 def sanitize_identifiers(ast: FsmAst, keywords: tuple[str, ...] = DEFAULT_KEYWORDS,
                          seed: int = 0) -> SanitizeResult:
     """Rename matching identifiers to neutral names and scrub comments.
 
     Naming walks declarations in order with one shared counter (module name
-    first: u0, then sig1/st2/...); the seed only drives collision-escape
-    suffixes, keeping output deterministic for equal inputs.
+    first: u0, then sig1/st2/...), one neutral name per distinct identifier;
+    the seed only drives collision-escape suffixes, keeping output
+    deterministic for equal inputs.
     """
     if not keywords:
         raise ValueError("keyword list must be non-empty")
+    if not all(k.strip() for k in keywords):
+        raise ValueError("keywords must not be empty or blank")
     keywords = tuple(k.lower() for k in keywords)
-    out = copy.deepcopy(ast)
     rng = random.Random(seed)
-    taken = {p.name for p in out.ports} | set(out.param_names)
-    taken |= {out.module_name, out.state_cur, out.state_next}
+    taken = ast.names
     rename: dict[str, str] = {}
-    counter = 0
+    declared = ([("u", ast.module_name)] + [("sig", p.name) for p in ast.ports]
+                + [("sig", ast.state_cur), ("sig", ast.state_next)]
+                + [("st", n) for n in ast.param_names])
+    for prefix, name in declared:
+        if name in rename or not _matches(name, keywords):
+            continue
+        fresh = f"{prefix}{len(rename)}"
+        while fresh in taken:
+            fresh = f"{fresh}_{rng.randrange(10)}"
+        taken.add(fresh)
+        rename[name] = fresh
 
-    def fresh(prefix: str) -> str:
-        nonlocal counter
-        name = f"{prefix}{counter}"
-        counter += 1
-        while name in taken:
-            name = f"{name}_{rng.randrange(10)}"
-        taken.add(name)
-        return name
-
-    if _matches(out.module_name, keywords):
-        rename[out.module_name] = fresh("u")
-        out.module_name = rename[out.module_name]
-    for port in out.ports:
-        if _matches(port.name, keywords):
-            rename[port.name] = fresh("sig")
-            port.name = rename[port.name]
-    for reg in (out.state_cur, out.state_next):
-        if _matches(reg, keywords):
-            rename[reg] = fresh("sig")
-    out.state_cur = rename.get(out.state_cur, out.state_cur)
-    out.state_next = rename.get(out.state_next, out.state_next)
-    for param in out.parameters:
-        if _matches(param.name, keywords):
-            rename[param.name] = fresh("st")
-            param.name = rename[param.name]
-
-    seq = out.seq
-    seq.clock = rename.get(seq.clock, seq.clock)
-    seq.reset = rename.get(seq.reset, seq.reset)
-    seq.reset_cond = rename_identifiers(seq.reset_cond, rename)
-    seq.reset_target = rename.get(seq.reset_target, seq.reset_target)
-
-    comb = out.comb
-    comb.subject = rename.get(comb.subject, comb.subject)
-    comb.sens_list = tuple(rename.get(s, s) for s in comb.sens_list)
-    for a in comb.leading:
-        a.lhs = rename.get(a.lhs, a.lhs)
-        a.rhs = rename_identifiers(a.rhs, rename)
-    arms = list(comb.arms) + ([comb.default_arm] if comb.default_arm else [])
-    for arm in arms:
-        if arm.label is not None:
-            arm.label = rename.get(arm.label, arm.label)
-        _rewrite_stmts(arm.body, rename)
-
-    out.protected_annotations = frozenset(
-        rename.get(n, n) for n in out.protected_annotations)
-    scrubbed = (_scrub_comment(c, keywords, rename) for c in out.comments)
-    out.comments = tuple(c for c in scrubbed if c.strip("/* \t"))
-    return SanitizeResult(ast=out, rename_map=rename)
+    scrubbed = (_scrub_comment(c, keywords, rename) for c in ast.comments)
+    comments = tuple(c for c in scrubbed if c.strip("/* \t"))
+    return SanitizeResult(ast=replace(ast.renamed(rename), comments=comments),
+                          rename_map=rename)
 
 
 def contains_keywords(text: str, keywords: tuple[str, ...] = DEFAULT_KEYWORDS) -> bool:

@@ -8,8 +8,8 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .ast_nodes import Assign, CaseArm, FsmAst, IfChain, Stmt
-from .parser import rename_identifiers
 from .source import Span
+from .tokens import rename_identifiers
 
 _NOSPAN = Span(1, 1)
 

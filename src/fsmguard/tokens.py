@@ -4,7 +4,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum, auto
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 from .source import Diagnostic, SourceText, Span, error
 
@@ -37,6 +37,8 @@ UNSUPPORTED_KEYWORDS = frozenset({
 
 _SIZED = r"(\d+)\s*'\s*([bBdDhHoO])([0-9a-fA-FxzXZ_]+)"
 SIZED_RE = re.compile(_SIZED)
+IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
+_SIZED_OR_IDENT_RE = re.compile(f"{_SIZED}|{IDENT_RE.pattern}")
 
 # One alternative per token class, tried in this order after the spaces and
 # tabs before a token are skipped.  A run of blank space holding a newline is
@@ -46,7 +48,7 @@ SIZED_RE = re.compile(_SIZED)
 # skipped characters, so the skip never gives one back to it.
 _MASTER_RE = re.compile(r"""[ \t\r]*(?:
     (?P<newline>\n[ \t\r\n]*)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_$]*)
+  | (?P<ident>""" + IDENT_RE.pattern + r""")
   | (?P<line_comment>//[^\n]*)
   | (?P<block_comment>/\*(?:/|.*?\*/))
   | (?P<open>/\*)
@@ -153,8 +155,20 @@ def tokenize(src: SourceText) -> Lexed:
 
 
 def parse_sized_literal(text: str) -> tuple[int, str, str]:
-    """Break a sized literal into (width, base, digits)."""
+    """Break a sized literal into (width, base, digits), the digits as
+    written, underscores included."""
     m = SIZED_RE.fullmatch(text)
     if not m:
         raise ValueError(f"not a sized literal: {text!r}")
-    return int(m.group(1)), m.group(2).lower(), m.group(3).replace("_", "")
+    return int(m.group(1)), m.group(2).lower(), m.group(3)
+
+
+def expr_identifiers(text: str) -> list[str]:
+    """Names an expression reads; the digits of a sized literal are none."""
+    return IDENT_RE.findall(SIZED_RE.sub(" ", text))
+
+
+def rename_identifiers(text: str, rename: Mapping[str, str]) -> str:
+    """An expression with each name it reads mapped through rename; a sized
+    literal matches whole, so its digits and base are never renamed."""
+    return _SIZED_OR_IDENT_RE.sub(lambda m: rename.get(m[0], m[0]), text)

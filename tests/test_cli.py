@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from fsmguard import cli_dispatch, read_corpus
+from fsmguard import SourceText, cli_dispatch, emit_verilog, parse_source, read_corpus
 
 from conftest import DESIGNS, FIXTURES
 
@@ -239,6 +239,18 @@ def test_sanitize_cli(tmp_path, capsys):
     assert mapping["trojan_trigger_unit"] == "u0"
 
 
+def test_sanitize_cli_drops_empty_keywords(tmp_path):
+    """An empty entry in --keywords would match every name and comment word."""
+    out_v = tmp_path / "clean.v"
+    out_map = tmp_path / "map.json"
+    code = run("sanitize", "--keywords", "trojan,", "--out-design", out_v,
+               "--out-map", out_map, DESIGNS / "vending.v")
+    assert code == 0
+    assert json.loads(out_map.read_text())["rename_map"] == {}
+    original = parse_source(SourceText.from_file(DESIGNS / "vending.v")).expect_ast()
+    assert out_v.read_text() == emit_verilog(original).content
+
+
 def test_check_warning_only_design_exits_zero(tmp_path, capsys):
     text = (DESIGNS / "vending.v").read_text().replace(
         "parameter IDLE", "localparam IDLE")
@@ -274,6 +286,8 @@ _VENDING = ("--design", DESIGNS / "vending.v")
     pytest.param(("gen-corpus", "--mix", "static_deadlock=1", "--seed", "1",
                   "--out", "<tmp>/no/such/dir/c.jsonl", DESIGNS / "vending.v"),
                  id="missing-out-directory"),
+    pytest.param(("sanitize", "--keywords", ",", "--out-design", "<tmp>/s.v",
+                  "--out-map", "<tmp>/m.json", DESIGNS / "vending.v"), id="no-keywords"),
 ])
 def test_io_and_value_errors_exit_two(tmp_path, capsys, argv):
     (tmp_path / "empty.v").write_text("")

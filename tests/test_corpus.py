@@ -369,3 +369,28 @@ def test_sanitize_requires_keywords():
     ast = parse_source(SourceText(TROJAN_TEXT)).expect_ast()
     with pytest.raises(ValueError):
         sanitize_identifiers(ast, keywords=())
+
+
+@pytest.mark.parametrize("keywords", [("",), ("trojan", ""), ("trojan", " \t")])
+def test_sanitize_rejects_blank_keyword(keywords):
+    """An empty keyword is a substring of every name and comment word."""
+    ast = parse_source(SourceText(TROJAN_TEXT)).expect_ast()
+    with pytest.raises(ValueError):
+        sanitize_identifiers(ast, keywords=keywords)
+
+
+def test_sanitize_state_register_port_renamed_once():
+    """A state register that is an output port is one name: one map entry,
+    and the emitted header port stays the register the design drives."""
+    text = (TROJAN_TEXT.replace("output reg leak", "output reg leak,\n    output reg [1:0] trojan_q")
+            .replace("reg [1:0] cs;\n", "").replace("cs", "trojan_q"))
+    ast = parse_source(SourceText(text)).expect_ast()
+    result = sanitize_identifiers(ast, keywords=("_q",))
+    assert result.rename_map == {"trojan_q": "sig0"}
+    emitted = emit_verilog(result.ast).content
+    assert "output reg [1:0] sig0" in emitted
+    assert [line for line in emitted.splitlines() if line.startswith("reg ")] == ["reg [1:0] ns;"]
+    reparsed = parse_source(SourceText(emitted)).expect_ast()
+    assert reparsed.state_cur == "sig0"
+    assert stg_isomorphic_modulo_encoding(rename_states(extract_stg(ast), result.rename_map),
+                                          extract_stg(reparsed))

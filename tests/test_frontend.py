@@ -1,6 +1,7 @@
 """Tokenizer, parser, linter, and emitter behavior."""
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from fsmguard.lint import (
     LOCALPARAM_NORMALIZED,
     SEMICOLON_AFTER_END,
 )
-from fsmguard.parser import expr_identifiers
+from fsmguard.tokens import IDENT_RE, expr_identifiers
 
 from conftest import DESIGNS, FIXTURES, design_ast, design_source
 
@@ -204,6 +205,25 @@ always @(*) begin case (s) A: n = A; endcase end
 endmodule"""
     result = parse_source(SourceText(text))
     assert any(d.code == "E_ENCODING" for d in result.errors)
+
+
+@pytest.mark.parametrize("literals, codes", [
+    ("A = 2'b_, B = 2'b1_", ["E_ENCODING"]),
+    ("A = 2'b_1, B = 2'b1_", ["E_ENCODING"]),
+    ("A = 2'b0_0, B = 2'b1_", []),
+])
+def test_parse_state_literal_leading_underscore(literals, codes):
+    """Verilog allows "_" between the digits of a literal but not as the first."""
+    text = f"""module m (input clk, input rst);
+parameter {literals};
+reg [1:0] s; reg [1:0] n;
+always @(posedge clk) begin if (rst) s <= A; else s <= n; end
+always @(*) begin case (s) A: n = B; B: n = A; endcase end
+endmodule"""
+    result = parse_source(SourceText(text))
+    assert [d.code for d in result.errors] == codes
+    if not codes:
+        assert result.ast.encodings == {"A": 0, "B": 1}
 
 
 def test_parse_zero_width_state_literal():
@@ -537,6 +557,37 @@ def test_roundtrip_random_designs(text):
     assert second == first
 
 
+# -- renaming -------------------------------------------------------------------
+
+_EVERY_NAME_FIELD = """module m (input clk, input rst, input go, output reg done, output reg [1:0] s);
+// @protected B
+parameter A = 2'b00, B = 2'b01, C = 2'b10;
+reg [1:0] n;
+always @(posedge clk or posedge rst) begin if (rst == 1'b1) s <= A; else s <= n; end
+always @(s or go or done) begin
+    done = 0;
+    case (s)
+        A: if (go && !done) n = B; else if (go) begin n = C; done = 1; end else n = A;
+        B: n = C;
+        C: n = A;
+        default: n = A;
+    endcase
+end
+endmodule"""
+
+
+@pytest.mark.parametrize("name", ["every_name_field", "vending", "aes_ctrl", "rsa_ctrl"])
+def test_renamed_leaves_no_old_name(name):
+    """Renaming every declared name leaves none of them in the emitted
+    design, and the result parses back to itself."""
+    src = SourceText(_EVERY_NAME_FIELD) if name == "every_name_field" else design_source(name)
+    ast = replace(parse_source(src).expect_ast(), comments=())
+    there = ast.renamed({n: f"renamed_{n}" for n in ast.names})
+    emitted = emit_verilog(there)
+    assert not set(IDENT_RE.findall(emitted.content)) & ast.names
+    assert parse_source(emitted).ast == there
+
+
 # -- parser fuzzing -------------------------------------------------------------
 
 _SHIPPED = sorted(DESIGNS.glob("*.v"))
@@ -591,4 +642,14 @@ def test_mutated_designs_never_crash_and_round_trip(case):
     result = parse_source(src)
     run_all_checks(src, frozenset({protected}), RuleConfig(fif=True))
     if result.ok:
-        assert parse_source(emit_verilog(result.ast)).ast == result.ast
+        ast = result.ast
+        text = emit_verilog(ast).content
+        assert parse_source(SourceText(text)).ast == ast
+        # a rename maps every name-bearing field and leaves its input alone
+        assert ast.renamed({}) == ast
+        forward = {n: f"renamed_{i}" for i, n in enumerate(sorted(ast.names))}
+        there = ast.renamed(forward)
+        assert there.names == set(forward.values())
+        assert parse_source(emit_verilog(there)).ast == there
+        assert there.renamed({v: k for k, v in forward.items()}) == ast
+        assert emit_verilog(ast).content == text

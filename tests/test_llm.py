@@ -126,6 +126,15 @@ def test_parse_delimited_code_nested_innermost_first():
     assert out.content == "inner"
 
 
+@pytest.mark.parametrize("marker", ["###", "`"])
+def test_parse_delimited_code_equal_markers(marker):
+    """Equal open and close markers close at the next marker; none nest."""
+    response = f"a {marker} module m; endmodule {marker} b {marker} c {marker}"
+    assert parse_delimited_code(response, marker, marker).content == "module m; endmodule"
+    with pytest.raises(ResponseParseError):
+        parse_delimited_code(f"a {marker} unclosed", marker, marker)
+
+
 @given(st.text(alphabet=st.characters(blacklist_characters="[]<>"), min_size=1)
        .filter(lambda s: s.strip()))
 def test_parse_delimited_roundtrip_identity(payload):

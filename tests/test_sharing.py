@@ -20,6 +20,7 @@ from fsmguard import (
     remove_unreachable_state,
     run_all_checks,
     run_checks_on_ast,
+    sanitize_identifiers,
     uniquify_encodings,
 )
 
@@ -96,6 +97,14 @@ def test_apply_encoding_assignment_leaves_input():
 
 def test_remove_default_arm_leaves_input():
     _untouched(design_source("aes_ctrl_default"), remove_default_arm)
+
+
+def test_sanitize_identifiers_leaves_input():
+    _untouched(SourceText.from_file(FIXTURES / "trojan_unit.v"), sanitize_identifiers)
+    text = "// @protected IDLE\n" + design_source("vending").content
+    out = _untouched(SourceText(text),
+                     lambda ast: sanitize_identifiers(ast, keywords=("e", "i", "o")))
+    assert out.ast.protected_annotations == {out.rename_map["IDLE"]}
 
 
 @pytest.mark.parametrize("vuln", list(VulnClass))
