@@ -356,8 +356,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
 def _cmd_sanitize(args: argparse.Namespace) -> int:
     src = _read_design(args.design)
     ast = parse_source(src).expect_ast()
-    keywords = (tuple(k for k in args.keywords.split(",") if k.strip()) if args.keywords
-                else DEFAULT_KEYWORDS)
+    keywords = tuple(_protected_set([args.keywords])) if args.keywords else DEFAULT_KEYWORDS
     result = sanitize_identifiers(ast, keywords, args.seed)
     text = emit_verilog(result.ast)
     out_design = args.out_design or f"{args.design}.sanitized.v"

@@ -4,18 +4,21 @@ One engine serves every gated class: a per-class generator enumerates
 candidate edits, the engine keeps only those whose result the rule checker
 flags for the intended class and nothing new (on a clean base: exactly the
 intended class, so corpus labels are trustworthy by construction), then
-draws uniformly with the caller's seed.  The sequential block is never
-touched and the module interface is preserved.
+draws uniformly with the caller's seed.  The gated set is computed once
+per (emitted base, class, protected) and memoized; each call runs only the
+seeded draw, and applies and emits only the edit drawn.  The sequential
+block is never touched and the module interface is preserved.
 """
 from __future__ import annotations
 
 import random
+import threading
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterator, Optional
 
 from .ast_nodes import Assign, Branch, CaseArm, FsmAst, IfChain, ParamDecl
-from .emitter import emit_with_markers
+from .emitter import emit_verilog, emit_with_markers
 from .rules import CheckReport, Rule, RuleConfig, run_checks_on_ast
 from .source import Span
 from .stg import StgError
@@ -191,43 +194,30 @@ class _Edit:
     arm: Optional[str] = None    # redirected arm: draw the arm first, then the edit
 
 
-def _inject(vuln: VulnClass, ast: FsmAst, seed: int,
-            protected: frozenset[str]) -> tuple[FsmAst, InjectionPlan]:
-    """Enumerate the class's edits, apply each to the base, keep those the
-    gate passes, then draw one with the seed.  Redirect classes draw a state
-    in arm order first, then one of its edits; the others draw flat."""
-    if vuln not in _EDITS:
-        raise InjectError(f"unknown vulnerability class {vuln!r}")
+_GATED_MAX = 64
+_GATED: dict[tuple, dict[Optional[str], list[_Edit]] | str] = {}
+_GATED_LOCK = threading.Lock()
+
+
+def _gate(vuln: VulnClass, ast: FsmAst,
+          protected: frozenset[str]) -> dict[Optional[str], list[_Edit]] | str:
+    """The class's edits whose result the gate passes, grouped by redirected
+    arm in enumeration order, or the message of the refusal."""
     edits, exhausted = _EDITS[vuln]
-    protected = protected | ast.protected_annotations
     base = run_checks_on_ast(ast, protected, _GATE_CONFIG)
     base_rules = frozenset(base.violated_rules)
-    kept: dict[Optional[str], list[tuple[_Edit, FsmAst]]] = {}
-    for edit in edits(base):
-        try:
-            trial = edit.apply(ast)
-        except InjectError:
-            continue
-        if _flags_exactly(trial, protected, RULE_FOR_CLASS[vuln], edit.flagged, base_rules):
-            kept.setdefault(edit.arm, []).append((edit, trial))
-    if not kept:
-        raise InjectError(exhausted)
-
-    rng = random.Random(seed)
-    if None in kept:
-        edit, injected = rng.choice(kept[None])
-    else:
-        state = rng.choice([a.label for a in ast.comb.arms if a.label in kept])
-        edit, injected = rng.choice(kept[state])
-    _, markers = emit_with_markers(injected)
-    return injected, InjectionPlan(
-        vuln=vuln,
-        seed=seed,
-        target_state=edit.target_state,
-        added_states=edit.added_states,
-        modified_spans=tuple(markers[k] for k in edit.markers if k in markers),
-        notes=edit.notes,
-    )
+    kept: dict[Optional[str], list[_Edit]] = {}
+    try:
+        for edit in edits(base):
+            try:
+                trial = edit.apply(ast)
+            except InjectError:
+                continue
+            if _flags_exactly(trial, protected, RULE_FOR_CLASS[vuln], edit.flagged, base_rules):
+                kept.setdefault(edit.arm, []).append(edit)
+    except InjectError as exc:
+        return str(exc)
+    return kept or exhausted
 
 
 def _add_state(ast: FsmAst, name: str, code: int, body: list) -> FsmAst:
@@ -354,8 +344,39 @@ def plan_injection(vuln: VulnClass, ast: FsmAst, seed: int,
     CWE835_TRAP redirect a branch of a reachable state into a fresh
     self-looping state or exit-less two-state cycle; DUPLICATE_ENCODING
     gives a second state a first state's code; UNREACHABLE_STATE adds a
-    state with exits and no entry; MISSING_DEFAULT drops the default arm."""
+    state with exits and no entry; MISSING_DEFAULT drops the default arm.
+
+    The gated edits are memoized on the emitted base, which fixes all an edit
+    reads (parse(emit(x)) equals x); the seed draws one, for a redirect class
+    an arm first, and only that edit is applied to the caller's AST."""
     if vuln is VulnClass.MISSING_DEFAULT:
         injected, plan = remove_default_arm(ast)
         return injected, replace(plan, seed=seed)
-    return _inject(vuln, ast, seed, protected)
+    if vuln not in _EDITS:
+        raise InjectError(f"unknown vulnerability class {vuln!r}")
+    protected = frozenset(protected) | ast.protected_annotations
+    key = (emit_verilog(ast).content, vuln, protected)
+    with _GATED_LOCK:
+        if key not in _GATED:
+            _GATED[key] = _gate(vuln, ast, protected)
+            if len(_GATED) > _GATED_MAX:
+                del _GATED[next(iter(_GATED))]
+        kept = _GATED[key]
+    if isinstance(kept, str):
+        raise InjectError(kept)
+    rng = random.Random(seed)
+    if None in kept:
+        edit = rng.choice(kept[None])
+    else:
+        state = rng.choice([a.label for a in ast.comb.arms if a.label in kept])
+        edit = rng.choice(kept[state])
+    injected = edit.apply(ast)
+    _, markers = emit_with_markers(injected)
+    return injected, InjectionPlan(
+        vuln=vuln,
+        seed=seed,
+        target_state=edit.target_state,
+        added_states=edit.added_states,
+        modified_spans=tuple(markers[k] for k in edit.markers if k in markers),
+        notes=edit.notes,
+    )

@@ -238,13 +238,18 @@ class _Parser:
                 self.err("E_SYNTAX", "port without a direction")
                 raise _Abort()
             name = self.expect_ident("port name")
+            if any(p.name == self.texts[name] for p in self.ports):
+                self.err("E_DUP_PORT", f"port {self.texts[name]} declared twice", self.span(name))
             self.ports.append(Port(self.texts[name], direction, kind, width, self.span(name)))
             if not self.accept(","):
                 return
 
     def _parse_port_name_list(self) -> None:
         while True:
-            self.port_order.append(self.texts[self.expect_ident("port name")])
+            i = self.expect_ident("port name")
+            if self.texts[i] in self.port_order:
+                self.err("E_DUP_PORT", f"port {self.texts[i]} listed twice", self.span(i))
+            self.port_order.append(self.texts[i])
             if not self.accept(","):
                 return
 

@@ -38,6 +38,15 @@ def count_calls(monkeypatch, module: str, name: str) -> list:
 
 
 @pytest.fixture
+def cold_gate_memo(monkeypatch):
+    """An empty injection memo for the test, so every plan_injection key it
+    uses runs the gate once; the memo in use before comes back afterwards."""
+    gated = {}
+    monkeypatch.setattr(sys.modules["fsmguard.inject"], "_GATED", gated)
+    return gated
+
+
+@pytest.fixture
 def vending():
     return design_source("vending")
 

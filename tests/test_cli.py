@@ -251,6 +251,18 @@ def test_sanitize_cli_drops_empty_keywords(tmp_path):
     assert out_v.read_text() == emit_verilog(original).content
 
 
+def test_sanitize_cli_strips_keywords(tmp_path):
+    """A space after a comma in --keywords belongs to no keyword."""
+    out_v = tmp_path / "clean.v"
+    out_map = tmp_path / "map.json"
+    code = run("sanitize", "--keywords", "malicious, trigger", "--out-design", out_v,
+               "--out-map", out_map, FIXTURES / "trojan_unit.v")
+    assert code == 0
+    assert "trigger" not in out_v.read_text().lower()
+    mapping = json.loads(out_map.read_text())["rename_map"]
+    assert {"trojan_trigger_unit", "trigger_arm"} <= set(mapping)
+
+
 def test_check_warning_only_design_exits_zero(tmp_path, capsys):
     text = (DESIGNS / "vending.v").read_text().replace(
         "parameter IDLE", "localparam IDLE")

@@ -190,6 +190,26 @@ def test_port_kind_conflict_names_the_port(header):
         "conflicting net kinds for x"]
 
 
+def test_repeated_ansi_port_is_an_error_at_the_repeat():
+    text = design_source("vending").content.replace(
+        "    input coin,\n", "    input coin,\n    output reg coin,\n", 1)
+    result = parse_source(SourceText(text))
+    assert result.ast is None
+    assert [(d.code, d.message, d.span.start) for d in result.errors] == [
+        ("E_DUP_PORT", "port coin declared twice", 5)]
+
+
+def test_repeated_port_name_in_a_name_list_header_is_an_error():
+    body = design_source("vending").content.split(");\n", 1)[1]
+    text = ("module fsm_module (clk, reset, coin, coin, productSelected, dispenseItem);\n"
+            "input clk, reset, coin, productSelected;\noutput reg dispenseItem;\n" + body)
+    result = parse_source(SourceText(text))
+    assert result.ast is None
+    assert [(d.code, d.message, d.span.start) for d in result.errors] == [
+        ("E_DUP_PORT", "port coin listed twice", 1)]
+    assert parse_source(SourceText(text.replace("coin, coin,", "coin,", 1))).ast is not None
+
+
 def test_parse_empty_module_body():
     result = parse_source(SourceText("module m;\nendmodule\n"))
     assert result.ast is None

@@ -2,6 +2,7 @@
 import difflib
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -15,6 +16,7 @@ from fsmguard import (
     VulnClass,
     emit_verilog,
     extract_stg,
+    generate_corpus,
     parse_source,
     plan_injection,
     remove_default_arm,
@@ -238,6 +240,7 @@ def test_taking_unused_codes_lists_no_others(monkeypatch):
         raise AssertionError("unused_encodings enumerated")
 
     monkeypatch.setattr(FsmAst, "unused_encodings", refuse)
+    monkeypatch.setattr(fsmguard.inject, "_GATED", {})  # run the edit generators again
     assert _taking_unused_codes() == expected
 
 
@@ -360,7 +363,7 @@ def test_unreachable_injection_into_aes_no_default():
 INJECT_GOLDEN_SHA256 = "3382ece929df36a6ccfd311dfa6ab7e9b30cf9f7f6c221bfc29991d745bc1b0f"
 
 
-def test_injection_gate_lets_checker_faults_propagate(monkeypatch):
+def test_injection_gate_lets_checker_faults_propagate(monkeypatch, cold_gate_memo):
     """The gate drops a candidate whose STG cannot be extracted; any other
     error from the checker is a fault and must reach the caller."""
     base = design_ast("vending")
@@ -377,7 +380,7 @@ def test_injection_gate_lets_checker_faults_propagate(monkeypatch):
 
 
 @pytest.mark.parametrize("vuln", [VulnClass.STATIC_DEADLOCK, VulnClass.CWE835_TRAP])
-def test_redirect_injection_extracts_only_what_it_checks(vuln, monkeypatch):
+def test_redirect_injection_extracts_only_what_it_checks(vuln, monkeypatch, cold_gate_memo):
     """The redirect edits read reachability from the base check's STG, so
     every extraction belongs to a check: the base's or a candidate's."""
     base = design_ast("vending")
@@ -407,3 +410,97 @@ def injection_digest() -> str:
 
 def test_injection_golden_identity():
     assert injection_digest() == INJECT_GOLDEN_SHA256
+
+
+# -- the gate memo -------------------------------------------------------------------------
+
+def test_injection_golden_identity_cold_then_warm(cold_gate_memo):
+    assert injection_digest() == INJECT_GOLDEN_SHA256
+    assert cold_gate_memo
+    assert injection_digest() == INJECT_GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("vuln", [VulnClass.STATIC_DEADLOCK, VulnClass.DUPLICATE_ENCODING])
+def test_warm_memo_checks_nothing_and_emits_only_the_drawn_design(
+        vuln, monkeypatch, cold_gate_memo):
+    """A re-parse of the same design hits the memo: no check runs, and the
+    only designs emitted are the base (for the key) and the result."""
+    first, first_plan = plan_injection(vuln, design_ast("vending"), 7)
+    checks = count_calls(monkeypatch, "fsmguard.rules", "run_checks_on_ast")
+    emits = count_calls(monkeypatch, "fsmguard.emitter", "emit_with_markers")
+    base = design_ast("vending")
+    injected, plan = plan_injection(vuln, base, 7)
+    assert checks == []
+    assert [args[0] for args in emits] == [base, injected]
+    assert emit_verilog(injected).content == emit_verilog(first).content
+    assert (json.dumps(plan.to_json(), sort_keys=True)
+            == json.dumps(first_plan.to_json(), sort_keys=True))
+
+
+def test_memo_key_accepts_a_plain_set_of_protected_states():
+    ast = design_ast("vending")
+    assert (plan_injection(VulnClass.STATIC_DEADLOCK, ast, 2, {"IDLE"})[1]
+            == plan_injection(VulnClass.STATIC_DEADLOCK, ast, 2, frozenset({"IDLE"}))[1])
+
+
+def test_memoized_refusal_repeats_its_message_without_checking(monkeypatch, cold_gate_memo):
+    ast = design_ast("vending_deadlock")
+    with pytest.raises(InjectError) as first:
+        plan_injection(VulnClass.STATIC_DEADLOCK, ast, 0)
+    checks = count_calls(monkeypatch, "fsmguard.rules", "run_checks_on_ast")
+    with pytest.raises(InjectError) as second:
+        plan_injection(VulnClass.STATIC_DEADLOCK, design_ast("vending_deadlock"), 1)
+    assert str(second.value) == str(first.value) == "design already contains a static deadlock"
+    assert checks == []
+
+
+@pytest.mark.parametrize("fault_on_base", [True, False])
+def test_checker_fault_leaves_no_memo_entry(fault_on_base, monkeypatch, cold_gate_memo):
+    base = design_ast("vending")
+    real = fsmguard.inject.run_checks_on_ast
+
+    def faulty(ast, *args, **kwargs):
+        if ast is base and not fault_on_base:
+            return real(ast, *args, **kwargs)
+        raise RuntimeError("checker fault")
+
+    monkeypatch.setattr(fsmguard.inject, "run_checks_on_ast", faulty)
+    with pytest.raises(RuntimeError, match="checker fault"):
+        plan_injection(VulnClass.STATIC_DEADLOCK, base, seed=0)
+    assert cold_gate_memo == {}
+    monkeypatch.setattr(fsmguard.inject, "run_checks_on_ast", real)
+    plan_injection(VulnClass.STATIC_DEADLOCK, base, seed=0)
+    assert len(cold_gate_memo) == 1
+
+
+def test_memo_holds_at_most_its_bound_and_evicts_the_oldest(monkeypatch, cold_gate_memo):
+    monkeypatch.setattr(fsmguard.inject, "_GATED_MAX", 2)
+    keys = []
+    for base in BASES:
+        for vuln in (VulnClass.UNREACHABLE_STATE, VulnClass.DUPLICATE_ENCODING):
+            plan_injection(vuln, design_ast(base), 0)
+            keys.append((emit_verilog(design_ast(base)).content, vuln, frozenset()))
+            assert len(cold_gate_memo) <= 2
+    assert list(cold_gate_memo) == keys[-2:]
+
+
+@pytest.mark.parametrize("bound", [64, 1])
+def test_parallel_corpus_from_a_cold_memo_matches_serial(bound, clean_bases, monkeypatch):
+    """Workers fill the shared memo from cold, and with a bound of one they
+    evict on every miss; with threads switching often, they still build the
+    serial corpus and the memo stays within its bound."""
+    mix = {VulnClass.STATIC_DEADLOCK: 4, VulnClass.CWE835_TRAP: 4,
+           VulnClass.DUPLICATE_ENCODING: 4}
+    monkeypatch.setattr(fsmguard.inject, "_GATED_MAX", bound)
+    gated = {}
+    monkeypatch.setattr(fsmguard.inject, "_GATED", gated)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        parallel = generate_corpus(clean_bases, mix, 4321, workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(gated) <= bound
+    monkeypatch.setattr(fsmguard.inject, "_GATED", {})
+    serial = generate_corpus(clean_bases, mix, 4321, workers=1)
+    assert [r.to_json() for r in parallel] == [r.to_json() for r in serial]

@@ -109,7 +109,7 @@ def test_sanitize_identifiers_leaves_input():
 
 @pytest.mark.parametrize("vuln", list(VulnClass))
 @pytest.mark.parametrize("base", BASES)
-def test_plan_injection_leaves_input(vuln, base):
+def test_plan_injection_leaves_input(vuln, base, cold_gate_memo):
     reset = parse_source(design_source(base)).expect_ast().seq.reset_target
     for protected in (frozenset(), frozenset({reset})):
         for seed in range(3):
