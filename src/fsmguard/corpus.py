@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
@@ -253,6 +252,7 @@ def generate_corpus(bases: Sequence[SourceText], mix: dict[VulnClass, int],
         return _make_record(vuln, i, reports, master_seed, protected)
 
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loads only for a pool
         with ThreadPoolExecutor(max_workers=workers) as pool:
             buggy = list(pool.map(work, jobs))
     else:

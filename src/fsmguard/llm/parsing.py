@@ -105,8 +105,6 @@ _TRANSITION_RE = re.compile(
     r"state transition\s+(\d+)\s*:\s*(\w+)\s*\((\w+)\)\s*(?:->|→)\s*(\w+)\s*\((\w+)\)",
     re.IGNORECASE,
 )
-_PROTECTED_LINE_RE = re.compile(
-    r"protected_state\s*:?\s*\(?\s*(\w+)\s*\(?\s*(\w*)\)?", re.IGNORECASE)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
 
@@ -245,6 +244,8 @@ def sweep_params(spec: PipelineSpec, designs: Sequence[SourceText],
         except PayloadTooLarge as exc:
             transcript = exc.transcript
         return (design.origin, gi), transcript
+
+    from concurrent.futures import ThreadPoolExecutor  # loads on the first sweep
 
     results: dict[tuple[str, int], Transcript] = {}
     with ThreadPoolExecutor(max_workers=max(1, in_flight)) as pool:

@@ -11,8 +11,6 @@ import json
 import os
 import random
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Protocol, Sequence
@@ -150,18 +148,30 @@ Transport = Callable[[str, dict, bytes, float], tuple[int, bytes]]
 
 
 def _urllib_transport(url: str, headers: dict, body: bytes, timeout: float) -> tuple[int, bytes]:
+    # The HTTP client (with email and ssl) loads on the first request, so
+    # importing fsmguard.llm for the mock provider or templates does not pay
+    # for it.
+    import http.client
+    import urllib.error
+    import urllib.request
+
     req = urllib.request.Request(url, data=body, headers=headers, method="POST")
     try:
-        with urllib.request.urlopen(req, timeout=timeout) as resp:
-            return resp.status, resp.read()
-    except urllib.error.HTTPError as exc:
-        return exc.code, exc.read()
+        try:
+            with urllib.request.urlopen(req, timeout=timeout) as resp:
+                return resp.status, resp.read()
+        except urllib.error.HTTPError as exc:
+            return exc.code, exc.read()  # reading the error body can fail too
     except TimeoutError as exc:
         raise ProviderTimeout(str(exc)) from exc
     except urllib.error.URLError as exc:
         if isinstance(exc.reason, TimeoutError):
             raise ProviderTimeout(str(exc)) from exc
         raise ProviderError(str(exc)) from exc
+    except (OSError, http.client.HTTPException) as exc:
+        # urlopen does not wrap what getresponse() or read() raise, such as
+        # RemoteDisconnected, IncompleteRead or ConnectionResetError.
+        raise ProviderError(f"transport failed: {exc!r}") from exc
 
 
 class HttpProvider:
@@ -202,8 +212,8 @@ class HttpProvider:
             raise ProviderRateLimited("rate limited (HTTP 429)")
         if status >= 400:
             raise ProviderError(f"HTTP {status}: {payload[:200]!r}")
-        data = json.loads(payload.decode("utf-8"))
         try:
-            return data["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
+            return json.loads(payload.decode("utf-8"))["choices"][0]["message"]["content"]
+        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, IndexError,
+                TypeError) as exc:
             raise ProviderError(f"malformed completion payload: {exc}") from exc

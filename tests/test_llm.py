@@ -1,4 +1,10 @@
 """LLM harness: params, templates, parsing, providers, pipelines."""
+import http.client
+import io
+import json
+import urllib.error
+import urllib.request
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -37,7 +43,7 @@ from fsmguard.llm import (
     temperature_grid,
 )
 from fsmguard.llm.pipeline import PipelineError
-from fsmguard.llm.providers import HttpProvider, ProviderConfig
+from fsmguard.llm.providers import HttpProvider, ProviderConfig, ProviderTimeout
 
 from conftest import FIXTURES, design_source
 
@@ -269,6 +275,121 @@ def test_http_provider_rate_limit_status():
         transport=lambda *a: (429, b"{}"), api_key="k")
     with pytest.raises(ProviderRateLimited):
         provider.send([], GenerationParams())
+
+
+def _reply(text: str) -> bytes:
+    return json.dumps({"choices": [{"message": {"content": text}}]}).encode()
+
+
+def _provider(**transport) -> HttpProvider:
+    """An HttpProvider with a key; urllib's transport unless one is given."""
+    return HttpProvider(ProviderConfig(endpoint="https://x", model="m"), api_key="k",
+                        **transport)
+
+
+@pytest.mark.parametrize("payload", [b"<html>bad gateway</html>", b"\xff\xfe{}", b""],
+                         ids=["not-json", "not-utf8", "empty"])
+def test_http_provider_malformed_body_is_a_provider_error(payload):
+    with pytest.raises(ProviderError, match="malformed completion payload"):
+        _provider(transport=lambda *a: (200, payload)).send([], GenerationParams())
+
+
+class _Response:
+    """What urlopen returns: a context manager with a status and a body."""
+
+    def __init__(self, read):
+        self.status = 200
+        self.read = read
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+def _urlopen_raising(exc):
+    def urlopen(req, timeout):
+        raise exc
+    return urlopen
+
+
+def _truncated_read(*size):
+    raise http.client.IncompleteRead(b"{\"cho", 40)
+
+
+class _TruncatedBody:
+    read = staticmethod(_truncated_read)
+
+    def close(self):
+        pass
+
+
+@pytest.mark.parametrize("urlopen", [
+    _urlopen_raising(http.client.RemoteDisconnected("Remote end closed connection")),
+    _urlopen_raising(ConnectionResetError(104, "Connection reset by peer")),
+    _urlopen_raising(urllib.error.URLError("name or service not known")),
+    lambda req, timeout: _Response(_truncated_read),
+    _urlopen_raising(urllib.error.HTTPError("https://x", 502, "bad gateway", {},
+                                            _TruncatedBody())),
+], ids=["remote-disconnected", "connection-reset", "url-error", "incomplete-read",
+        "incomplete-error-body"])
+def test_urllib_transport_failures_are_provider_errors(monkeypatch, urlopen):
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    with pytest.raises(ProviderError) as raised:
+        _provider().send([], GenerationParams())
+    assert not isinstance(raised.value, ProviderTimeout)
+
+
+@pytest.mark.parametrize("exc", [TimeoutError("timed out"),
+                                 urllib.error.URLError(TimeoutError("timed out"))],
+                         ids=["timeout", "url-error-timeout"])
+def test_urllib_transport_timeouts_are_provider_timeouts(monkeypatch, exc):
+    monkeypatch.setattr(urllib.request, "urlopen", _urlopen_raising(exc))
+    with pytest.raises(ProviderTimeout):
+        _provider().send([], GenerationParams())
+
+
+def test_urllib_transport_http_error_returns_its_status_and_body(monkeypatch):
+    error = urllib.error.HTTPError("https://x", 503, "unavailable", {},
+                                   io.BytesIO(b"try later"))
+    monkeypatch.setattr(urllib.request, "urlopen", _urlopen_raising(error))
+    with pytest.raises(ProviderError, match="HTTP 503: b'try later'"):
+        _provider().send([], GenerationParams())
+
+
+def test_urllib_transport_returns_the_reply(monkeypatch):
+    sent = []
+
+    def urlopen(req, timeout):
+        sent.append((req.full_url, req.get_method(), timeout))
+        return _Response(lambda: _reply("hello"))
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    provider = HttpProvider(ProviderConfig(endpoint="https://x/v1", model="m", timeout=5.0),
+                            api_key="k")
+    assert provider.send([], GenerationParams()) == "hello"
+    assert sent == [("https://x/v1", "POST", 5.0)]
+
+
+def test_sweep_malformed_completion_fails_only_its_transcript(vending):
+    tiny = SourceText("module tiny;\nendmodule\n", origin="tiny.v")
+
+    def transport(url, headers, body, timeout):
+        if b"module tiny" in body:
+            return 200, b"<html>bad gateway</html>"
+        return 200, _reply("Policy 1: not violated")
+
+    spec = policy_check_pipeline(["No deadlock states."])
+    results = sweep_params(spec, [vending, tiny], temperature_grid()[:3],
+                           _provider(transport=transport))
+    assert len(results) == 6
+    for (origin, _), transcript in results.items():
+        if origin == tiny.origin:
+            assert transcript.failed and transcript.failed_step == "check"
+            assert transcript.failure_reason.startswith("malformed completion payload")
+        else:
+            assert not transcript.failed and transcript.final is not None
 
 
 # -- pipelines ----------------------------------------------------------------------
