@@ -78,6 +78,7 @@ _POLICY_RE = re.compile(
     re.IGNORECASE | re.MULTILINE,
 )
 _LINE_NO_RE = re.compile(r"line\s*no[.:]?\s*:?\s*(\d+)", re.IGNORECASE)
+_EXPLANATION_RE = re.compile(r"explanation\s*:\s*(.*)", re.IGNORECASE | re.DOTALL)
 
 
 def parse_policy_verdicts(response: str, policy_count: int) -> list[PolicyVerdict]:
@@ -89,7 +90,7 @@ def parse_policy_verdicts(response: str, policy_count: int) -> list[PolicyVerdic
         violated = m.group(2).lower() == "violated"
         rest = m.group(3).strip()
         explanation = rest
-        exp_match = re.search(r"explanation\s*:\s*(.*)", rest, re.IGNORECASE | re.DOTALL)
+        exp_match = _EXPLANATION_RE.search(rest)
         if exp_match:
             explanation = exp_match.group(1).strip()
         line_match = _LINE_NO_RE.search(response[m.start():m.start() + len(m.group(0)) + 400])

@@ -28,6 +28,7 @@ from .ast_nodes import (
 from .source import Diagnostic, SourceText, Span, error
 from .tokens import (
     IDENT_RE,
+    MAX_LITERAL_WIDTH,
     Lexed,
     TokKind,
     UNSUPPORTED_KEYWORDS,
@@ -301,19 +302,24 @@ class _Parser:
             name = self.texts[i]
             self.expect("=")
             value = self.next()
-            if self.kinds[value] is TokKind.SIZED:
-                width, base, digits = parse_sized_literal(self.texts[value])
-                # Verilog lets "_" separate digits but not lead them
-                if (not width or base != "b" or digits[0] not in "01"
-                        or any(c not in "01_" for c in digits)):
-                    self.err("E_ENCODING",
-                             f"state encoding for {name} must be a sized binary literal",
-                             self.span(value))
-                    digits = "0"
-                code = int(digits.replace("_", ""), 2) & ((1 << width) - 1)
-                self.params.append(ParamDecl(name, width, code, self.span(i)))
-            else:
+            if self.kinds[value] is not TokKind.SIZED:
                 self.err("E_ENCODING", f"unsized state literal for {name}", self.span(value))
+            else:
+                try:
+                    width, base, digits = parse_sized_literal(self.texts[value])
+                except ValueError:
+                    self.err("E_ENCODING", f"state encoding for {name} is wider than "
+                             f"{MAX_LITERAL_WIDTH} bits", self.span(value))
+                else:
+                    # Verilog lets "_" separate digits but not lead them
+                    if (not width or base != "b" or digits[0] not in "01"
+                            or any(c not in "01_" for c in digits)):
+                        self.err("E_ENCODING",
+                                 f"state encoding for {name} must be a sized binary literal",
+                                 self.span(value))
+                        digits = "0"
+                    code = int(digits.replace("_", ""), 2) & ((1 << width) - 1)
+                    self.params.append(ParamDecl(name, width, code, self.span(i)))
             if not self.accept(","):
                 break
         self.expect(";")

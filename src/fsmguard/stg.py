@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
-from typing import Iterable, Optional
+from functools import cache, cached_property
+from typing import Callable, Iterable, Optional
 
 from .ast_nodes import Assign, CaseArm, FsmAst, IfChain, Stmt
 from .source import Span
@@ -193,24 +193,26 @@ def _chain_guard_texts(stmts: list[Stmt]) -> list[str]:
     return texts
 
 
+def _guard(text: str, hold: bool) -> Guard:
+    if hold:
+        return Guard.hold(text)
+    return Guard.expr(text) if text else Guard.always()
+
+
 def _arm_transitions(arm_label: str, arm: CaseArm, ast: FsmAst,
-                     leading_target: Optional[str]) -> list[Transition]:
+                     leading_target: Optional[str],
+                     guard: Callable[[str, bool], Guard]) -> list[Transition]:
     guarded, base, covered = _eval_block(arm.body, ast.state_next)
-    edges: list[Transition] = []
-    for texts, target in guarded:
-        guard = Guard.expr(" && ".join(texts)) if texts else Guard.always()
-        edges.append(Transition(arm_label, target, guard, arm.span))
-    fall_guards = _chain_guard_texts(arm.body)
-    fall_text = _negate(fall_guards)
+    edges = [Transition(arm_label, target, guard(" && ".join(texts), False), arm.span)
+             for texts, target in guarded]
+    fall_text = _negate(_chain_guard_texts(arm.body))
     if covered and base is not None:
-        guard = Guard.expr(fall_text) if fall_text else Guard.always()
-        edges.append(Transition(arm_label, base, guard, arm.span))
+        edges.append(Transition(arm_label, base, guard(fall_text, False), arm.span))
     elif not covered:
         if leading_target is not None:
-            guard = Guard.expr(fall_text) if fall_text else Guard.always()
-            edges.append(Transition(arm_label, leading_target, guard, arm.span))
+            edges.append(Transition(arm_label, leading_target, guard(fall_text, False), arm.span))
         else:
-            edges.append(Transition(arm_label, arm_label, Guard.hold(fall_text), arm.span))
+            edges.append(Transition(arm_label, arm_label, guard(fall_text, True), arm.span))
     return edges
 
 
@@ -238,20 +240,23 @@ def extract_stg(ast: FsmAst, protected: Iterable[str] = ()) -> Stg:
         _, dbase, dcov = _eval_block(ast.comb.default_arm.body, ast.state_next)
         default_target = dbase if dbase is not None else leading_target
 
+    # one Guard per (text, hold) in this extraction: Guards are frozen, so
+    # the edges that share a guard text share its Guard
+    guard = cache(_guard)
     transitions: list[Transition] = []
     arm_labels = set()
     for arm in ast.comb.arms:
         assert arm.label is not None
         arm_labels.add(arm.label)
-        transitions.extend(_arm_transitions(arm.label, arm, ast, leading_target))
+        transitions.extend(_arm_transitions(arm.label, arm, ast, leading_target, guard))
     for p in ast.parameters:
         if p.name in arm_labels:
             continue
         target = default_target if default_target is not None else leading_target
         if target is not None:
-            transitions.append(Transition(p.name, target, Guard.always(), p.span))
+            transitions.append(Transition(p.name, target, guard("", False), p.span))
         else:
-            transitions.append(Transition(p.name, p.name, Guard.hold(), p.span))
+            transitions.append(Transition(p.name, p.name, guard("", True), p.span))
 
     return Stg(
         states=states,

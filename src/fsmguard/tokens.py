@@ -4,6 +4,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum, auto
+from itertools import chain, compress, count, repeat
 from typing import Mapping, NamedTuple
 
 from .source import Diagnostic, SourceText, Span, error
@@ -35,33 +36,47 @@ UNSUPPORTED_KEYWORDS = frozenset({
     "for", "repeat",
 })
 
+# IEEE 1364-2005 3.5.1 lets a tool cap a literal's width at no less than this.
+MAX_LITERAL_WIDTH = 65536
 _SIZED = r"(\d+)\s*'\s*([bBdDhHoO])([0-9a-fA-FxzXZ_]+)"
 SIZED_RE = re.compile(_SIZED)
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
 _SIZED_OR_IDENT_RE = re.compile(f"{_SIZED}|{IDENT_RE.pattern}")
 
+_OP_PAIRS = ("<=", ">=", "==", "!=", "&&", "||", "<<", ">>")
+_OP_CHARS = "@()[]{},;:=*!~&|^<>+-?/#.%$"
+
 # One alternative per token class, tried in this order after the spaces and
-# tabs before a token are skipped.  A run of blank space holding a newline is
-# its own match, so line numbers advance once per line, not once per token.
-# A "/*" closes at the first "*/" after its "/", so "/*/" is a whole comment;
-# a "/*" that never closes matches only the "open" group.  "bad" excludes the
-# skipped characters, so the skip never gives one back to it.
-_MASTER_RE = re.compile(r"""[ \t\r]*(?:
-    (?P<newline>\n[ \t\r\n]*)
-  | (?P<ident>""" + IDENT_RE.pattern + r""")
-  | (?P<line_comment>//[^\n]*)
-  | (?P<block_comment>/\*(?:/|.*?\*/))
-  | (?P<open>/\*)
-  | (?P<op><=|>=|==|!=|&&|\|\||<<|>>|[@()\[\]{},;:=*!~&|^<>+\-?/\#.%$])
-  | (?P<sized>""" + _SIZED + r""")
-  | (?P<number>\d+)
-  | (?P<bad>[^ \t\r])
+# tabs before a token are skipped.  The one group is the token's text, so
+# findall gives the texts alone; a newline is a token of its own.  A "/*"
+# closes at the first "*/" after its "/", so "/*/" is a whole comment; the
+# scan ends before a "/*" that never closes.  The last alternative is one
+# character that no other alternative takes, an illegal one.
+_LEX_RE = re.compile(r"""[ \t\r]*(
+    \n
+  | """ + IDENT_RE.pattern + r"""
+  | //[^\n]*
+  | /\*(?:/|.*?\*/)
+  | """ + "|".join(map(re.escape, _OP_PAIRS)) + "|[" + re.escape(_OP_CHARS) + r"""]
+  | """ + _SIZED.replace("(", "(?:") + r"""
+  | \d+
+  | [^ \t\r]
 )""", re.VERBOSE | re.DOTALL)
+# No token but a comment holds "//" or "/*", so this finds the comments the
+# scan above finds, and the "/*" that never closes, as a bare "/*".  It is
+# compiled on first use through re's cache: most designs have no "/".
+_COMMENT = r"//[^\n]*|/\*(?:/|.*?\*/)|/\*"
 _ALL_KEYWORDS = KEYWORDS | UNSUPPORTED_KEYWORDS
-_G = _MASTER_RE.groupindex
-_NEWLINE, _IDENT, _OP, _NUMBER, _SIZED_G, _BAD = (
-    _G["newline"], _G["ident"], _G["op"], _G["number"], _G["sized"], _G["bad"])
-_LINE_COMMENT, _BLOCK_COMMENT = _G["line_comment"], _G["block_comment"]
+# Texts whose kind the text alone gives; a None kind drops the text.  A
+# text's mark holds a "t" if it is a token (a "b" if it is an illegal
+# character) and each newline it holds.
+_KNOWN_KINDS: dict[str, TokKind | None] = {
+    **dict.fromkeys(_ALL_KEYWORDS, TokKind.KW),
+    **dict.fromkeys((*_OP_PAIRS, *_OP_CHARS), TokKind.OP),
+    "\n": None,
+}
+_KNOWN_MARKS = {text: "t" if kind else text for text, kind in _KNOWN_KINDS.items()}
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
 class Token(NamedTuple):
@@ -73,13 +88,27 @@ class Token(NamedTuple):
 
 @dataclass
 class Lexed:
-    """The token stream as parallel lists, EOF last; comments are trivia."""
+    """The token stream as parallel lists, EOF last; comments are trivia.
+    ``scanned`` is the source text the scan covered: all of it, or up to a
+    block comment that never closes.  ``cols`` is computed from it on
+    demand, with a second scan, so nothing pays for columns unless it reads
+    them."""
     texts: list[str]
     kinds: list[TokKind]
     lines: list[int]
-    cols: list[int]
     trivia: list[Token]
     diagnostics: list[Diagnostic]
+    scanned: str
+
+    @property
+    def cols(self) -> list[int]:
+        # A dropped text (newline, comment, illegal character) never equals
+        # a token's text, so the texts pick the tokens out of the scan.
+        text = self.scanned
+        rfind, tokens = text.rfind, set(self.texts)
+        starts = [m.start(1) for m in _LEX_RE.finditer(text) if m[1] in tokens]
+        starts.append(len(text))
+        return [at - rfind("\n", 0, at) for at in starts]
 
     @property
     def tokens(self) -> list[Token]:
@@ -91,76 +120,78 @@ class Lexed:
 
 
 def tokenize(src: SourceText) -> Lexed:
-    """Split source into tokens; comments are preserved as trivia."""
-    texts: list[str] = []
-    kinds: list[TokKind] = []
-    lines: list[int] = []
-    cols: list[int] = []
+    """Split source into tokens; comments are preserved as trivia.
+
+    No Python runs per token: one findall gives every text, each distinct
+    text is classified once, and the lists are built by maps and compresses
+    over the texts, which run in C.  Columns are computed on demand."""
+    text = src.content
     trivia: list[Token] = []
     diagnostics: list[Diagnostic] = []
-    text = src.content
-    end = len(text)
-    line, line_start = 1, 0   # current line and the offset it starts at
-    add_text, add_kind, add_line, add_col = texts.append, kinds.append, lines.append, cols.append
-    kw, ident, op, number = TokKind.KW, TokKind.IDENT, TokKind.OP, TokKind.NUMBER
-    for m in _MASTER_RE.finditer(text):
-        # lastindex is the token's group: a group closes after those inside it
-        g = m.lastindex
-        if g == _IDENT:
-            word = m[g]
-            kind = kw if word in _ALL_KEYWORDS else ident
-        elif g == _OP:
-            word, kind = m[g], op
-        elif g == _NEWLINE:
-            word = m[g]
-            line += word.count("\n")
-            line_start = m.start(g) + word.rindex("\n") + 1
-            continue
-        elif g == _NUMBER:
-            word, kind = m[g], number
-        elif g == _LINE_COMMENT:
-            trivia.append(Token(TokKind.COMMENT, m[g], line, m.start(g) - line_start + 1))
-            continue
-        elif g == _SIZED_G or g == _BLOCK_COMMENT:
-            word, start = m[g], m.start(g)
-            if g == _SIZED_G:
-                add_text(word)
-                add_kind(TokKind.SIZED)
-                add_line(line)
-                add_col(start - line_start + 1)
-            else:
-                trivia.append(Token(TokKind.COMMENT, word, line, start - line_start + 1))
-            newlines = word.count("\n")   # the only tokens that may span lines
-            if newlines:
-                line += newlines
-                line_start = start + word.rindex("\n") + 1
-            continue
-        elif g == _BAD:
-            diagnostics.append(error("E_CHAR", f"illegal character {m[g]!r}", Span.point(line)))
-            continue
-        else:  # "open": the scan stops, and EOF sits on the "/*"
-            diagnostics.append(error("E_COMMENT", "unterminated block comment", Span.point(line)))
-            end = m.start(g)
-            break
-        # a token on one line; every branch that adds no such token continued
-        add_text(word)
-        add_kind(kind)
-        add_line(line)
-        add_col(m.start(g) - line_start + 1)
+    if "/" in text:
+        line, at = 1, 0
+        for m in re.finditer(_COMMENT, text, re.DOTALL):
+            start = m.start()
+            line += text.count("\n", at, start)
+            at = start
+            if m[0] == "/*":   # the scan stops, and EOF sits on the "/*"
+                diagnostics.append(error("E_COMMENT", "unterminated block comment",
+                                         Span.point(line)))
+                text = text[:start]
+                break
+            trivia.append(Token(TokKind.COMMENT, m[0], line, start - text.rfind("\n", 0, start)))
+    found = _LEX_RE.findall(text)
+    kind_of, mark_of = dict(_KNOWN_KINDS), dict(_KNOWN_MARKS)
+    bad: set[str] = set()
+    for word in set(found).difference(kind_of):
+        first = word[0]
+        if first in _IDENT_START:
+            kind_of[word], mark = TokKind.IDENT, "t"
+        elif first.isdecimal():   # the characters \d matches
+            kind_of[word], mark = TokKind.SIZED if "'" in word else TokKind.NUMBER, "t"
+        elif first == "/":
+            kind_of[word], mark = None, ""     # a comment
+        else:
+            kind_of[word], mark = None, "b"
+            bad.add(word)
+        mark_of[word] = mark + "\n" * word.count("\n")
+    marks = "".join(map(mark_of.__getitem__, found))
+    if bad:
+        diagnostics[:0] = [
+            error("E_CHAR", f"illegal character {word!r}", Span.point(line))
+            for word, line in zip(compress(found, map(bad.__contains__, found)),
+                                  _line_numbers(marks, "b"))]
+    texts = list(compress(found, map(kind_of.__getitem__, found)))
+    del found   # before the other lists are built: the lexer's peak memory
+    lines = _line_numbers(marks, "t")
+    kinds = list(map(kind_of.__getitem__, texts))
     texts.append("")
     kinds.append(TokKind.EOF)
-    lines.append(line)
-    cols.append(end - line_start + 1)
-    return Lexed(texts, kinds, lines, cols, trivia, diagnostics)
+    return Lexed(texts, kinds, lines, trivia, diagnostics, text)
+
+
+def _line_numbers(marks: str, mark: str) -> list[int]:
+    """The line of each mark in marks, then the line marks end on.  Split at
+    their newlines, a line's marks are one string, and the marks of a line
+    share one int object."""
+    per_line = marks.split("\n")
+    lines = list(chain.from_iterable(
+        map(repeat, count(1), map(str.count, per_line, repeat(mark)))))
+    lines.append(len(per_line))
+    return lines
 
 
 def parse_sized_literal(text: str) -> tuple[int, str, str]:
     """Break a sized literal into (width, base, digits), the digits as
-    written, underscores included."""
+    written, underscores included.  A width over MAX_LITERAL_WIDTH is a
+    ValueError, decided from its digits before any arithmetic on them."""
     m = SIZED_RE.fullmatch(text)
     if not m:
         raise ValueError(f"not a sized literal: {text!r}")
-    return int(m.group(1)), m.group(2).lower(), m.group(3)
+    width = m.group(1).lstrip("0")
+    if len(width) > len(str(MAX_LITERAL_WIDTH)) or int(width or 0) > MAX_LITERAL_WIDTH:
+        raise ValueError(f"sized literal wider than {MAX_LITERAL_WIDTH} bits: {text[:40]!r}")
+    return int(width or 0), m.group(2).lower(), m.group(3)
 
 
 def expr_identifiers(text: str) -> list[str]:

@@ -272,6 +272,17 @@ def test_check_warning_only_design_exits_zero(tmp_path, capsys):
     assert "W_LOCALPARAM" in capsys.readouterr().out
 
 
+def test_check_reports_a_state_literal_too_wide_to_encode(tmp_path, capsys):
+    text = (DESIGNS / "vending.v").read_text().replace(
+        "3'b000", "99999999999999999999'b000", 1)
+    design = tmp_path / "wide.v"
+    design.write_text(text)
+    assert run("check", design) == 1   # a parse failure, reported; no traceback
+    out = capsys.readouterr().out
+    assert "error[E_ENCODING]" in out and "is wider than 65536 bits" in out
+    assert "result: parse failed" in out
+
+
 _POLICY = ("--pipeline", "policy-check", "--policy", "Each state must be encoded uniquely.")
 _MOCK = ("--mock-script", FIXTURES / "policy_clean.txt")
 _VENDING = ("--design", DESIGNS / "vending.v")

@@ -1,6 +1,8 @@
 """Tokenizer, parser, linter, and emitter behavior."""
+import gc
 import hashlib
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -24,9 +26,10 @@ from fsmguard.lint import (
     LOCALPARAM_NORMALIZED,
     SEMICOLON_AFTER_END,
 )
-from fsmguard.tokens import IDENT_RE, expr_identifiers
+from fsmguard.tokens import IDENT_RE, Token, expr_identifiers
 
 from conftest import DESIGNS, FIXTURES, design_ast, design_source
+from lexer_reference import reference_tokenize
 
 
 # -- tokenize ------------------------------------------------------------------
@@ -125,6 +128,63 @@ def test_lexer_golden_identity():
     assert digest.hexdigest() == LEXER_GOLDEN_SHA256
 
 
+# -- the lexer against its per-token reference --------------------------------
+
+def _lex_difference(text: str) -> str:
+    """Where tokenize and the reference lexer part on text, or ""."""
+    got, want = tokenize(SourceText(text)), reference_tokenize(text)
+    want_tokens = list(map(Token, want.kinds, want.texts, want.lines, want.cols))
+    for i, (g, w) in enumerate(zip(got.tokens, want_tokens)):
+        if g != w:
+            return f"token {i}: {g} where the reference has {w}"
+    for name, g, w in (("token count", len(got.tokens), len(want_tokens)),
+                       ("trivia", got.trivia, want.trivia),
+                       ("diagnostics", got.diagnostics, want.diagnostics)):
+        if g != w:
+            return f"{name}: {g!r} where the reference has {w!r}"
+    return ""
+
+
+def test_tokenize_matches_the_reference_lexer_on_the_corpus():
+    for n, text in enumerate(_lexer_corpus()):
+        assert not _lex_difference(text), (n, _lex_difference(text))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_LEX_SNIPPETS + _LEX_EXTRA + ("a", "x_1", "7", "'b", ";", "\u00b2")),
+                min_size=1, max_size=24).map("".join))
+def test_tokenize_matches_the_reference_lexer_on_snippets(text):
+    # "\u00b2" is a digit to str.isdigit but not to \d or str.isdecimal
+    assert not _lex_difference(text)
+
+
+def _traced_bytes(lex):
+    """Traced bytes one lex() call keeps in its result, and at its peak,
+    above what was allocated before it."""
+    lex()   # anything cached on first use is allocated outside the trace
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = lex()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return kept - base, peak - base
+
+
+@pytest.mark.parametrize("name", ["aes_ctrl", "vending"])
+def test_tokenize_holds_no_more_memory_than_the_reference(name):
+    # about 30 000 tokens; the lines share one int object per line
+    one = design_source(name).content
+    text = one * (30_000 // len(tokenize(SourceText(one)).texts) + 1)
+    src = SourceText(text)
+    kept, peak = _traced_bytes(lambda: tokenize(src))
+    ref_kept, ref_peak = _traced_bytes(lambda: reference_tokenize(text))
+    assert kept <= ref_kept and peak <= ref_peak, (kept, ref_kept, peak, ref_peak)
+
+
 # -- golden identity: the parser -----------------------------------------------
 
 # Every diagnostic parse_source gives on the lexer corpus, and the emitted
@@ -147,15 +207,17 @@ def test_parser_golden_identity():
 @pytest.mark.parametrize("path", sorted(DESIGNS.glob("*.v")) + sorted(FIXTURES.glob("*.v")),
                          ids=lambda p: p.name)
 def test_parsing_builds_no_tokens(path, monkeypatch):
-    # the parser walks the lexer's parallel lists; Lexed.tokens is for callers
+    # the parser walks the lexer's parallel lists; Lexed.tokens and the
+    # columns it reads are for callers
     src = SourceText.from_file(path)
     parsed = parse_source(src)
     report = run_all_checks(src, config=RuleConfig(fif=True)).to_json()
 
     def refuse(self):
-        raise AssertionError("Lexed.tokens built")
+        raise AssertionError("Lexed.tokens or Lexed.cols built")
 
     monkeypatch.setattr(Lexed, "tokens", property(refuse))
+    monkeypatch.setattr(Lexed, "cols", property(refuse))
     again = parse_source(src)
     assert (again.ast, again.diagnostics) == (parsed.ast, parsed.diagnostics)
     assert run_all_checks(src, config=RuleConfig(fif=True)).to_json() == report
@@ -257,6 +319,25 @@ endmodule"""
     result = parse_source(SourceText(text))
     assert result.ast is None
     assert [d.code for d in result.errors] == ["E_ENCODING", "E_ENCODING"]
+
+
+@pytest.mark.parametrize("width, wider", [
+    ("65536", False), ("000065536", False), ("65537", True),
+    ("99999999999999999999", True), ("9" * 5000, True),
+])
+def test_parse_state_literal_wider_than_the_width_cap(width, wider):
+    """IEEE 1364-2005 3.5.1 lets a tool cap a literal's width at 65 536
+    bits; a wider state literal is E_ENCODING, decided from its digits."""
+    text = f"""module m (input clk, input rst);
+parameter A = {width}'b1;
+reg s; reg n;
+always @(posedge clk) begin if (rst) s <= A; else s <= n; end
+always @(*) begin case (s) A: n = A; endcase end
+endmodule"""
+    result = parse_source(SourceText(text))
+    assert result.ast is None
+    messages = [d.message for d in result.errors if d.code == "E_ENCODING"]
+    assert messages == (["state encoding for A is wider than 65536 bits"] if wider else [])
 
 
 @pytest.mark.parametrize("cut", ["busy = 1", "busy = (1)"])
