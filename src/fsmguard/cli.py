@@ -9,13 +9,13 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .corpus import generate_corpus, read_corpus, read_jsonl, write_corpus
 from .inject import VulnClass, plan_injection
 from .emitter import emit_verilog
 from .llm.params import GenerationParams, temperature_grid
-from .llm.pipeline import PIPELINES, PipelineSpec, sweep_params
+from .llm.pipeline import PIPELINES, PipelineSpec, Transcript, sweep_params
 from .llm.providers import HttpProvider, MockProvider, ProviderConfig, load_mock_script
 from .mitigate import MitigationConfig, mitigate
 from .parser import ParseFailure, parse_source
@@ -223,22 +223,21 @@ def _build_pipeline(args: argparse.Namespace, config: dict) -> PipelineSpec:
     if name not in PIPELINES:
         raise CliError(f"unknown pipeline {name!r}; choose from "
                        + ", ".join(sorted(PIPELINES)))
-    params = GenerationParams(temperature=args.temperature)
     protected = sorted(_protected_set(args.protected))
     if name == "fif":
         if not protected:
             raise CliError("the fif pipeline needs --protected")
-        spec = PIPELINES[name](protected[0], params)
+        spec = PIPELINES[name](protected[0])
     elif name == "policy-check":
         if not args.policy:
             raise CliError("policy-check needs at least one --policy")
-        spec = PIPELINES[name](args.policy, params)
+        spec = PIPELINES[name](args.policy)
     elif name == "mitigate-rules":
         if not protected:
             raise CliError("mitigate-rules needs --protected")
-        spec = PIPELINES[name](protected[0], args.assessment or "", params)
+        spec = PIPELINES[name](protected[0], args.assessment or "")
     else:
-        spec = PIPELINES[name](params)
+        spec = PIPELINES[name]()
     budget = config.get("provider", {}).get("char_budget")
     if budget:
         spec = dataclasses.replace(spec, char_budget=int(budget))
@@ -263,46 +262,38 @@ def _designs_for_run(args: argparse.Namespace) -> list[SourceText]:
     raise CliError("pass --design or --corpus")
 
 
-def _write_transcripts(transcripts, path: str) -> None:
-    lines = [t.to_json_text() for t in transcripts]
-    _atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
+def _run_sweep(args: argparse.Namespace, line: Callable[[Transcript, GenerationParams], str]
+               ) -> tuple[list[GenerationParams], dict[tuple[str, int], Transcript]]:
+    """run-pipeline and sweep: run every design at every grid point and write
+    one line per transcript, in `sweep_params` order.  run-pipeline has no
+    --grid and is the one-point sweep at --temperature."""
+    config = _load_config(args.config)
+    spec = _build_pipeline(args, config)
+    point = GenerationParams(temperature=args.temperature)   # sweep checks it too
+    provider = _provider_factory(args, config)
+    designs = _designs_for_run(args)
+    if "grid" not in args:
+        grid = [point]
+    elif args.grid:
+        grid = [GenerationParams(temperature=float(t)) for t in args.grid.split(",") if t.strip()]
+    else:
+        grid = list(temperature_grid())
+    results = sweep_params(spec, designs, grid, provider, in_flight=int(config.get("in_flight", 4)))
+    _atomic_write(args.out, "".join(f"{line(t, grid[gi])}\n" for (_, gi), t in results.items()))
+    return grid, results
 
 
 def _cmd_run_pipeline(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    spec = _build_pipeline(args, config)
-    provider = _provider_factory(args, config)
-    designs = _designs_for_run(args)
-    in_flight = int(config.get("in_flight", 4))
-    results = sweep_params(spec, designs, [GenerationParams(temperature=args.temperature)],
-                           provider, in_flight=in_flight)
-    transcripts = [results[k] for k in sorted(results)]
-    _write_transcripts(transcripts, args.out)
-    failed = sum(t.failed for t in transcripts)
-    print(f"wrote {len(transcripts)} transcript(s) to {args.out} ({failed} failed)")
+    _, results = _run_sweep(args, lambda t, point: t.to_json_text())
+    failed = sum(t.failed for t in results.values())
+    print(f"wrote {len(results)} transcript(s) to {args.out} ({failed} failed)")
     return EXIT_OK
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    spec = _build_pipeline(args, config)
-    provider = _provider_factory(args, config)
-    designs = _designs_for_run(args)
-    if args.grid:
-        temps = [float(t) for t in args.grid.split(",") if t.strip()]
-        grid = [GenerationParams(temperature=t) for t in temps]
-    else:
-        grid = list(temperature_grid())
-    in_flight = int(config.get("in_flight", 4))
-    results = sweep_params(spec, designs, grid, provider, in_flight=in_flight)
-    transcripts = []
-    for (origin, gi) in sorted(results):
-        t = results[(origin, gi)]
-        record = t.to_json()
-        record["temperature"] = grid[gi].temperature
-        transcripts.append(json.dumps(record, sort_keys=False))
-    _atomic_write(args.out, "\n".join(transcripts) + ("\n" if transcripts else ""))
-    print(f"wrote {len(transcripts)} transcript(s) across {len(grid)} grid points to {args.out}")
+    grid, results = _run_sweep(args, lambda t, point: json.dumps(
+        {**t.to_json(), "temperature": point.temperature}))
+    print(f"wrote {len(results)} transcript(s) across {len(grid)} grid points to {args.out}")
     return EXIT_OK
 
 

@@ -29,11 +29,9 @@ from .parsing import (
     FifCapture,
     PolicyVerdict,
     ResponseParseError,
-    TransitionCapture,
     parse_delimited_code,
     parse_fif_results,
     parse_policy_verdicts,
-    parse_transition_list,
 )
 from .pipeline import (
     PIPELINES,

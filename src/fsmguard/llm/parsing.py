@@ -108,24 +108,6 @@ _TRANSITION_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class TransitionCapture:
-    index: int
-    source: str
-    source_encoding: str
-    target: str
-    target_encoding: str
-
-
-def parse_transition_list(text: str) -> list[TransitionCapture]:
-    out = [TransitionCapture(int(m.group(1)), m.group(2), m.group(3),
-                             m.group(4), m.group(5))
-           for m in _TRANSITION_RE.finditer(text)]
-    if not out:
-        raise ResponseParseError("no state transitions found in response")
-    return out
-
-
 _OVERALL_RE = re.compile(r"Overall\s+FIF\s*=.*?=\s*([01])\s*$",
                          re.IGNORECASE | re.MULTILINE)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 from ..source import SourceText
@@ -47,7 +47,6 @@ class PipelineStep:
     template: PromptTemplate
     bindings: dict[str, str] = field(default_factory=dict)
     captures: tuple[CaptureRule, ...] = ()
-    params: GenerationParams = GenerationParams()
     policy_count: int = 0
 
 
@@ -144,22 +143,17 @@ def _final_artifact(step: PipelineStep, response: str) -> dict:
     return {"kind": "text", "text": response}
 
 
-def run_pipeline(spec: PipelineSpec, design: SourceText,
-                 provider: ChatProvider) -> Transcript:
-    """Execute steps in order; each step's captures become bindings for the
-    later ones.  Malformed captures retry the step up to the policy limit,
-    then fail the transcript at that step."""
+def run_pipeline(spec: PipelineSpec, design: SourceText, provider: ChatProvider,
+                 params: GenerationParams = GenerationParams()) -> Transcript:
+    """Execute steps in order, each sent with params; each step's captures
+    become bindings for the later ones.  Malformed captures retry the step up
+    to the policy limit, then fail the transcript at that step."""
     transcript = Transcript(pipeline=spec.name, design_id=design.origin,
                             provider_id=getattr(provider, "provider_id", "unknown"))
     captured: dict[str, str] = {}
     steps = list(spec.steps)
     if spec.self_scrutiny:
-        last = steps[-1]
-        steps.append(PipelineStep(
-            name="self_review",
-            template=SELF_REVIEW,
-            params=last.params,
-        ))
+        steps.append(PipelineStep(name="self_review", template=SELF_REVIEW))
 
     for step in steps:
         bindings = {"design": design.content, **captured}
@@ -174,10 +168,9 @@ def run_pipeline(spec: PipelineSpec, design: SourceText,
                       "region of interest instead of the whole design")
             raise PayloadTooLarge(reason, _fail(transcript, step.name, reason))
 
-        record = _run_step(spec, step, prompt, provider)
+        record, ok = _run_step(spec, step, prompt, provider, params)
         transcript.steps.append(record)
-        if record.attempts < 0:
-            record.attempts = spec.retry.max_attempts
+        if not ok:
             return _fail(transcript, step.name, record.raw_response or "provider failure")
         for name, value in record.captures.items():
             captured[f"capture:{step.name}.{name}"] = value
@@ -191,29 +184,28 @@ def run_pipeline(spec: PipelineSpec, design: SourceText,
 
 
 def _run_step(spec: PipelineSpec, step: PipelineStep, prompt: str,
-              provider: ChatProvider) -> StepRecord:
+              provider: ChatProvider, params: GenerationParams) -> tuple[StepRecord, bool]:
+    """The step's record, and whether it succeeded.  Its attempts count
+    every provider call it made, those of a failed step included."""
     start = time.monotonic()
     messages = [{"role": "user", "content": prompt}]
     attempts_total = 0
     last_reason = ""
     for _ in range(spec.retry.max_attempts):
         try:
-            result: CompletionResult = chat_complete(provider, messages, step.params,
-                                                     spec.retry)
+            result: CompletionResult = chat_complete(provider, messages, params, spec.retry)
         except ProviderError as exc:
-            return StepRecord(step.name, prompt, str(exc), {}, -1,
-                              time.monotonic() - start)
+            return StepRecord(step.name, prompt, str(exc), {}, attempts_total + exc.attempts,
+                              time.monotonic() - start), False
         attempts_total += result.attempts
         try:
             captures = {rule.name: rule.apply(result.text) for rule in step.captures}
             return StepRecord(step.name, prompt, result.text, captures,
-                              attempts_total, time.monotonic() - start)
+                              attempts_total, time.monotonic() - start), True
         except (TemplateError, ResponseParseError) as exc:
             last_reason = str(exc)
-            continue
-    record = StepRecord(step.name, prompt, f"malformed capture: {last_reason}",
-                        {}, -1, time.monotonic() - start)
-    return record
+    return StepRecord(step.name, prompt, f"malformed capture: {last_reason}",
+                      {}, attempts_total, time.monotonic() - start), False
 
 
 ProviderFactory = Union[ChatProvider, Callable[[], ChatProvider]]
@@ -227,8 +219,8 @@ def sweep_params(spec: PipelineSpec, designs: Sequence[SourceText],
                  grid: Sequence[GenerationParams], provider: ProviderFactory,
                  in_flight: int = 4) -> dict[tuple[str, int], Transcript]:
     """Run the pipeline at every grid point for every design; results keyed
-    by (design origin, grid index).  Every step runs with the point's
-    params.  A prompt over the character budget fails only its own
+    by (design origin, grid index), sorted.  Every step runs with the
+    point's params.  A prompt over the character budget fails only its own
     transcript."""
     if not grid:
         raise PipelineError("sweep needs a non-empty parameter grid")
@@ -237,10 +229,8 @@ def sweep_params(spec: PipelineSpec, designs: Sequence[SourceText],
 
     def task(job: tuple[SourceText, int]) -> tuple[tuple[str, int], Transcript]:
         design, gi = job
-        pointed = replace(spec, steps=tuple(replace(step, params=grid[gi])
-                                            for step in spec.steps))
         try:
-            transcript = run_pipeline(pointed, design, _provider_for(provider))
+            transcript = run_pipeline(spec, design, _provider_for(provider), grid[gi])
         except PayloadTooLarge as exc:
             transcript = exc.transcript
         return (design.origin, gi), transcript
@@ -256,7 +246,7 @@ def sweep_params(spec: PipelineSpec, designs: Sequence[SourceText],
 
 # -- built-in pipelines ---------------------------------------------------------
 
-def fif_pipeline(protected: str, params: GenerationParams = GenerationParams()) -> PipelineSpec:
+def fif_pipeline(protected: str) -> PipelineSpec:
     """Three chained steps: list unprotected transitions, tabulate their
     bits, compute per-transition FIF."""
     return PipelineSpec(
@@ -270,40 +260,34 @@ def fif_pipeline(protected: str, params: GenerationParams = GenerationParams()) 
                     CaptureRule("list", r"^.*state transition \d+:.*$", all_matches=True),
                     CaptureRule("protected", r"^.*protected_state.*$"),
                 ),
-                params=params,
             ),
             PipelineStep(
                 name="bit_table",
                 template=TEMPLATES["fif_bit_table"],
                 captures=(CaptureRule("table", r"^.*$", all_matches=True),),
-                params=params,
             ),
             PipelineStep(
                 name="compute",
                 template=TEMPLATES["fif_compute"],
                 captures=(CaptureRule("fif_table", r"^.*$", all_matches=True),),
-                params=params,
             ),
         ),
     )
 
 
-def deadlock_insertion_pipeline(params: GenerationParams = GenerationParams(),
-                                self_scrutiny: bool = False) -> PipelineSpec:
+def deadlock_insertion_pipeline(self_scrutiny: bool = False) -> PipelineSpec:
     return PipelineSpec(
         name="insert_deadlock",
         steps=(PipelineStep(
             name="insert",
             template=TEMPLATES["insert_deadlock"],
             bindings={"example": DEADLOCK_EXAMPLE},
-            params=params,
         ),),
         self_scrutiny=self_scrutiny,
     )
 
 
-def policy_check_pipeline(policies: Sequence[str],
-                          params: GenerationParams = GenerationParams()) -> PipelineSpec:
+def policy_check_pipeline(policies: Sequence[str]) -> PipelineSpec:
     text = "\n".join(f"Policy {i + 1}. {p}" for i, p in enumerate(policies))
     return PipelineSpec(
         name="policy_check",
@@ -311,22 +295,19 @@ def policy_check_pipeline(policies: Sequence[str],
             name="check",
             template=TEMPLATES["policy_check"],
             bindings={"policies": text},
-            params=params,
             policy_count=len(policies),
         ),),
     )
 
 
-def blind_review_pipeline(params: GenerationParams = GenerationParams()) -> PipelineSpec:
+def blind_review_pipeline() -> PipelineSpec:
     return PipelineSpec(
         name="blind_review",
-        steps=(PipelineStep(name="review", template=TEMPLATES["blind_review"],
-                            params=params),),
+        steps=(PipelineStep(name="review", template=TEMPLATES["blind_review"]),),
     )
 
 
 def mitigation_pipeline(protected: str, assessment: str,
-                        params: GenerationParams = GenerationParams(),
                         self_scrutiny: bool = False) -> PipelineSpec:
     return PipelineSpec(
         name="mitigate_rules",
@@ -334,7 +315,6 @@ def mitigation_pipeline(protected: str, assessment: str,
             name="mitigate",
             template=TEMPLATES["mitigate_rules"],
             bindings={"protected": protected, "assessment": assessment},
-            params=params,
         ),),
         self_scrutiny=self_scrutiny,
     )

@@ -22,7 +22,10 @@ MOCK_STEP_SEPARATOR = "---step---"
 
 
 class ProviderError(RuntimeError):
-    pass
+    """A failed completion.  attempts is the number of provider calls made,
+    which chat_complete sets on what it raises."""
+
+    attempts = 1
 
 
 class ProviderAuthError(ProviderError):
@@ -69,21 +72,24 @@ def chat_complete(provider: ChatProvider, messages: list[dict],
                   retry: RetryPolicy | None = None) -> CompletionResult:
     """One synchronous completion.  Rate limits and timeouts back off
     exponentially with jitter up to the policy limit; auth failures are
-    terminal on the first attempt."""
+    terminal on the first attempt.  A ProviderError raised here carries the
+    number of calls made in its attempts."""
     retry = retry or RetryPolicy()
     last: Exception | None = None
     for attempt in range(retry.max_attempts):
         try:
             text = provider.send(messages, params)
             return CompletionResult(text=text, attempts=attempt + 1)
-        except ProviderAuthError:
-            raise
         except (ProviderRateLimited, ProviderTimeout) as exc:
             last = exc
             if attempt + 1 < retry.max_attempts:
                 retry.sleep_fn(retry.delay_for(attempt))
-    raise ProviderError(
-        f"provider failed after {retry.max_attempts} attempts: {last}") from last
+        except ProviderError as exc:   # auth and other errors are never retried
+            exc.attempts = attempt + 1
+            raise
+    exhausted = ProviderError(f"provider failed after {retry.max_attempts} attempts: {last}")
+    exhausted.attempts = retry.max_attempts
+    raise exhausted from last
 
 
 # -- mock provider -------------------------------------------------------------

@@ -100,6 +100,7 @@ class _Parser:
         self.ports: list[Port] = []
         self.port_order: list[str] = []          # names from a non-ANSI header
         self.params: list[ParamDecl] = []
+        self.param_decl_read = False             # even if each value was rejected
         self.regs: dict[str, int] = {}           # name -> width
         self.seq_blocks: list[SeqBlock] = []
         self.comb_blocks: list[CombBlock] = []
@@ -219,11 +220,18 @@ class _Parser:
         self.expect(":")
         lo = self.next()
         self.expect("]")
-        try:
-            return abs(int(self.texts[hi]) - int(self.texts[lo])) + 1
-        except ValueError:
+        bounds = (self.texts[hi], self.texts[lo])
+        if not all(map(str.isdecimal, bounds)):
             self.err("E_SYNTAX", "non-numeric port range", self.span(hi))
             return 1
+        # A bound is judged from its digits before int(), so none is too long to report.
+        cap = MAX_LITERAL_WIDTH
+        a, b = (int(t) if len(t.lstrip("0")) <= len(str(cap)) else cap + 1 for t in bounds)
+        width = abs(a - b) + 1
+        if max(a, b, width) > cap:
+            self.err("E_RANGE", f"range bound or width over {cap}", self.span(hi))
+            return 1
+        return width
 
     def _parse_ansi_ports(self) -> None:
         direction = None
@@ -294,6 +302,7 @@ class _Parser:
                 self.ports.append(Port(name, direction, kind, width, self.span(i)))
 
     def _parse_param_decl(self) -> None:
+        self.param_decl_read = True
         head = self.next()
         if self.texts[head] == "localparam":
             self.localparam_spans.append(self.span(head))
@@ -614,7 +623,7 @@ class _Parser:
                      self.comb_blocks[1].span)
         if not self.comb_blocks and report_missing:
             self.err("E_NO_CASE", "missing case statement", Span.point(self.module_line))
-        if not self.params and report_missing:
+        if not self.param_decl_read and report_missing:
             self.err("E_NO_PARAMS", "no state parameters declared", Span.point(self.module_line))
 
         widths = {p.width for p in self.params}

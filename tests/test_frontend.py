@@ -340,6 +340,45 @@ endmodule"""
     assert messages == (["state encoding for A is wider than 65536 bits"] if wider else [])
 
 
+def test_parse_rejected_only_parameter_reports_no_missing_parameters():
+    # the parameter was declared, so "no state parameters declared" would
+    # name a different fault than the rejected literal
+    text = """module m (input clk, input rst);
+parameter A = 99999999999999999999'b1;
+reg s; reg n;
+always @(posedge clk) begin if (rst) s <= A; else s <= n; end
+always @(*) begin case (s) A: n = A; endcase end
+endmodule"""
+    result = parse_source(SourceText(text))
+    assert [d.code for d in result.errors] == ["E_ENCODING"]
+
+
+@pytest.mark.parametrize("bound, codes, width", [
+    ("65535", [], 65536),
+    ("0065535", [], 65536),
+    ("65536", ["E_RANGE"], None),
+    ("99999999999999999999", ["E_RANGE"], None),
+    ("9" * 5000, ["E_RANGE"], None),
+    ("WIDTH", ["E_SYNTAX"], None),
+])
+def test_parse_port_range_wider_than_the_width_cap(bound, codes, width):
+    """IEEE 1364-2005 4.3.1 lets a tool cap a vector's width at 65 536 bits;
+    a wider range is E_RANGE, decided from the bound's digits."""
+    text = design_source("vending").content.replace(
+        "    input coin,", f"    input [{bound}:0] coin,")
+    result = parse_source(SourceText(text))
+    assert [(d.code, d.span.start) for d in result.errors] == [(c, 4) for c in codes]
+    if width is not None:
+        assert next(p.width for p in result.ast.ports if p.name == "coin") == width
+
+
+def test_parse_reg_range_wider_than_the_width_cap():
+    text = design_source("vending").content.replace(
+        "reg [2:0] current_state;", f"reg [{'9' * 5000}:0] current_state;")
+    result = parse_source(SourceText(text))
+    assert [d.code for d in result.errors] == ["E_RANGE"]
+
+
 @pytest.mark.parametrize("cut", ["busy = 1", "busy = (1)"])
 def test_parse_missing_semicolon_is_syntax_error(cut):
     # designs/rsa_ctrl.v with the ";" of line 43 removed: the right-hand side

@@ -35,7 +35,6 @@ from fsmguard.llm import (
     parse_delimited_code,
     parse_fif_results,
     parse_policy_verdicts,
-    parse_transition_list,
     policy_check_pipeline,
     render_prompt,
     run_pipeline,
@@ -179,14 +178,6 @@ def test_policy_verdicts_count_mismatch():
 
 
 # -- transition/FIF parsing ------------------------------------------------------------
-
-def test_parse_transition_list_fixture():
-    script = load_mock_script(FIXTURES / "rsa_fif_replay.txt")
-    transitions = parse_transition_list(script[0])
-    assert len(transitions) == 7
-    assert transitions[0].source == "IDLE" and transitions[0].target == "INIT"
-    assert transitions[0].source_encoding == "1000"
-
 
 def test_parse_fif_results_fixture():
     script = load_mock_script(FIXTURES / "rsa_fif_replay.txt")
@@ -457,6 +448,83 @@ def test_pipeline_retries_malformed_capture(rsa_ctrl):
     transcript = run_pipeline(fif_pipeline("RESULT"), rsa_ctrl, MockProvider(responses))
     assert not transcript.failed
     assert transcript.steps[0].attempts == 2
+
+
+@pytest.mark.parametrize("responses, calls", [
+    ([ProviderRateLimited("429"), "garbage"] * 3, 6),   # every capture retry backs off once
+    (["garbage"] + [ProviderRateLimited("429")] * 3, 4),  # retries run out on the second try
+], ids=["malformed-capture", "provider-failure"])
+def test_failed_step_records_every_provider_call(rsa_ctrl, responses, calls):
+    spec = fif_pipeline("RESULT")
+    quiet = PipelineSpec(spec.name, spec.steps,
+                         retry=RetryPolicy(max_attempts=3, sleep_fn=lambda _: None))
+    mock = MockProvider(responses)
+    transcript = run_pipeline(quiet, rsa_ctrl, mock)
+    assert transcript.failed and transcript.failed_step == "transitions"
+    assert len(mock.requests) == calls
+    assert [s.attempts for s in transcript.steps] == [calls]
+
+
+@pytest.mark.parametrize("responses, kind, attempts", [
+    ([ProviderAuthError("bad key")], ProviderAuthError, 1),
+    ([ProviderRateLimited("429"), ProviderAuthError("bad key")], ProviderAuthError, 2),
+    ([ProviderError("HTTP 500")], ProviderError, 1),
+    ([ProviderRateLimited("429")] * 3, ProviderError, 3),
+], ids=["auth", "auth-after-backoff", "not-retried", "exhausted"])
+def test_provider_error_carries_the_calls_made(responses, kind, attempts):
+    policy = RetryPolicy(max_attempts=3, sleep_fn=lambda _: None)
+    with pytest.raises(ProviderError) as raised:
+        chat_complete(MockProvider(responses), [], GenerationParams(), policy)
+    assert type(raised.value) is kind
+    assert raised.value.attempts == attempts
+
+
+_WIRE_PARAMS = ("temperature", "top_p", "presence_penalty", "frequency_penalty", "max_tokens")
+
+
+def _echo_provider(replies: list[str]) -> HttpProvider:
+    """An HttpProvider whose n-th reply is replies[n] followed by a line
+    holding the params of the request body it answers."""
+    sent = []
+
+    def transport(url, headers, body, timeout):
+        wire = json.loads(body)
+        sent.append(wire)
+        echo = json.dumps({k: wire[k] for k in _WIRE_PARAMS}, sort_keys=True)
+        return 200, _reply(f"{replies[len(sent) - 1]}\nwire: {echo}")
+
+    return _provider(transport=transport)
+
+
+def _echoed(params: GenerationParams) -> str:
+    return f"\nwire: {json.dumps(params.to_json(), sort_keys=True)}"
+
+
+_GRID = (GenerationParams(), GenerationParams(temperature=0.7, top_p=0.9, max_tokens=64),
+         GenerationParams(temperature=1.0, presence_penalty=0.5, frequency_penalty=0.25))
+
+
+@pytest.mark.parametrize("spec, design, replies", [
+    (fif_pipeline("RESULT"), "rsa_ctrl", load_mock_script(FIXTURES / "rsa_fif_replay.txt")),
+    (deadlock_insertion_pipeline(self_scrutiny=True), "vending",
+     ["[code: <module a; endmodule>]", "[code: <module b; endmodule>]"]),
+], ids=["fif", "insert-deadlock-self-review"])
+def test_sweep_sends_the_grid_point_in_every_request(request, spec, design, replies):
+    design = request.getfixturevalue(design)
+    results = sweep_params(spec, [design], _GRID, lambda: _echo_provider(replies))
+    assert list(results) == [(design.origin, gi) for gi in range(len(_GRID))]
+    for (_, gi), transcript in results.items():
+        assert not transcript.failed, transcript.failure_reason
+        assert len(transcript.steps) == len(replies)
+        for step in transcript.steps:
+            assert step.raw_response.endswith(_echoed(_GRID[gi])), (gi, step.name)
+
+
+def test_run_pipeline_sends_default_params(rsa_ctrl):
+    replies = load_mock_script(FIXTURES / "rsa_fif_replay.txt")
+    transcript = run_pipeline(fif_pipeline("RESULT"), rsa_ctrl, _echo_provider(replies))
+    assert not transcript.failed and len(transcript.steps) == 3
+    assert all(s.raw_response.endswith(_echoed(GenerationParams())) for s in transcript.steps)
 
 
 def test_sweep_produces_grid_times_designs(vending, rsa_ctrl):
