@@ -161,11 +161,10 @@ def _cmd_inject(args: argparse.Namespace) -> int:
         raise CliError(f"unknown class {args.vuln_class!r}; choose from "
                        + ", ".join(v.value.lower() for v in VulnClass))
     ast = parse_source(src).expect_ast()
-    injected, plan = plan_injection(vuln, ast, args.seed, _protected_set(args.protected))
-    text = emit_verilog(injected)
+    _, plan = plan_injection(vuln, ast, args.seed, _protected_set(args.protected))
     out_design = args.out_design or f"{args.design}.injected.v"
     out_plan = args.out_plan or f"{args.design}.plan.json"
-    _atomic_write(out_design, text.content)
+    _atomic_write(out_design, plan.text.content)
     _atomic_write(out_plan, json.dumps(plan.to_json(), indent=2) + "\n")
     print(f"wrote {out_design} and {out_plan}")
     return EXIT_OK

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
-from .emitter import emit_verilog
 from .inject import RULE_FOR_CLASS, InjectError, InjectionPlan, VulnClass, plan_injection
 from .rules import CheckReport, Rule, RuleConfig, RuleViolation, run_all_checks
 from .source import SourceText, Span
@@ -159,9 +158,14 @@ def verify_mitigation(original: SourceText, mitigated: SourceText,
 
     stg_ok reports whether the transition structure survived (it is
     meaningful for encoding-only fixes; default arms are outside the
-    comparison).
+    comparison).  The original's check is ``mitigated.derived_from`` when a
+    fresh one would equal it: same source, config and merged protected set.
     """
-    orig_report = run_all_checks(original, protected, config)
+    rep = mitigated.derived_from
+    reusable = (rep is not None and rep.ast is not None and rep.source == original
+                and rep.config == config
+                and set(rep.protected) == set(protected) | rep.ast.protected_annotations)
+    orig_report = rep if reusable else run_all_checks(original, protected, config)
     orig_ast = orig_report.expect_ast()
     targets = set(target_rules)
     missing = targets - orig_report.violated_rules
@@ -197,12 +201,11 @@ def _make_record(vuln: VulnClass, index: int, bases: Sequence[CheckReport], mast
     for offset in range(len(bases)):
         base = bases[(index + offset) % len(bases)]
         try:
-            injected_ast, plan = plan_injection(vuln, base.ast, seed, protected)
+            _, plan = plan_injection(vuln, base.ast, seed, protected)
         except InjectError as exc:
             errors.append(f"{base.design_id}: {exc}")
             continue
-        text = emit_verilog(injected_ast)
-        verdict = _insertion_verdict(base, text, vuln, protected)
+        verdict = _insertion_verdict(base, plan.text, vuln, protected)
         if not verdict.overall:
             errors.append(f"{base.design_id}: fidelity gate failed")
             continue
@@ -211,7 +214,7 @@ def _make_record(vuln: VulnClass, index: int, bases: Sequence[CheckReport], mast
         return CorpusRecord(
             id=f"{vuln.value.lower()}-{index:05d}",
             base_id=base.design_id,
-            source=text.content,
+            source=plan.text.content,
             vuln=vuln,
             plan=plan,
             protected=tuple(sorted(protected)),

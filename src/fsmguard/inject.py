@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import random
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Iterator, Optional
 
 from .ast_nodes import Assign, Branch, CaseArm, FsmAst, IfChain, ParamDecl
 from .emitter import emit_verilog, emit_with_markers
 from .rules import CheckReport, Rule, RuleConfig, run_checks_on_ast
-from .source import Span
+from .source import SourceText, Span
 from .stg import StgError
 
 
@@ -55,6 +55,8 @@ class InjectionPlan:
     added_states: tuple[str, ...]
     modified_spans: tuple[Span, ...]
     notes: str = ""
+    # The injected design as emitted for the spans; in memory only.
+    text: Optional[SourceText] = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -323,7 +325,7 @@ def remove_default_arm(ast: FsmAst) -> tuple[FsmAst, InjectionPlan]:
     if ast.comb.leading_target_for(ast.state_next) is not None:
         raise InjectError("a leading next-state default still handles unused encodings")
     injected = replace(ast, comb=replace(ast.comb, default_arm=None))
-    _, markers = emit_with_markers(injected)
+    text, markers = emit_with_markers(injected)
     plan = InjectionPlan(
         vuln=VulnClass.MISSING_DEFAULT,
         seed=0,
@@ -333,6 +335,7 @@ def remove_default_arm(ast: FsmAst) -> tuple[FsmAst, InjectionPlan]:
         # the plan names every code left unhandled, as the MISSING_DEFAULT
         # finding does; the refusals above take one code at most
         notes="default arm removed; unhandled encodings: " + ", ".join(ast.unused_encodings()),
+        text=text,
     )
     return injected, plan
 
@@ -371,7 +374,7 @@ def plan_injection(vuln: VulnClass, ast: FsmAst, seed: int,
         state = rng.choice([a.label for a in ast.comb.arms if a.label in kept])
         edit = rng.choice(kept[state])
     injected = edit.apply(ast)
-    _, markers = emit_with_markers(injected)
+    text, markers = emit_with_markers(injected)
     return injected, InjectionPlan(
         vuln=vuln,
         seed=seed,
@@ -379,4 +382,5 @@ def plan_injection(vuln: VulnClass, ast: FsmAst, seed: int,
         added_states=edit.added_states,
         modified_spans=tuple(markers[k] for k in edit.markers if k in markers),
         notes=edit.notes,
+        text=text,
     )

@@ -56,6 +56,10 @@ class RetryPolicy:
     sleep_fn: Callable[[float], None] = time.sleep
     rng: random.Random = field(default_factory=lambda: random.Random(0))
 
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ValueError(f"max_attempts {self.max_attempts} must be at least 1")
+
     def delay_for(self, attempt: int) -> float:
         base = min(self.base_delay * (self.multiplier ** attempt), self.max_delay)
         return base + self.rng.uniform(0.0, self.jitter)

@@ -272,7 +272,8 @@ def mitigate(src: SourceText, report: CheckReport,
     and it is the first round's check when it was made under rule_config.
     Residual violations are reported, never dropped.  ``stg_preserved`` is
     computed against the original design, so encoding-only repairs (default
-    arm plus re-encoding) keep it true.
+    arm plus re-encoding) keep it true.  The design carries the report as
+    ``derived_from``.
     """
     if report.source != src:
         raise MitigationError(f"the report was not built from {src.origin}")
@@ -328,7 +329,7 @@ def mitigate(src: SourceText, report: CheckReport,
     residual = list(final_report.violations)
     stg_preserved = stg_isomorphic_modulo_encoding(original_stg, final_report.stg)
     return MitigationOutcome(
-        design=emit_verilog(current),
+        design=replace(emit_verilog(current), derived_from=report),
         fixed=fixed,
         residual=residual,
         stg_preserved=stg_preserved,

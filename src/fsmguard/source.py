@@ -1,9 +1,13 @@
 """Source text, line spans, and diagnostics shared by every analysis stage."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .rules import CheckReport
 
 
 @dataclass(frozen=True)
@@ -12,6 +16,9 @@ class SourceText:
 
     content: str
     origin: str = "<memory>"
+    # The check of the design this text was repaired from (set by
+    # ``mitigate``); in memory only, never serialized or compared.
+    derived_from: CheckReport | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.content:
@@ -21,14 +28,6 @@ class SourceText:
     def from_file(cls, path: str | Path) -> "SourceText":
         p = Path(path)
         return cls(content=p.read_text(encoding="utf-8"), origin=str(p))
-
-    @property
-    def lines(self) -> list[str]:
-        return self.content.splitlines()
-
-    @property
-    def line_count(self) -> int:
-        return max(1, len(self.lines))
 
 
 @dataclass(frozen=True, order=True, slots=True)

@@ -1,5 +1,6 @@
 """Corpus generation, fidelity verdicts, and identifier sanitization."""
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,9 @@ import pytest
 import fsmguard.rules
 from fsmguard import (
     CorpusError,
+    ParseFailure,
     Rule,
+    RuleConfig,
     SourceText,
     VulnClass,
     emit_verilog,
@@ -28,7 +31,7 @@ from fsmguard.mitigate import mitigate
 from fsmguard.stg import StgError
 from fsmguard.sanitize import contains_keywords
 
-from conftest import design_ast, design_source
+from conftest import count_calls, design_ast, design_source
 
 
 # -- verify_insertion ---------------------------------------------------------------
@@ -94,6 +97,15 @@ def test_verify_mitigation_unparseable(aes_ctrl):
                                 [Rule.MISSING_DEFAULT], frozenset({"WAIT_KEY"}))
     assert not verdict.overall
     assert not verdict.syntax_ok
+
+
+def test_verify_mitigation_rechecks_an_original_whose_carried_check_failed(aes_ctrl):
+    """A carried report without an AST is never reused: the original is
+    checked again and its parse failure raised."""
+    broken = SourceText("module nope")
+    carried = SourceText(aes_ctrl.content, derived_from=run_all_checks(broken))
+    with pytest.raises(ParseFailure):
+        verify_mitigation(broken, carried, [])
 
 
 def test_verify_mitigation_renamed_module_fails(aes_ctrl, aes_ctrl_default):
@@ -244,6 +256,17 @@ def test_corpus_gate_passes_verify_insertion(clean_bases):
 CORPUS_GOLDEN_SHA256 = "f580558fba96fec54b817f724279b56da852d82ece4eec3d76fb2109111e6d38"
 
 
+def test_corpus_emits_each_injected_design_once(clean_bases, monkeypatch):
+    """plan_injection hands over the injected text it emitted, so with the gate
+    memo warm each plan costs one emit_verilog: the memo key's."""
+    mix = {VulnClass.STATIC_DEADLOCK: 3, VulnClass.DUPLICATE_ENCODING: 3}
+    expected = generate_corpus(clean_bases, mix, 31, clean_ratio=0.0)
+    plans = count_calls(monkeypatch, "fsmguard.inject", "plan_injection")
+    emits = count_calls(monkeypatch, "fsmguard.emitter", "emit_verilog")
+    assert generate_corpus(clean_bases, mix, 31, clean_ratio=0.0) == expected
+    assert plans and len(emits) == len(plans)
+
+
 def test_corpus_golden_identity(tmp_path, clean_bases):
     bases = [SourceText(b.content, origin=Path(b.origin).name) for b in clean_bases]
     path = tmp_path / "golden.jsonl"
@@ -265,6 +288,41 @@ def test_mitigation_fidelity_on_corpus(vuln, clean_bases):
         verdict = verify_mitigation(src, outcome.design,
                                     [Rule(label) for label in r.labels])
         assert verdict.overall, r.id
+
+
+def _reused_verdict_matches_a_fresh_one(src: SourceText, protected: frozenset[str],
+                                        config: RuleConfig) -> None:
+    outcome = mitigate(src, run_all_checks(src, protected, config), rule_config=config)
+    design = outcome.design
+    assert design.derived_from is not None
+    plain = SourceText(design.content, design.origin)
+    reused = verify_mitigation(src, design, outcome.fixed, protected, config)
+    fresh = verify_mitigation(src, plain, outcome.fixed, protected, config)
+    assert json.dumps(reused.to_json()) == json.dumps(fresh.to_json()), (src.origin, protected)
+
+
+# Every shipped design that parses (moore_conflict does not).
+@pytest.mark.parametrize("name", ["vending", "vending_deadlock", "aes_ctrl",
+                                  "aes_ctrl_default", "fsm_review", "rsa_ctrl"])
+@pytest.mark.parametrize("fif", [False, True])
+def test_reused_check_gives_the_verdict_of_a_fresh_one(name, fif):
+    """verify_mitigation on mitigate's design, which carries the original's
+    check, gives the same JSON as on a copy without it (which checks the
+    original again): each shipped design with each of its states protected."""
+    src = design_source(name)
+    config = RuleConfig(fif=fif)
+    for state in design_ast(name).param_names:
+        _reused_verdict_matches_a_fresh_one(src, frozenset({state}), config)
+
+
+@pytest.mark.parametrize("fif", [False, True])
+def test_reused_check_gives_the_verdict_of_a_fresh_one_on_a_corpus(clean_bases, fif):
+    mix = {VulnClass.DUPLICATE_ENCODING: 2, VulnClass.UNREACHABLE_STATE: 2,
+           VulnClass.STATIC_DEADLOCK: 2, VulnClass.CWE835_TRAP: 2,
+           VulnClass.MISSING_DEFAULT: 2}
+    for r in generate_corpus(clean_bases, mix, 606, clean_ratio=0.25):
+        _reused_verdict_matches_a_fresh_one(SourceText(r.source, origin=r.id),
+                                            frozenset(r.protected), RuleConfig(fif=fif))
 
 
 # -- sanitize ----------------------------------------------------------------------

@@ -585,7 +585,7 @@ endmodule"""
 
 def test_diagnostic_spans_inside_source(moore_conflict):
     result = parse_source(moore_conflict)
-    line_count = moore_conflict.line_count
+    line_count = max(1, len(moore_conflict.content.splitlines()))
     for d in result.diagnostics:
         assert 1 <= d.span.start <= d.span.end <= line_count
 

@@ -3,6 +3,7 @@ import difflib
 import hashlib
 import json
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -328,6 +329,17 @@ def test_injection_minimality(vuln, base):
             continue
         changed = set(range(j1 + 1, j2 + 1))  # 1-based lines in the new text
         assert changed <= allowed, (tag, changed - allowed, plan.modified_spans)
+
+
+@pytest.mark.parametrize("vuln", list(VulnClass))
+@pytest.mark.parametrize("base", BASES)
+def test_plan_carries_the_injected_design_it_emitted(vuln, base):
+    """The plan holds the text its spans index; it is in memory only, so the
+    plan's equality and JSON ignore it."""
+    injected, plan = plan_injection(vuln, design_ast(base), seed=5)
+    assert plan.text == emit_verilog(injected)
+    bare = replace(plan, text=None)
+    assert bare == plan and bare.to_json() == plan.to_json()
 
 
 @pytest.mark.parametrize("vuln", list(VulnClass))

@@ -57,6 +57,13 @@ def test_params_ranges_enforced():
     GenerationParams(temperature=1.0, top_p=0.5)
 
 
+@pytest.mark.parametrize("attempts", [0, -1])
+def test_retry_policy_needs_at_least_one_attempt(attempts):
+    with pytest.raises(ValueError, match="max_attempts"):
+        RetryPolicy(max_attempts=attempts)
+    assert RetryPolicy(max_attempts=1).max_attempts == 1
+
+
 def test_temperature_grid_has_eleven_points():
     grid = temperature_grid()
     assert len(grid) == 11

@@ -449,7 +449,62 @@ def test_check_repair_verify_lexes_each_design_once(aes_ctrl, monkeypatch):
     outcome = mitigate(aes_ctrl, run_all_checks(aes_ctrl, protected, cfg), rule_config=cfg)
     verdict = verify_mitigation(aes_ctrl, outcome.design, outcome.fixed, protected, cfg)
     assert outcome.fixed and verdict.intended_present
-    assert len(lexed) == 3
+    assert len(lexed) == 2
+
+
+def _annotated(src: SourceText) -> SourceText:
+    return SourceText(src.content.replace("input clk;", "// @protected WAIT_KEY\ninput clk;"),
+                      src.origin)
+
+
+_FIF = RuleConfig(fif=True)
+
+
+@pytest.mark.parametrize("variant, lexes", [
+    ("other_origin", 3),
+    ("other_content", 3),
+    ("other_protected", 3),
+    ("other_config", 3),
+    ("annotation_checked_with_name", 2),
+    ("annotation_verified_with_name", 2),
+])
+def test_verify_mitigation_reuses_only_an_equal_check(aes_ctrl, monkeypatch, variant, lexes):
+    """verify_mitigation takes the original's check from the design that
+    mitigate returned only when a fresh check would equal it; otherwise it
+    lexes the original again.  Counted over check, repair and verify."""
+    src, verified = aes_ctrl, aes_ctrl
+    check_protected = verify_protected = frozenset({"WAIT_KEY"})
+    verify_config = _FIF
+    if variant == "other_origin":
+        verified = SourceText(aes_ctrl.content, "elsewhere.v")
+    elif variant == "other_content":
+        verified = SourceText(aes_ctrl.content + "\n", aes_ctrl.origin)
+    elif variant == "other_protected":
+        verify_protected = frozenset({"WAIT_KEY", "FINAL_ROUND"})
+    elif variant == "other_config":
+        verify_config = RuleConfig(fif=True, include_self_edges=True)
+    elif variant == "annotation_checked_with_name":
+        src = verified = _annotated(aes_ctrl)
+        verify_protected = frozenset()
+    elif variant == "annotation_verified_with_name":
+        src = verified = _annotated(aes_ctrl)
+        check_protected = frozenset()
+    lexed = count_calls(monkeypatch, "fsmguard.tokens", "tokenize")
+    outcome = mitigate(src, run_all_checks(src, check_protected, _FIF), rule_config=_FIF)
+    verdict = verify_mitigation(verified, outcome.design, [Rule.MISSING_DEFAULT],
+                                verify_protected, verify_config)
+    assert verdict.intended_present
+    assert len(lexed) == lexes
+
+
+def test_a_derived_design_equals_and_hashes_like_its_text(aes_ctrl):
+    report = run_all_checks(aes_ctrl, {"WAIT_KEY"}, _FIF)
+    derived = mitigate(aes_ctrl, report, rule_config=_FIF).design
+    assert derived.derived_from is report
+    plain = SourceText(derived.content, derived.origin)
+    assert plain.derived_from is None
+    assert derived == plain and hash(derived) == hash(plain)
+    assert repr(derived) == repr(plain)
 
 
 def test_mitigate_rejects_a_report_of_another_source(aes_ctrl, aes_ctrl_default):
