@@ -23,7 +23,6 @@ from .stg import (
     dump_stg,
     extract_stg,
     reachable_states,
-    rename_states,
     stg_isomorphic_modulo_encoding,
     unprotected_transitions,
 )
@@ -43,7 +42,6 @@ from .rules import (
     detect_trap_loops,
     detect_unreachable_states,
     fif_metric,
-    fif_results,
     run_all_checks,
     run_checks_on_ast,
 )

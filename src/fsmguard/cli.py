@@ -419,7 +419,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--protected", action="append", metavar="STATE")
         p.add_argument("--policy", action="append", help="policy text (repeatable)")
         p.add_argument("--assessment", help="assessment text for mitigate-rules")
-        p.add_argument("--temperature", type=float, default=0.0)
+        p.add_argument("--temperature", type=float, default=0.0,
+                       help="sampling temperature in [0, 1]; sweep range-checks it "
+                            "but runs --grid or the 11-point default")
         p.add_argument("--mock-script", help="scripted responses (---step--- separated)")
         p.add_argument("--config")
         p.add_argument("--out", required=True)

@@ -93,8 +93,10 @@ def parse_policy_verdicts(response: str, policy_count: int) -> list[PolicyVerdic
         exp_match = _EXPLANATION_RE.search(rest)
         if exp_match:
             explanation = exp_match.group(1).strip()
-        line_match = _LINE_NO_RE.search(response[m.start():m.start() + len(m.group(0)) + 400])
-        line = int(line_match.group(1)) if (violated and line_match) else None
+        line = None
+        if violated:
+            line_match = _LINE_NO_RE.search(response, m.start(), m.end() + 400)
+            line = int(line_match.group(1)) if line_match else None
         verdicts.append(PolicyVerdict(policy, violated, explanation, line))
     if len(verdicts) != policy_count:
         raise ResponseParseError(

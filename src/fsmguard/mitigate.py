@@ -44,10 +44,6 @@ class EncodingAssignment:
     residual_violations: tuple[tuple[str, str], ...]
     optimal: bool  # False when the search stopped at SEARCH_NODE_BUDGET
 
-    @property
-    def residual_count(self) -> int:
-        return len(self.residual_violations)
-
 
 @dataclass
 class MitigationOutcome:

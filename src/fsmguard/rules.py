@@ -8,6 +8,10 @@ FIF for one transition against one protected state is the bitwise product
 where bx/by/bp are the present, next, and protected state encodings and
 index 0 is the MSB.  FIF = 1 marks a transition from which a fault can
 steer the machine toward the protected state.
+
+No ``RuleViolation`` is mutated once a rule has built it.  A finding shares
+its ``Span`` with the STG, and a mitigation outcome shares the findings of
+its last check.
 """
 from __future__ import annotations
 
@@ -119,7 +123,7 @@ def fif_metric(bx: str, by: str, bp: str) -> FifResult:
     return FifResult(per_bit=tuple(per_bit), overall=overall)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RuleViolation:
     rule: Rule
     states: tuple[str, ...]
@@ -205,15 +209,6 @@ def _scored_edges(stg: Stg, include_self: bool) -> list[Transition]:
 def _fif_pair(stg: Stg, source: str, target: str, protected: str) -> FifResult:
     base = fif_metric(*(f"{stg.code_of(n):0{stg.width}b}" for n in (source, target, protected)))
     return FifResult(base.per_bit, base.overall, source, target, protected)
-
-
-def fif_results(stg: Stg, include_self_edges: bool = False) -> list[FifResult]:
-    """FIF for every (unprotected transition, protected state) pair."""
-    protected = sorted(stg.protected_names)
-    if not protected:
-        raise RuleError("FIF rule requires a protected state")
-    return [_fif_pair(stg, t.source, t.target, p)
-            for t in _scored_edges(stg, include_self_edges) for p in protected]
 
 
 def check_fif_rule(stg: Stg, include_self_edges: bool = False) -> list[RuleViolation]:

@@ -78,8 +78,3 @@ def sanitize_identifiers(ast: FsmAst, keywords: tuple[str, ...] = DEFAULT_KEYWOR
     comments = tuple(c for c in scrubbed if c.strip("/* \t"))
     return SanitizeResult(ast=replace(ast.renamed(rename), comments=comments),
                           rename_map=rename)
-
-
-def contains_keywords(text: str, keywords: tuple[str, ...] = DEFAULT_KEYWORDS) -> bool:
-    low = text.lower()
-    return any(k in low for k in keywords)

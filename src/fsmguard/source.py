@@ -1,4 +1,8 @@
-"""Source text, line spans, and diagnostics shared by every analysis stage."""
+"""Source text, line spans, and diagnostics shared by every analysis stage.
+
+No ``Span`` is mutated once it is built.  The AST nodes, the STG and the
+findings share the spans they were built from; a change builds a new one.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -30,7 +34,7 @@ class SourceText:
         return cls(content=p.read_text(encoding="utf-8"), origin=str(p))
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(order=True, slots=True, unsafe_hash=True)
 class Span:
     """Inclusive 1-based line range."""
 

@@ -1,15 +1,19 @@
 """State-transition graph extraction and the graph primitives every
-security rule shares."""
+security rule shares.
+
+No ``Guard``, ``State`` or ``Transition`` is mutated once extraction has
+built it.  The edges that share a guard text share its ``Guard``, and the
+edges of one arm share its ``Span``; a change builds a new value.
+"""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, cached_property
 from typing import Callable, Iterable, Optional
 
 from .ast_nodes import Assign, CaseArm, FsmAst, IfChain, Stmt
 from .source import Span
-from .tokens import rename_identifiers
 
 _NOSPAN = Span(1, 1)
 
@@ -26,7 +30,7 @@ class GuardKind(Enum):
     HOLD = "hold"       # implicit hold (arm did not fully assign next-state)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Guard:
     kind: GuardKind
     text: str = ""
@@ -55,7 +59,7 @@ class Guard:
         return cls(GuardKind.EXPR, text)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class State:
     name: str
     code: int
@@ -63,7 +67,7 @@ class State:
     span: Span = field(default=_NOSPAN, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Transition:
     source: str
     target: str
@@ -240,7 +244,7 @@ def extract_stg(ast: FsmAst, protected: Iterable[str] = ()) -> Stg:
         _, dbase, dcov = _eval_block(ast.comb.default_arm.body, ast.state_next)
         default_target = dbase if dbase is not None else leading_target
 
-    # one Guard per (text, hold) in this extraction: Guards are frozen, so
+    # one Guard per (text, hold) in this extraction: Guards are never mutated, so
     # the edges that share a guard text share its Guard
     guard = cache(_guard)
     transitions: list[Transition] = []
@@ -305,28 +309,6 @@ def stg_isomorphic_modulo_encoding(a: Stg, b: Stg) -> bool:
         return (t.source, t.target, t.guard.kind.value, t.guard.text)
 
     return sorted(map(edge_key, a.transitions)) == sorted(map(edge_key, b.transitions))
-
-
-def rename_states(stg: Stg, mapping: dict[str, str]) -> Stg:
-    """Rebuild the graph under a rename map covering states and guard
-    signals; used to compare sanitized or generated designs against their
-    originals."""
-    def m(name: str) -> str:
-        return mapping.get(name, name)
-
-    def m_guard(g: Guard) -> Guard:
-        return Guard(g.kind, rename_identifiers(g.text, mapping))
-
-    return Stg(
-        states=tuple(replace(s, name=m(s.name)) for s in stg.states),
-        transitions=tuple(
-            replace(t, source=m(t.source), target=m(t.target), guard=m_guard(t.guard))
-            for t in stg.transitions
-        ),
-        reset_state=m(stg.reset_state),
-        width=stg.width,
-        default_arm_target=m(stg.default_arm_target) if stg.default_arm_target else None,
-    )
 
 
 def dump_stg(stg: Stg) -> str:

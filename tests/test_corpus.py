@@ -19,7 +19,6 @@ from fsmguard import (
     parse_source,
     plan_injection,
     read_corpus,
-    rename_states,
     run_all_checks,
     sanitize_identifiers,
     stg_isomorphic_modulo_encoding,
@@ -29,9 +28,8 @@ from fsmguard import (
 )
 from fsmguard.mitigate import mitigate
 from fsmguard.stg import StgError
-from fsmguard.sanitize import contains_keywords
 
-from conftest import count_calls, design_ast, design_source
+from conftest import contains_keywords, count_calls, design_ast, design_source, rename_states
 
 
 # -- verify_insertion ---------------------------------------------------------------

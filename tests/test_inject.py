@@ -21,13 +21,12 @@ from fsmguard import (
     parse_source,
     plan_injection,
     remove_default_arm,
-    rename_states,
     run_all_checks,
     stg_isomorphic_modulo_encoding,
     uniquify_encodings,
 )
 
-from conftest import count_calls, design_ast, design_source
+from conftest import count_calls, design_ast, design_source, rename_states
 
 
 def _violated(text, protected=frozenset()):

@@ -174,6 +174,14 @@ def test_policy_verdicts_single():
     assert verdicts[0].policy == 1 and not verdicts[0].violated
 
 
+def test_policy_verdicts_line_only_for_violated():
+    verdicts = parse_policy_verdicts(
+        "Policy 1: not violated, explanation: checked, line no: 7\n"
+        "Policy 2: violated, explanation: bad, line no: 12\n", 2)
+    assert [v.line for v in verdicts] == [None, 12]
+    assert verdicts[0].to_json()["line"] is None
+
+
 def test_policy_verdicts_prose_fails():
     with pytest.raises(ResponseParseError):
         parse_policy_verdicts("the design looks fine to me", 1)

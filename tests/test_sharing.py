@@ -1,10 +1,12 @@
 """Edits build new ASTs and share the nodes they leave alone, so none of them
 may change its input: after each call the input still equals a fresh parse
-and still emits the same text."""
+and still emits the same text.  Likewise no call that reads a report changes
+its STG or its findings."""
 
 import pytest
 
 from fsmguard import (
+    RuleConfig,
     SourceText,
     VulnClass,
     add_default_arm,
@@ -22,6 +24,7 @@ from fsmguard import (
     run_checks_on_ast,
     sanitize_identifiers,
     uniquify_encodings,
+    verify_mitigation,
 )
 
 from conftest import FIXTURES, design_source
@@ -139,3 +142,57 @@ def test_mitigate_leaves_its_parsed_design(name, protected):
     mitigate(src, report)
     assert report.ast == parse_source(src).expect_ast()
     assert emit_verilog(report.ast).content == emit_verilog(parse_source(src).expect_ast()).content
+
+
+# -- reports -------------------------------------------------------------------
+
+MITIGATED = [("aes_ctrl", {"WAIT_KEY"}, RuleConfig(fif=True)), ("fsm_review", set(), RuleConfig()),
+             ("fsm_review", {"s3"}, RuleConfig()), ("vending_deadlock", set(), RuleConfig())]
+
+
+def _judged(report) -> tuple:
+    """The report's STG, spans included, and the JSON of its findings."""
+    stg = report.stg
+    return ([(s, s.span) for s in stg.states],
+            [(t, t.span) for t in stg.transitions],
+            [v.to_json() for v in report.violations])
+
+
+def _report_untouched(src: SourceText, call, protected=frozenset(), config=RuleConfig()):
+    """Run call on a check of src and check that the report still equals a
+    fresh check of src."""
+    report = run_all_checks(src, protected, config)
+    out = call(report)
+    assert _judged(report) == _judged(run_all_checks(src, protected, config))
+    return out
+
+
+@pytest.mark.parametrize("name, protected, config", MITIGATED)
+def test_mitigate_and_verify_leave_report(name, protected, config):
+    src = design_source(name)
+    report = run_all_checks(src, protected, config)
+    fresh = _judged(run_all_checks(src, protected, config))
+    outcome = mitigate(src, report, rule_config=config)
+    assert _judged(report) == fresh
+    assert outcome.design.derived_from is report
+    verify_mitigation(src, outcome.design, outcome.fixed, protected, config)
+    assert _judged(report) == fresh
+
+
+def test_reencode_states_leaves_report():
+    assignment = _report_untouched(design_source("aes_ctrl"),
+                                   lambda report: reencode_states(report.stg),
+                                   {"WAIT_KEY"}, RuleConfig(fif=True))
+    assert assignment.mapping
+
+
+def test_remove_unreachable_state_leaves_report():
+    _report_untouched(design_source("fsm_review"),
+                      lambda report: remove_unreachable_state(report, "s3"))
+    _report_untouched(SourceText.from_file(FIXTURES / "mutual_unreachable.v"),
+                      lambda report: remove_unreachable_state(report, ["U1", "U2"]))
+
+
+def test_remove_static_deadlock_leaves_report():
+    _report_untouched(design_source("vending_deadlock"),
+                      lambda report: remove_static_deadlock(report, "DEADLOCK_STATE", "IDLE"))

@@ -1,11 +1,17 @@
 """STG extraction and the shared graph primitives."""
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsmguard import (
     Guard,
+    GuardKind,
+    Rule,
+    RuleViolation,
     SourceText,
+    Span,
     State,
     Stg,
     StgError,
@@ -229,3 +235,45 @@ def test_dump_stg_format():
     lines = text.strip().splitlines()
     assert lines[0] == "IDLE -> PRODUCT_SELECTED [productSelected]"
     assert all(" -> " in line and line.endswith("]") for line in lines)
+
+
+# -- values --------------------------------------------------------------------
+
+def test_value_classes_compare_hash_order_and_repr():
+    """Spans, guards, states, transitions and findings are plain slot
+    classes that nothing mutates; equality and hash skip the fields marked
+    compare=False, and spans order by (start, end)."""
+    go = Guard.expr("go")
+    t = Transition("A", "B", go, Span(3, 4))
+    moved = replace(t, span=Span(9, 9))
+    assert t == moved and hash(t) == hash(moved) and len({t, moved}) == 1
+    assert t != replace(t, guard=Guard.expr("stop"))
+    assert moved.span == Span(9, 9) and t.span == Span(3, 4)
+    assert repr(t) == ("Transition(source='A', target='B', guard=Guard(kind=<GuardKind.EXPR: "
+                       "'expr'>, text='go'), span=Span(start=3, end=4))")
+
+    s = State("A", 2, True, Span(1, 1))
+    assert s == State("A", 2, True, Span(7, 8)) and hash(s) == hash(State("A", 2, True, Span(7, 8)))
+    assert s != State("A", 2, False, Span(1, 1))
+    assert repr(s) == "State(name='A', code=2, protected=True, span=Span(start=1, end=1))"
+
+    assert go == Guard(GuardKind.EXPR, "go") and hash(go) == hash(Guard(GuardKind.EXPR, "go"))
+    assert go != Guard.hold("go")
+
+    v = RuleViolation(Rule.HD_NOT_ONE, ("A", "B"), ("A", "B"), Span(3, 4), {"hamming_distance": 2})
+    other = replace(v, evidence={"hamming_distance": 0})
+    assert v == other and hash(v) == hash(other) and len({v, other}) == 1
+    assert v != replace(v, span=Span(5, 5))
+    assert repr(v) == ("RuleViolation(rule=<Rule.HD_NOT_ONE: 'HD_NOT_ONE'>, states=('A', 'B'), "
+                       "transition=('A', 'B'), span=Span(start=3, end=4), "
+                       "evidence={'hamming_distance': 2})")
+
+    assert sorted([Span(2, 3), Span(1, 5), Span(1, 2)]) == [Span(1, 2), Span(1, 5), Span(2, 3)]
+    assert Span(1, 2) < Span(2, 2) and Span.point(4) == Span(4, 4)
+    assert hash(Span(1, 2)) == hash(Span(1, 2)) and len({Span(1, 2), Span(1, 2)}) == 1
+    for bad in ((0, 1), (3, 2)):
+        with pytest.raises(ValueError):
+            Span(*bad)
+
+    for value in (t, s, go, v, Span(1, 1)):
+        assert not hasattr(value, "__dict__")
