@@ -17,7 +17,7 @@ from .ast_nodes import Assign, Branch, CaseArm, FsmAst, IfChain, Stmt
 from .emitter import emit_verilog
 from .rules import CheckReport, Rule, RuleConfig, RuleViolation, run_checks_on_ast
 from .source import SourceText
-from .stg import Stg, stg_isomorphic_modulo_encoding, unprotected_transitions
+from .stg import Stg, closure, stg_isomorphic_modulo_encoding
 
 MAX_ROUNDS = 5
 # State placements the re-encoding search may make before it settles for its
@@ -142,20 +142,16 @@ def uniquify_encodings(ast: FsmAst) -> FsmAst:
 def score_assignment(stg: Stg, mapping: dict[str, int],
                      include_self_edges: bool = False) -> list[tuple[str, str]]:
     """Unprotected transitions whose assigned encodings sit at HD != 1."""
-    bad = []
-    for t in unprotected_transitions(stg):
-        if t.is_self and not include_self_edges:
-            continue
-        if (mapping[t.source] ^ mapping[t.target]).bit_count() != 1:
-            bad.append((t.source, t.target))
-    return bad
+    return [(t.source, t.target) for _, _, t in stg.scored_edges(include_self_edges)
+            if (mapping[t.source] ^ mapping[t.target]).bit_count() != 1]
 
 
 def reencode_states(stg: Stg, protected: frozenset[str] | set[str] = frozenset(),
                     include_self_edges: bool = False) -> EncodingAssignment:
     """Exact branch-and-bound search for an injective assignment minimizing
     unprotected edges with HD != 1; ties break to the lexicographically
-    smallest assignment over states in declaration order.  After
+    smallest assignment over states in declaration order.  ``protected``
+    names states to treat as protected besides the STG's own.  After
     ``SEARCH_NODE_BUDGET`` placements it returns the best assignment found so
     far with ``optimal=False``."""
     names = stg.state_names
@@ -164,18 +160,21 @@ def reencode_states(stg: Stg, protected: frozenset[str] | set[str] = frozenset()
     if len(names) > size:
         raise MitigationError(
             f"{len(names)} states exceed the {size} codes of width {width}")
-    # Flag the passed states once, so the search and the residual score the
-    # same unprotected edges.
-    stg = replace(stg, states=tuple(replace(s, protected=True) if s.name in protected else s
-                                    for s in stg.states))
-    index = {n: i for i, n in enumerate(names)}
+    mask = list(stg.protected_mask)
+    for name in protected:
+        if name not in stg.index:
+            raise MitigationError(f"protected state {name} is not declared")
+        mask[stg.index[name]] = True
+    # The search and the residual score the same edges.
+    edges = [(a, b) for a, b, _ in stg.scored_edges(include_self_edges)
+             if not (mask[a] or mask[b])]
     n = len(names)
     # later[j]: {k: multiplicity} of edges between j and a later-declared k.
     # Self edges (HD 0) violate under every assignment, so they are a
     # constant and drop out of the search.
     later: list[dict[int, int]] = [{} for _ in names]
-    for t in unprotected_transitions(stg):
-        a, b = sorted((index[t.source], index[t.target]))
+    for a, b in edges:
+        a, b = sorted((a, b))
         if a != b:
             later[a][b] = later[a].get(b, 0) + 1
     # viol(c)[d] is 1 unless codes c and d sit at HD 1.  Rows are built for
@@ -236,9 +235,9 @@ def reencode_states(stg: Stg, protected: frozenset[str] | set[str] = frozenset()
 
     search(0, 0, [size - 1])
     assert best is not None
-    mapping = dict(zip(names, best))
-    residual = tuple(score_assignment(stg, mapping, include_self_edges))
-    return EncodingAssignment(mapping=mapping, residual_violations=residual,
+    residual = tuple((names[a], names[b]) for a, b in edges
+                     if (best[a] ^ best[b]).bit_count() != 1)
+    return EncodingAssignment(mapping=dict(zip(names, best)), residual_violations=residual,
                               optimal=not exhausted)
 
 
@@ -248,15 +247,14 @@ def apply_encoding_assignment(ast: FsmAst, assignment: EncodingAssignment) -> Fs
 
 # -- the driver ---------------------------------------------------------------
 
-def _removable_unreachable(report: CheckReport, protected: frozenset[str]) -> list[str]:
+def _removable_unreachable(report: CheckReport) -> list[str]:
     """The flagged unreachable states that can go.  A protected state stays,
-    and so does every state it leads to, or its arm would name a deleted
-    label; their findings remain in the residual."""
-    flagged = [v.states[0] for v in report.violations_of(Rule.UNREACHABLE_STATE)]
-    stay = {name for name in flagged if name in protected}
-    while grown := {t.target for t in report.stg.transitions if t.source in stay} - stay:
-        stay |= grown
-    return [name for name in flagged if name not in stay]
+    and so does every state it leads to by any edge, or its arm would name a
+    deleted label; their findings remain in the residual."""
+    stg = report.stg
+    flagged = [stg.index[v.states[0]] for v in report.violations_of(Rule.UNREACHABLE_STATE)]
+    stay = closure(stg.all_succ, [i for i in flagged if stg.protected_mask[i]])
+    return [stg.states[i].name for i in flagged if not stay[i]]
 
 
 def mitigate(src: SourceText, report: CheckReport,
@@ -292,7 +290,7 @@ def mitigate(src: SourceText, report: CheckReport,
 
         if Rule.DUPLICATE_ENCODING in rules:
             current = uniquify_encodings(current)
-        elif unreachable := _removable_unreachable(rep, protected):
+        elif unreachable := _removable_unreachable(rep):
             # Removed as a group: mutually-referencing unreachable states
             # would otherwise leave dangling labels mid-sequence.
             current = remove_unreachable_state(rep, unreachable)

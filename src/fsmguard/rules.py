@@ -24,14 +24,7 @@ from .ast_nodes import FsmAst
 from .lint import lint
 from .parser import ParseResult, parse_source
 from .source import Diagnostic, SourceText, Span, error
-from .stg import (
-    State,
-    Stg,
-    StgError,
-    Transition,
-    extract_stg,
-    unprotected_transitions,
-)
+from .stg import State, Stg, StgError, extract_stg
 
 SCHEMA_VERSION = 1
 
@@ -199,56 +192,45 @@ class CheckReport:
 
 # -- per-rule checks --------------------------------------------------------
 
-def _scored_edges(stg: Stg, include_self: bool) -> list[Transition]:
-    edges = unprotected_transitions(stg)
-    if not include_self:
-        edges = [t for t in edges if not t.is_self]
-    return edges
-
-
-def _fif_pair(stg: Stg, source: str, target: str, protected: str) -> FifResult:
-    base = fif_metric(*(f"{stg.code_of(n):0{stg.width}b}" for n in (source, target, protected)))
-    return FifResult(base.per_bit, base.overall, source, target, protected)
-
-
 def check_fif_rule(stg: Stg, include_self_edges: bool = False) -> list[RuleViolation]:
     """FIF_NONZERO for each pair whose product is 1.  On integer codes the
     product is 1 exactly when (x XOR y) OR (x AND p) sets every bit, so
     fif_metric runs only for those pairs, to give their per-bit evidence."""
-    protected = [(p, stg.code_of(p)) for p in sorted(stg.protected_names)]
+    protected = sorted((s.name, s.code) for s in stg.states if s.protected)
     if not protected:
         raise RuleError("FIF rule requires a protected state")
     mask = (1 << stg.width) - 1
-    code = stg.code_of
+    codes = stg.codes
     violations = []
-    for t in _scored_edges(stg, include_self_edges):
-        x = code(t.source)
-        flips = x ^ code(t.target)
+    for a, b, t in stg.scored_edges(include_self_edges):
+        x = codes[a]
+        flips = x ^ codes[b]
         for p, bp in protected:
             if flips | (x & bp) == mask:
+                base = fif_metric(*(f"{c:0{stg.width}b}" for c in (x, codes[b], bp)))
+                fif = FifResult(base.per_bit, base.overall, t.source, t.target, p)
                 violations.append(RuleViolation(
                     rule=Rule.FIF_NONZERO,
                     states=(t.source, t.target, p),
                     transition=(t.source, t.target),
-                    evidence={"fif": _fif_pair(stg, t.source, t.target, p).to_json()},
+                    evidence={"fif": fif.to_json()},
                 ))
     return violations
 
 
 def check_hd_rule(stg: Stg, include_self_edges: bool = False) -> list[RuleViolation]:
-    code = stg.code_of
-    bits = {name: f"{code(name):0{stg.width}b}" for name in stg.state_names}
+    codes = stg.codes
+    bits = [f"{c:0{stg.width}b}" for c in codes]
     violations = []
-    for t in _scored_edges(stg, include_self_edges):
-        hd = (code(t.source) ^ code(t.target)).bit_count()
+    for a, b, t in stg.scored_edges(include_self_edges):
+        hd = (codes[a] ^ codes[b]).bit_count()
         if hd != 1:
             violations.append(RuleViolation(
                 rule=Rule.HD_NOT_ONE,
                 states=(t.source, t.target),
                 transition=(t.source, t.target),
                 span=t.span,
-                evidence={"hamming_distance": hd,
-                          "encodings": [bits[t.source], bits[t.target]]},
+                evidence={"hamming_distance": hd, "encodings": [bits[a], bits[b]]},
             ))
     return violations
 
@@ -257,73 +239,66 @@ def detect_static_deadlock(stg: Stg) -> list[RuleViolation]:
     """A reachable state every outgoing edge of which is a self loop, entered
     from some distinct reachable state."""
     reach = stg.reachable
+    names = stg.state_names
     violations = []
-    for s in stg.states:
-        if s.name not in reach:
+    for i, s in enumerate(stg.states):
+        if s.name not in reach or any(j != i for j in stg.succ[i]):
             continue
-        out = stg.out_edges(s.name)
-        if any(t.target != s.name for t in out):
-            continue
-        feeders = [t.source for t in stg.in_edges(s.name)
-                   if t.source != s.name and t.source in reach]
+        feeders = {names[j] for j in stg.pred[i] if j != i and names[j] in reach}
         if feeders:
             violations.append(RuleViolation(
                 rule=Rule.STATIC_DEADLOCK,
                 states=(s.name,),
                 span=s.span,
-                evidence={"entered_from": sorted(set(feeders))},
+                evidence={"entered_from": sorted(feeders)},
             ))
     return violations
 
 
-def _tarjan_sccs(nodes: list[str], succ: dict[str, list[str]]) -> list[list[str]]:
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    counter = [0]
-    out: list[list[str]] = []
-
-    def strongconnect(v: str) -> None:
-        # iterative Tarjan: explicit stack of (node, successor iterator)
-        work = [(v, iter(succ.get(v, ())))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
+def _tarjan_sccs(nodes: list[int], succ: list[list[int]]) -> list[list[int]]:
+    """Strongly connected components of the states reached from nodes, in
+    the order Tarjan's algorithm completes them; iterative, with an explicit
+    stack of (state, successor iterator)."""
+    index = [-1] * len(succ)
+    low = [0] * len(succ)
+    on_stack = [False] * len(succ)
+    stack: list[int] = []
+    counter = 0
+    out: list[list[int]] = []
+    for v in nodes:
+        if index[v] >= 0:
+            continue
+        index[v] = low[v] = counter
+        counter += 1
         stack.append(v)
-        on_stack.add(v)
+        on_stack[v] = True
+        work = [(v, iter(succ[v]))]
         while work:
             node, it = work[-1]
-            advanced = False
             for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
                     stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ.get(w, ()))))
-                    advanced = True
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
                     break
-                if w in on_stack:
+                if on_stack[w]:
                     low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                out.append(comp)
-
-    for v in nodes:
-        if v not in index:
-            strongconnect(v)
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == node:
+                            break
+                    out.append(comp)
     return out
 
 
@@ -332,42 +307,40 @@ def detect_trap_loops(stg: Stg) -> list[RuleViolation]:
     a proper subset of the reachable set.  Single-state traps are reported as
     static deadlocks, never twice."""
     reach = stg.reachable
-    succ = {n: [t.target for t in stg.out_edges(n)] for n in reach}
-    traps: list[set[str]] = []
-    for comp in _tarjan_sccs([n for n in stg.state_names if n in reach], succ):
+    names = stg.state_names
+    violations = []
+    for comp in _tarjan_sccs([i for i, n in enumerate(names) if n in reach], stg.succ):
         # One state with no exit is entered from a distinct reachable state
         # (else it would be the whole reachable set): a STATIC_DEADLOCK.
-        comp_set = set(comp)
-        if len(comp) == 1 or comp_set == reach:
+        # Every component lies inside the reachable set.
+        if len(comp) == 1 or len(comp) == len(reach):
             continue
-        if all(target in comp_set for n in comp for target in succ[n]):
-            traps.append(comp_set)
-    trap_of = {n: i for i, comp_set in enumerate(traps) for n in comp_set}
-    members: list[list[str]] = [[] for _ in traps]
-    for n in stg.state_names:
-        if n in trap_of:
-            members[trap_of[n]].append(n)
-    return [RuleViolation(
-        rule=Rule.TRAP_LOOP_CWE835,
-        states=tuple(names),
-        span=stg.state(names[0]).span,
-        evidence={"members": names},
-    ) for names in members]
+        members = set(comp)
+        if all(w in members for v in comp for w in stg.succ[v]):
+            comp.sort()
+            violations.append(RuleViolation(
+                rule=Rule.TRAP_LOOP_CWE835,
+                states=tuple(names[i] for i in comp),
+                span=stg.states[comp[0]].span,
+                evidence={"members": [names[i] for i in comp]},
+            ))
+    return violations
 
 
 def detect_unreachable_states(stg: Stg) -> list[RuleViolation]:
     reach = stg.reachable
+    names = stg.state_names
     violations = []
-    for s in stg.states:
-        if s.name in reach or s.name == stg.reset_state:
+    for i, s in enumerate(stg.states):
+        if s.name in reach:
             continue
-        out = [t for t in stg.out_edges(s.name) if t.target != s.name]
+        exits = {names[j] for j in stg.succ[i] if j != i}
         violations.append(RuleViolation(
             rule=Rule.UNREACHABLE_STATE,
             states=(s.name,),
             span=s.span,
-            evidence={"variant": "with-outgoing" if out else "isolated",
-                      "exits_to": sorted({t.target for t in out})},
+            evidence={"variant": "with-outgoing" if exits else "isolated",
+                      "exits_to": sorted(exits)},
         ))
     return violations
 

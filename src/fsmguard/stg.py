@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, cached_property
+from itertools import compress
 from typing import Callable, Iterable, Optional
 
 from .ast_nodes import Assign, CaseArm, FsmAst, IfChain, Stmt
@@ -81,6 +82,22 @@ class Transition:
 
 @dataclass(frozen=True)
 class Stg:
+    """The graph, indexed once by ``__post_init__``; the graph rules, the
+    re-encoder and the mitigator read the index rather than walk names.
+
+    States are numbered in declaration order.  The index is not a field, so
+    ==, hash and repr ignore it:
+
+    - ``index``: state name to number;
+    - ``codes``, ``protected_mask``: each state's code and protected flag;
+    - ``succ``, ``pred``: successor and predecessor numbers over the
+      traversable edges (a constant-false guard never fires);
+    - ``all_succ``: successor numbers over every edge;
+    - ``scored``: ``(source, target, transition)`` of every edge whose ends
+      are both unprotected, in source order; a self edge has source ==
+      target.
+    """
+
     states: tuple[State, ...]
     transitions: tuple[Transition, ...]
     reset_state: str
@@ -88,28 +105,35 @@ class Stg:
     default_arm_target: Optional[str] = None
 
     def __post_init__(self) -> None:
-        # The index is not a field, so ==, hash and repr ignore it.  The first
-        # declaration of a name wins; adjacency skips constant-false guards.
-        by_name = {s.name: s for s in reversed(self.states)}
-        if self.reset_state not in by_name:
+        index = {s.name: i for i, s in enumerate(self.states)}
+        if len(index) < len(self.states):
+            twice = next(s.name for i, s in enumerate(self.states) if index[s.name] != i)
+            raise StgError(f"state {twice} is declared twice")
+        if self.reset_state not in index:
             raise StgError(f"reset state {self.reset_state} is not declared")
         for s in self.states:
             if not 0 <= s.code < 1 << self.width:
                 raise StgError(f"state {s.name} code does not fit the STG width")
-        out: dict[str, list[Transition]] = {}
-        into: dict[str, list[Transition]] = {}
+        mask = [s.protected for s in self.states]
+        succ: list[list[int]] = [[] for _ in mask]
+        pred: list[list[int]] = [[] for _ in mask]
+        all_succ: list[list[int]] = [[] for _ in mask]
+        scored: list[tuple[int, int, Transition]] = []
         for t in self.transitions:
-            if t.source not in by_name or t.target not in by_name:
+            a = index.get(t.source)
+            b = index.get(t.target)
+            if a is None or b is None:
                 raise StgError(f"transition {t.source}->{t.target} references unknown state")
+            all_succ[a].append(b)
             if not t.guard.is_constant_false:
-                out.setdefault(t.source, []).append(t)
-                into.setdefault(t.target, []).append(t)
-        object.__setattr__(self, "_by_name", by_name)
-        object.__setattr__(self, "_out", out)
-        object.__setattr__(self, "_in", into)
-
-    def state(self, name: str) -> State:
-        return self._by_name[name]
+                succ[a].append(b)
+                pred[b].append(a)
+            if not (mask[a] or mask[b]):
+                scored.append((a, b, t))
+        for name, value in (("index", index), ("codes", [s.code for s in self.states]),
+                            ("protected_mask", mask), ("succ", succ), ("pred", pred),
+                            ("all_succ", all_succ), ("scored", scored)):
+            object.__setattr__(self, name, value)
 
     @property
     def state_names(self) -> list[str]:
@@ -122,18 +146,17 @@ class Stg:
     def code_of(self, name: str) -> int:
         """The state's encoding as an integer; bit 0 of the encoding is its
         most significant bit."""
-        return self._by_name[name].code
+        return self.codes[self.index[name]]
 
     @cached_property
     def reachable(self) -> frozenset[str]:
         """reachable_states of this graph, computed on first use."""
         return reachable_states(self)
 
-    def out_edges(self, name: str) -> list[Transition]:
-        return list(self._out.get(name, ()))
-
-    def in_edges(self, name: str) -> list[Transition]:
-        return list(self._in.get(name, ()))
+    def scored_edges(self, include_self: bool = False) -> list[tuple[int, int, Transition]]:
+        """The edges HD, FIF and the re-encoder score: ``scored``, less its
+        self edges unless include_self."""
+        return list(self.scored) if include_self else [e for e in self.scored if e[0] != e[1]]
 
 
 # -- extraction -----------------------------------------------------------
@@ -273,17 +296,24 @@ def extract_stg(ast: FsmAst, protected: Iterable[str] = ()) -> Stg:
 
 # -- graph queries ---------------------------------------------------------
 
+def closure(succ: list[list[int]], starts: Iterable[int]) -> list[bool]:
+    """Which states a walk along succ reaches from starts, as a mask."""
+    seen = [False] * len(succ)
+    frontier = list(starts)
+    for i in frontier:
+        seen[i] = True
+    while frontier:
+        for j in succ[frontier.pop()]:
+            if not seen[j]:
+                seen[j] = True
+                frontier.append(j)
+    return seen
+
+
 def reachable_states(stg: Stg) -> frozenset[str]:
     """Fixed point of may-traversal from reset; constant-false guards are
     never traversable."""
-    seen = {stg.reset_state}
-    frontier = [stg.reset_state]
-    while frontier:
-        for t in stg._out.get(frontier.pop(), ()):
-            if t.target not in seen:
-                seen.add(t.target)
-                frontier.append(t.target)
-    return frozenset(seen)
+    return frozenset(compress(stg.state_names, closure(stg.succ, [stg.index[stg.reset_state]])))
 
 
 def unprotected_transitions(stg: Stg) -> list[Transition]:
@@ -292,9 +322,7 @@ def unprotected_transitions(stg: Stg) -> list[Transition]:
     Self edges stay in the list; rule checks decide separately whether to
     score them.
     """
-    protected = stg.protected_names
-    return [t for t in stg.transitions
-            if t.source not in protected and t.target not in protected]
+    return [t for _, _, t in stg.scored]
 
 
 def stg_isomorphic_modulo_encoding(a: Stg, b: Stg) -> bool:

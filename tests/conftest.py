@@ -35,6 +35,11 @@ def design_stg(name: str, protected=()):
     return extract_stg(design_ast(name), protected)
 
 
+def out_edges(stg: Stg, name: str) -> list:
+    """The traversable edges leaving a state, in source order."""
+    return [t for t in stg.transitions if t.source == name and not t.guard.is_constant_false]
+
+
 def fif_results(stg: Stg, include_self_edges: bool = False) -> list[FifResult]:
     """FIF for every (unprotected transition, protected state) pair: the
     reference the FIF pipeline's replay is scored against."""

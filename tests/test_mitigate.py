@@ -263,6 +263,11 @@ def test_reencode_residual_skips_edges_of_passed_protected_states():
     assert passed == reencode_states(make_stg(codes, edges, "a", protected={"d"}))
 
 
+def test_reencode_rejects_an_undeclared_protected_state():
+    with pytest.raises(MitigationError, match="protected state NO_SUCH is not declared"):
+        reencode_states(design_stg("aes_ctrl"), {"WAIT_KEY", "NO_SUCH"})
+
+
 def test_score_assignment_listing8():
     stg = design_stg("aes_ctrl_default", {"WAIT_KEY"})
     mapping = {s.name: s.code for s in stg.states}

@@ -282,20 +282,33 @@ def test_trap_subsumed_by_deadlock():
     assert len(detect_static_deadlock(stg)) == 1
 
 
+# Guards of the random graphs: a constant-false one never fires, but HD, FIF
+# and the re-encoder still score its edge.
+_RANDOM_GUARDS = (Guard.always(), Guard.expr("go"), Guard.expr("1'b0"), Guard.expr(" 0 "))
+
+
 def _random_stg(rng: random.Random):
     n = rng.randint(2, 8)
     names = [f"s{i}" for i in range(n)]
-    codes = {name: format(i, "04b") for i, name in enumerate(names)}
+    protected = rng.choice(names) if rng.random() < 0.5 else None
     edges = []
     for _ in range(rng.randint(1, 2 * n)):
-        edges.append((rng.choice(names), rng.choice(names)))
-    return make_stg(codes, edges, names[0])
+        guard = rng.choice(_RANDOM_GUARDS) if rng.random() < 0.3 else Guard.always()
+        edges.append(Transition(rng.choice(names), rng.choice(names), guard))
+    return Stg(states=tuple(State(name, i, name == protected) for i, name in enumerate(names)),
+               transitions=tuple(edges), reset_state=names[0], width=4)
+
+
+def _oracle_edges(stg) -> list:
+    """(source, target) of the edges that can fire."""
+    return [(t.source, t.target) for t in stg.transitions
+            if t.guard.text.strip() not in ("0", "1'b0")]
 
 
 def _oracle_reachable(stg) -> set:
     succ = {}
-    for t in stg.transitions:
-        succ.setdefault(t.source, set()).add(t.target)
+    for a, b in _oracle_edges(stg):
+        succ.setdefault(a, set()).add(b)
     seen, work = {stg.reset_state}, [stg.reset_state]
     while work:
         cur = work.pop()
@@ -306,13 +319,41 @@ def _oracle_reachable(stg) -> set:
     return seen
 
 
+def _oracle_unreachable(stg) -> dict:
+    """Unreachable state -> the states it exits to."""
+    reach = _oracle_reachable(stg)
+    exits = {s.name: set() for s in stg.states if s.name not in reach}
+    for a, b in _oracle_edges(stg):
+        if a in exits and a != b:
+            exits[a].add(b)
+    return exits
+
+
+def _oracle_unprotected(stg) -> list:
+    protected = {s.name for s in stg.states if s.protected}
+    return [t for t in stg.transitions
+            if t.source not in protected and t.target not in protected]
+
+
+def _oracle_hd(stg, include_self: bool) -> list:
+    """(source, target, HD) of each scored edge at HD != 1, in source order;
+    constant-false edges are scored too."""
+    code = {s.name: s.code for s in stg.states}
+    found = []
+    for t in _oracle_unprotected(stg):
+        hd = bin(code[t.source] ^ code[t.target]).count("1")
+        if hd != 1 and (include_self or t.source != t.target):
+            found.append((t.source, t.target, hd))
+    return found
+
+
 def _oracle_deadlocks(stg) -> set:
     reach = _oracle_reachable(stg)
     out = {}
     inc = {}
-    for t in stg.transitions:
-        out.setdefault(t.source, set()).add(t.target)
-        inc.setdefault(t.target, set()).add(t.source)
+    for a, b in _oracle_edges(stg):
+        out.setdefault(a, set()).add(b)
+        inc.setdefault(b, set()).add(a)
     result = set()
     for name in reach:
         successors = out.get(name, set())
@@ -328,10 +369,10 @@ def _oracle_traps(stg) -> set:
     reach = _oracle_reachable(stg)
     succ = {n: set() for n in reach}
     pred = {n: set() for n in reach}
-    for t in stg.transitions:
-        if t.source in reach and t.target in reach:
-            succ[t.source].add(t.target)
-            pred[t.target].add(t.source)
+    for a, b in _oracle_edges(stg):
+        if a in reach and b in reach:
+            succ[a].add(b)
+            pred[b].add(a)
     order = []
     seen = set()
 
@@ -390,13 +431,26 @@ def test_graph_rules_match_oracles_on_200_random_stgs():
     rng = random.Random(2024)
     for _ in range(200):
         stg = _random_stg(rng)
-        got_dead = {v.states[0] for v in detect_static_deadlock(stg)}
+        dead = detect_static_deadlock(stg)
+        got_dead = {v.states[0] for v in dead}
         assert got_dead == _oracle_deadlocks(stg)
+        reach = _oracle_reachable(stg)
+        for v in dead:
+            assert v.evidence["entered_from"] == sorted(
+                {a for a, b in _oracle_edges(stg) if b == v.states[0] != a and a in reach})
         got_traps = {frozenset(v.states) for v in detect_trap_loops(stg)}
         assert got_traps == _oracle_traps(stg)
         # subsumption: never both reports for one state set
         for trap in got_traps:
             assert not (trap & got_dead and len(trap) == 1)
+        got_unreachable = {v.states[0]: set(v.evidence["exits_to"])
+                           for v in detect_unreachable_states(stg)}
+        assert got_unreachable == _oracle_unreachable(stg)
+        assert unprotected_transitions(stg) == _oracle_unprotected(stg)
+        for include_self in (False, True):
+            got_hd = [(*v.transition, v.evidence["hamming_distance"])
+                      for v in check_hd_rule(stg, include_self)]
+            assert got_hd == _oracle_hd(stg, include_self)
 
 
 # -- unreachable --------------------------------------------------------------------

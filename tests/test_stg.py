@@ -25,7 +25,7 @@ from fsmguard import (
     unprotected_transitions,
 )
 
-from conftest import design_ast, design_stg
+from conftest import design_ast, design_stg, out_edges
 
 
 def make_stg(codes: dict[str, str], edges, reset, protected=(), default=None):
@@ -77,16 +77,16 @@ endcase
 end
 endmodule"""
     stg = extract_stg(parse_source(SourceText(text)).expect_ast())
-    a_edges = {(t.source, t.target, t.guard.kind.value) for t in stg.out_edges("A")}
+    a_edges = {(t.source, t.target, t.guard.kind.value) for t in out_edges(stg, "A")}
     assert ("A", "B", "expr") in a_edges
     assert ("A", "A", "hold") in a_edges
     # B assigns only an output: forced hold self edge
-    assert [(t.target, t.guard.kind.value) for t in stg.out_edges("B")] == [("B", "hold")]
+    assert [(t.target, t.guard.kind.value) for t in out_edges(stg, "B")] == [("B", "hold")]
 
 
 def test_extract_leading_default_routes_fallthrough():
     stg = design_stg("fsm_review")
-    s0_targets = {(t.target, t.guard.text) for t in stg.out_edges("s0")}
+    s0_targets = {(t.target, t.guard.text) for t in out_edges(stg, "s0")}
     assert s0_targets == {("s1", "start"), ("s0", "!(start)")}
 
 
@@ -105,14 +105,14 @@ always @(posedge clk) begin if (rst) s <= A; else s <= n; end
 always @(*) begin case (s) A: n = A; endcase end
 endmodule"""
     stg = extract_stg(parse_source(SourceText(text)).expect_ast())
-    assert [(t.target, t.guard.kind.value) for t in stg.out_edges("B")] == [("B", "hold")]
+    assert [(t.target, t.guard.kind.value) for t in out_edges(stg, "B")] == [("B", "hold")]
 
 
-def test_integer_codes_follow_the_first_declaration():
+def test_repeated_state_name_is_rejected():
     states = (State("a", 0b011), State("b", 0b000), State("a", 0b100))
-    stg = Stg(states=states, transitions=(Transition("a", "b", Guard.always()),),
-              reset_state="a", width=3)
-    assert [stg.code_of(n) for n in ("a", "b")] == [0b011, 0]
+    with pytest.raises(StgError, match="state a is declared twice"):
+        Stg(states=states, transitions=(Transition("a", "b", Guard.always()),),
+            reset_state="a", width=3)
 
 
 # -- reachability -----------------------------------------------------------------
