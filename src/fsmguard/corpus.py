@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
+from .batch import run_jobs
 from .inject import RULE_FOR_CLASS, InjectError, InjectionPlan, VulnClass, plan_injection
 from .rules import CheckReport, Rule, RuleConfig, RuleViolation, run_all_checks
 from .source import SourceText, Span
@@ -231,7 +232,12 @@ def generate_corpus(bases: Sequence[SourceText], mix: dict[VulnClass, int],
                     config: RuleConfig = RuleConfig(),
                     workers: int = 1) -> list[CorpusRecord]:
     """Deterministic labeled corpus: seeded injections gated by the fidelity
-    oracle, interleaved with clean records at the configured ratio."""
+    oracle, interleaved with clean records at the configured ratio.  At most
+    ``max(1, workers)`` injections run at once, the calling thread counting
+    as one worker; the corpus does not depend on ``workers``.  A job that
+    raises, such as a ``CorpusError`` for a class no base can take, stops the
+    run: the exception of the lowest-index job (classes by name, then index)
+    that raised is re-raised."""
     if not bases:
         raise CorpusError("no base designs")
     reports: list[CheckReport] = []
@@ -254,12 +260,7 @@ def generate_corpus(bases: Sequence[SourceText], mix: dict[VulnClass, int],
         vuln, i = job
         return _make_record(vuln, i, reports, master_seed, protected)
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor  # loads only for a pool
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            buggy = list(pool.map(work, jobs))
-    else:
-        buggy = [work(j) for j in jobs]
+    buggy = run_jobs(work, jobs, workers)
 
     records: list[CorpusRecord] = []
     clean_due = 0.0

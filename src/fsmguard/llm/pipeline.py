@@ -7,6 +7,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
+from ..batch import run_jobs
 from ..source import SourceText
 from .params import GenerationParams
 from .parsing import (
@@ -221,7 +222,10 @@ def sweep_params(spec: PipelineSpec, designs: Sequence[SourceText],
     """Run the pipeline at every grid point for every design; results keyed
     by (design origin, grid index), sorted.  Every step runs with the
     point's params.  A prompt over the character budget fails only its own
-    transcript."""
+    transcript.  At most ``max(1, in_flight)`` provider requests are in
+    flight at once, the calling thread counting as one worker.  Any other
+    exception a job raises stops the sweep: the one from the lowest-index
+    job (designs outer, grid points inner) that raised is re-raised."""
     if not grid:
         raise PipelineError("sweep needs a non-empty parameter grid")
 
@@ -235,12 +239,7 @@ def sweep_params(spec: PipelineSpec, designs: Sequence[SourceText],
             transcript = exc.transcript
         return (design.origin, gi), transcript
 
-    from concurrent.futures import ThreadPoolExecutor  # loads on the first sweep
-
-    results: dict[tuple[str, int], Transcript] = {}
-    with ThreadPoolExecutor(max_workers=max(1, in_flight)) as pool:
-        for key, transcript in pool.map(task, jobs):
-            results[key] = transcript
+    results = dict(run_jobs(task, jobs, in_flight))
     return dict(sorted(results.items()))
 
 

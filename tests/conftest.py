@@ -150,3 +150,26 @@ def moore_conflict():
 @pytest.fixture
 def clean_bases():
     return [design_source(n) for n in ("vending", "aes_ctrl_default", "rsa_ctrl")]
+
+
+@pytest.fixture
+def saturated_base():
+    """A clean 1-bit design using both codes: no class that needs an unused
+    encoding can be injected into it."""
+    return SourceText("""module m (input clk, input rst, input go);
+parameter A = 1'b0;
+parameter B = 1'b1;
+reg s;
+reg n;
+always @(posedge clk) begin if (rst) s <= A; else s <= n; end
+always @(*) begin
+case (s)
+A: begin
+if (go) n = B;
+else n = A;
+end
+B: n = A;
+default: n = A;
+endcase
+end
+endmodule""", origin="tiny.v")

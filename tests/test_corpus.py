@@ -215,28 +215,10 @@ def test_corpus_rejects_base_without_stg(vending, vuln):
         generate_corpus([vending], {vuln: 1}, 0, protected=frozenset({"NOPE"}))
 
 
-def test_corpus_unsatisfiable_mix_names_class():
+def test_corpus_unsatisfiable_mix_names_class(saturated_base):
     # a saturated 1-bit design cannot take a deadlock state
-    text = """module m (input clk, input rst, input go);
-parameter A = 1'b0;
-parameter B = 1'b1;
-reg s;
-reg n;
-always @(posedge clk) begin if (rst) s <= A; else s <= n; end
-always @(*) begin
-case (s)
-A: begin
-if (go) n = B;
-else n = A;
-end
-B: n = A;
-default: n = A;
-endcase
-end
-endmodule"""
-    base = SourceText(text, origin="tiny.v")
     with pytest.raises(CorpusError, match="STATIC_DEADLOCK"):
-        generate_corpus([base], {VulnClass.STATIC_DEADLOCK: 1}, 0)
+        generate_corpus([saturated_base], {VulnClass.STATIC_DEADLOCK: 1}, 0)
 
 
 def test_corpus_gate_passes_verify_insertion(clean_bases):

@@ -9,6 +9,7 @@ import pytest
 
 import fsmguard.inject
 from fsmguard import (
+    CorpusError,
     FsmAst,
     InjectError,
     Rule,
@@ -496,10 +497,12 @@ def test_memo_holds_at_most_its_bound_and_evicts_the_oldest(monkeypatch, cold_ga
 
 
 @pytest.mark.parametrize("bound", [64, 1])
-def test_parallel_corpus_from_a_cold_memo_matches_serial(bound, clean_bases, monkeypatch):
+def test_parallel_corpus_from_a_cold_memo_matches_serial(bound, clean_bases, saturated_base,
+                                                         monkeypatch):
     """Workers fill the shared memo from cold, and with a bound of one they
     evict on every miss; with threads switching often, they still build the
-    serial corpus and the memo stays within its bound."""
+    serial corpus and the memo stays within its bound.  An unsatisfiable mix
+    fails alike at any width, with the error of its lowest-index failing job."""
     mix = {VulnClass.STATIC_DEADLOCK: 4, VulnClass.CWE835_TRAP: 4,
            VulnClass.DUPLICATE_ENCODING: 4}
     monkeypatch.setattr(fsmguard.inject, "_GATED_MAX", bound)
@@ -515,3 +518,14 @@ def test_parallel_corpus_from_a_cold_memo_matches_serial(bound, clean_bases, mon
     monkeypatch.setattr(fsmguard.inject, "_GATED", {})
     serial = generate_corpus(clean_bases, mix, 4321, workers=1)
     assert [r.to_json() for r in parallel] == [r.to_json() for r in serial]
+
+    # jobs 0-1 inject, 2-3 and 4-5 fail, each class with its own message
+    unsatisfiable = {VulnClass.DUPLICATE_ENCODING: 2, VulnClass.MISSING_DEFAULT: 2,
+                     VulnClass.STATIC_DEADLOCK: 2}
+    errors = []
+    for workers in (1, 4):
+        with pytest.raises(CorpusError) as raised:
+            generate_corpus([saturated_base], unsatisfiable, 4321, workers=workers)
+        errors.append(str(raised.value))
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("mix unsatisfiable for class MISSING_DEFAULT: tiny.v: ")

@@ -2,6 +2,7 @@
 import http.client
 import io
 import json
+import threading
 import urllib.error
 import urllib.request
 
@@ -645,13 +646,103 @@ def test_mitigation_pipeline_renders_assessment(aes_ctrl):
     assert "Hamming distance" in prompt
 
 
+def _tiny_designs(n: int) -> list[SourceText]:
+    return [SourceText(f"module d{i}; endmodule", origin=f"d{i}") for i in range(n)]
+
+
 def test_sweep_hundred_designs_eleven_points():
-    designs = [SourceText(f"module d{i}; endmodule", origin=f"d{i}") for i in range(100)]
+    designs = _tiny_designs(100)
     spec = policy_check_pipeline(["No deadlock states."])
     results = sweep_params(spec, designs, temperature_grid(),
                            lambda: MockProvider(["Policy 1: not violated"]),
                            in_flight=8)
     assert len(results) == 1100
+
+
+class _GatedProvider:
+    """Records every send's thread and how many sends overlap.  Its first
+    ``k`` sends wait at a barrier that only opens once ``k`` sends are in
+    flight at once; the timeout makes a runner that cannot reach ``k`` fail
+    instead of hang."""
+
+    provider_id = "gated"
+
+    def __init__(self, k: int):
+        self._k = k
+        self._barrier = threading.Barrier(k, timeout=5)
+        self._lock = threading.Lock()
+        self.calls = self.live = self.peak = 0
+        self.threads: set[int] = set()
+        self.thread_counts: set[int] = set()
+
+    def send(self, messages, params):
+        with self._lock:
+            self.calls += 1
+            gated = self.calls <= self._k
+            self.live += 1
+            self.peak = max(self.peak, self.live)
+            self.threads.add(threading.get_ident())
+            self.thread_counts.add(threading.active_count())
+        try:
+            if gated:
+                self._barrier.wait()
+            return "Policy 1: not violated"
+        finally:
+            with self._lock:
+                self.live -= 1
+
+
+@pytest.mark.parametrize("in_flight", [1, 2, 3])
+def test_sweep_in_flight_is_the_number_of_concurrent_requests(in_flight):
+    """``in_flight`` requests are sent at once, never more, by the calling
+    thread and ``in_flight - 1`` helpers; at one, no thread starts."""
+    provider = _GatedProvider(in_flight)
+    before = threading.active_count()
+    results = sweep_params(policy_check_pipeline(["No deadlock states."]), _tiny_designs(3),
+                           temperature_grid()[:3], provider, in_flight=in_flight)
+    assert len(results) == 9 and not any(t.failed for t in results.values())
+    assert provider.calls == 9 and provider.peak == in_flight
+    assert threading.get_ident() in provider.threads and len(provider.threads) == in_flight
+    assert max(provider.thread_counts) == before + in_flight - 1
+    assert threading.active_count() == before
+
+
+class _RaisingProvider:
+    """Answers every design but those in ``bad``, for which it raises an
+    error that is not a ``ProviderError``; records each request it gets."""
+
+    provider_id = "raising"
+
+    def __init__(self, names: list[str], bad: set[str]):
+        self._names, self._bad = names, bad
+        self._lock = threading.Lock()
+        self.sent: list[tuple[str, float]] = []
+
+    def send(self, messages, params):
+        name = next(n for n in self._names if f"module {n};" in messages[0]["content"])
+        with self._lock:
+            self.sent.append((name, params.temperature))
+        if name in self._bad:
+            raise LookupError(f"{name} at {params.temperature}")
+        return "Policy 1: not violated"
+
+
+@pytest.mark.parametrize("in_flight", [1, 4])
+def test_sweep_raises_the_lowest_index_failure(in_flight):
+    """Jobs run designs outer, grid points inner: d1 at 0.0 is the first job
+    to fail, whichever failure a worker meets first.  Serially, no job after
+    it reaches the provider."""
+    designs = _tiny_designs(4)
+    grid = temperature_grid()[:3]
+    provider = _RaisingProvider([d.origin for d in designs], {"d1", "d3"})
+    before = threading.active_count()
+    with pytest.raises(LookupError, match=r"^d1 at 0\.0$"):
+        sweep_params(policy_check_pipeline(["No deadlock states."]), designs, grid,
+                     provider, in_flight=in_flight)
+    assert threading.active_count() == before
+    if in_flight == 1:
+        jobs = [(d.origin, p.temperature) for d in designs for p in grid]
+        assert provider.sent == jobs[:4]
 
 
 def test_transcript_records_retry_attempts(vending):

@@ -68,7 +68,7 @@ def brute_force_min_residual(stg, protected=frozenset()):
     names = stg.state_names
     prot = set(protected) | set(stg.protected_names)
     edges = [(t.source, t.target) for t in unprotected_transitions(stg)
-             if t.source != t.target]
+             if t.source != t.target and t.source not in prot and t.target not in prot]
     best = len(edges) + 1
     for perm in itertools.permutations(range(2 ** stg.width), len(names)):
         mapping = dict(zip(names, perm))
@@ -132,6 +132,14 @@ def test_reencode_matches_bruteforce_on_random_stgs():
         stg = make_stg(codes, sorted(edges), names[0])
         assignment = reencode_states(stg)
         assert residual_count(assignment) == brute_force_min_residual(stg)
+
+
+def test_reencode_protected_by_argument_matches_bruteforce():
+    # the 3-cycle needs one edge off HD=1 in any encoding; protecting c only
+    # through the argument leaves the single edge a -> b to score
+    stg = make_stg({"a": "00", "b": "01", "c": "10"}, [("a", "b"), ("b", "c"), ("c", "a")], "a")
+    assert residual_count(reencode_states(stg)) == brute_force_min_residual(stg) == 1
+    assert residual_count(reencode_states(stg, {"c"})) == brute_force_min_residual(stg, {"c"}) == 0
 
 
 def test_reencode_4bit_case_matches_bruteforce():
