@@ -24,7 +24,6 @@ from .stg import (
     extract_stg,
     reachable_states,
     stg_isomorphic_modulo_encoding,
-    unprotected_transitions,
 )
 from .rules import (
     BitTriple,
@@ -64,7 +63,6 @@ from .mitigate import (
     reencode_states,
     remove_static_deadlock,
     remove_unreachable_state,
-    score_assignment,
     uniquify_encodings,
 )
 from .corpus import (

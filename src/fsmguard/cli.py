@@ -198,7 +198,9 @@ def _cmd_mitigate(args: argparse.Namespace) -> int:
 def _cmd_gen_corpus(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     rule_config = _rule_config(config)
-    clean_ratio = float(config.get("corpus", {}).get("clean_ratio", args.clean_ratio))
+    clean_ratio = args.clean_ratio
+    if clean_ratio is None:
+        clean_ratio = float(config.get("corpus", {}).get("clean_ratio", 1.0))
     mix: dict[VulnClass, int] = {}
     for item in args.mix.split(","):
         if not item.strip():
@@ -211,7 +213,7 @@ def _cmd_gen_corpus(args: argparse.Namespace) -> int:
     bases = [_read_design(p) for p in args.bases]
     records = generate_corpus(
         bases, mix, args.seed, _protected_set(args.protected),
-        clean_ratio=clean_ratio, config=rule_config, workers=args.workers)
+        clean_ratio=clean_ratio, config=rule_config)
     write_corpus(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")
     return EXIT_OK
@@ -406,8 +408,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--protected", action="append", metavar="STATE")
     p.add_argument("--config")
-    p.add_argument("--clean-ratio", type=float, default=1.0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--clean-ratio", type=float,
+                   help="clean records per buggy record (default: the config's "
+                        "corpus.clean_ratio, else 1.0)")
     p.add_argument("bases", nargs="+")
     p.set_defaults(fn=_cmd_gen_corpus)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
@@ -238,6 +239,8 @@ def generate_corpus(bases: Sequence[SourceText], mix: dict[VulnClass, int],
     raises, such as a ``CorpusError`` for a class no base can take, stops the
     run: the exception of the lowest-index job (classes by name, then index)
     that raised is re-raised."""
+    if not (math.isfinite(clean_ratio) and clean_ratio >= 0):
+        raise CorpusError(f"clean ratio {clean_ratio} is not a finite number >= 0")
     if not bases:
         raise CorpusError("no base designs")
     reports: list[CheckReport] = []

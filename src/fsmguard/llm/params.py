@@ -26,9 +26,7 @@ class GenerationParams:
         return asdict(self)
 
 
-def temperature_grid(step: float = 0.1) -> tuple[GenerationParams, ...]:
-    """The standard sweep: temperature 0.0 to 1.0 inclusive, default step 0.1
+def temperature_grid() -> tuple[GenerationParams, ...]:
+    """The standard sweep: temperature 0.0 to 1.0 inclusive in steps of 0.1
     (eleven points)."""
-    count = round(1.0 / step)
-    return tuple(GenerationParams(temperature=round(i * step, 10))
-                 for i in range(count + 1))
+    return tuple(GenerationParams(temperature=i / 10) for i in range(11))

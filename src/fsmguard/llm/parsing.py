@@ -12,49 +12,33 @@ class ResponseParseError(ValueError):
     pass
 
 
-_BRACKET_PAIRS = {"(": ")", "[": "]", "{": "}", "<": ">"}
+_CODE_OPEN = "[code:"
 
 
-def _find_matching(text: str, start: int, open_m: str, close_m: str) -> int:
-    """Index of the close marker matching the open marker at start
-    (nesting-aware when the markers differ; equal markers close at the
-    next one).
-
-    When the open marker begins with a bracket character whose pair is the
-    close marker (e.g. "[code:" / "]"), nesting counts bare brackets, so
-    bracketed payload content like bit ranges cannot end the block early.
-    """
-    nest_open = open_m
-    if len(close_m) == 1 and open_m and _BRACKET_PAIRS.get(open_m[0]) == close_m:
-        nest_open = open_m[0]
+def parse_delimited_code(response: str) -> SourceText:
+    """Innermost content between the first ``[code:`` and its matching ``]``,
+    whitespace-trimmed.  Bare brackets nest, so bracketed payload content
+    like bit ranges cannot end the block early, and nested ``[code:``
+    blocks resolve innermost-first."""
+    start = response.find(_CODE_OPEN)
+    if start == -1:
+        raise ResponseParseError(f"marker {_CODE_OPEN!r} absent from response")
     depth = 1
-    pos = start + len(open_m)
+    pos = start + len(_CODE_OPEN)
     while depth:
-        next_open = text.find(nest_open, pos)
-        next_close = text.find(close_m, pos)
+        next_open = response.find("[", pos)
+        next_close = response.find("]", pos)
         if next_close == -1:
-            raise ResponseParseError(f"unbalanced markers {open_m!r}...{close_m!r}")
+            raise ResponseParseError(f"unbalanced markers {_CODE_OPEN!r}...']'")
         if next_open != -1 and next_open < next_close:
             depth += 1
-            pos = next_open + len(nest_open)
+            pos = next_open + 1
         else:
             depth -= 1
-            pos = next_close + len(close_m)
-    return pos - len(close_m)
-
-
-def parse_delimited_code(response: str, open_marker: str, close_marker: str) -> SourceText:
-    """Innermost content between the first open marker and its matching
-    close marker, whitespace-trimmed.  Nested marker pairs resolve
-    innermost-first."""
-    start = response.find(open_marker)
-    if start == -1:
-        raise ResponseParseError(f"marker {open_marker!r} absent from response")
-    end = _find_matching(response, start, open_marker, close_marker)
-    content = response[start + len(open_marker):end]
-    inner_start = content.find(open_marker)
-    if inner_start != -1 and close_marker in content[inner_start:]:
-        return parse_delimited_code(content, open_marker, close_marker)
+            pos = next_close + 1
+    content = response[start + len(_CODE_OPEN):pos - 1]
+    if _CODE_OPEN in content:  # its brackets balance inside content
+        return parse_delimited_code(content)
     stripped = content.strip()
     if not stripped:
         raise ResponseParseError("empty payload between markers")

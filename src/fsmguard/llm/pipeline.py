@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from ..batch import run_jobs
 from ..source import SourceText
@@ -129,7 +129,7 @@ def _fail(transcript: Transcript, step: str, reason: str) -> Transcript:
 def _final_artifact(step: PipelineStep, response: str) -> dict:
     kind = step.template.expected_output
     if kind == "code":
-        inner = parse_delimited_code(response, "[code:", "]").content
+        inner = parse_delimited_code(response).content
         if inner.startswith("<") and inner.endswith(">"):
             inner = inner[1:-1].strip()
         return {"kind": "code", "text": inner}
@@ -209,19 +209,13 @@ def _run_step(spec: PipelineSpec, step: PipelineStep, prompt: str,
                       {}, attempts_total, time.monotonic() - start), False
 
 
-ProviderFactory = Union[ChatProvider, Callable[[], ChatProvider]]
-
-
-def _provider_for(factory: ProviderFactory) -> ChatProvider:
-    return factory() if callable(factory) else factory
-
-
 def sweep_params(spec: PipelineSpec, designs: Sequence[SourceText],
-                 grid: Sequence[GenerationParams], provider: ProviderFactory,
+                 grid: Sequence[GenerationParams], provider: Callable[[], ChatProvider],
                  in_flight: int = 4) -> dict[tuple[str, int], Transcript]:
     """Run the pipeline at every grid point for every design; results keyed
     by (design origin, grid index), sorted.  Every step runs with the
-    point's params.  A prompt over the character budget fails only its own
+    point's params, and each job calls ``provider()`` once for its own
+    provider.  A prompt over the character budget fails only its own
     transcript.  At most ``max(1, in_flight)`` provider requests are in
     flight at once, the calling thread counting as one worker.  Any other
     exception a job raises stops the sweep: the one from the lowest-index
@@ -234,7 +228,7 @@ def sweep_params(spec: PipelineSpec, designs: Sequence[SourceText],
     def task(job: tuple[SourceText, int]) -> tuple[tuple[str, int], Transcript]:
         design, gi = job
         try:
-            transcript = run_pipeline(spec, design, _provider_for(provider), grid[gi])
+            transcript = run_pipeline(spec, design, provider(), grid[gi])
         except PayloadTooLarge as exc:
             transcript = exc.transcript
         return (design.origin, gi), transcript

@@ -46,13 +46,15 @@ class ChatProvider(Protocol):
     def send(self, messages: list[dict], params: GenerationParams) -> str: ...
 
 
+BACKOFF_BASE_S = 0.5
+BACKOFF_FACTOR = 2.0
+BACKOFF_CAP_S = 8.0
+BACKOFF_JITTER_S = 0.25
+
+
 @dataclass
 class RetryPolicy:
     max_attempts: int = 3
-    base_delay: float = 0.5
-    multiplier: float = 2.0
-    max_delay: float = 8.0
-    jitter: float = 0.25
     sleep_fn: Callable[[float], None] = time.sleep
     rng: random.Random = field(default_factory=lambda: random.Random(0))
 
@@ -61,8 +63,8 @@ class RetryPolicy:
             raise ValueError(f"max_attempts {self.max_attempts} must be at least 1")
 
     def delay_for(self, attempt: int) -> float:
-        base = min(self.base_delay * (self.multiplier ** attempt), self.max_delay)
-        return base + self.rng.uniform(0.0, self.jitter)
+        base = min(BACKOFF_BASE_S * BACKOFF_FACTOR ** attempt, BACKOFF_CAP_S)
+        return base + self.rng.uniform(0.0, BACKOFF_JITTER_S)
 
 
 @dataclass

@@ -139,44 +139,26 @@ def uniquify_encodings(ast: FsmAst) -> FsmAst:
 
 # -- re-encoding search -------------------------------------------------------
 
-def score_assignment(stg: Stg, mapping: dict[str, int],
-                     include_self_edges: bool = False) -> list[tuple[str, str]]:
-    """Unprotected transitions whose assigned encodings sit at HD != 1."""
-    return [(t.source, t.target) for _, _, t in stg.scored_edges(include_self_edges)
-            if (mapping[t.source] ^ mapping[t.target]).bit_count() != 1]
-
-
-def reencode_states(stg: Stg, protected: frozenset[str] | set[str] = frozenset(),
-                    include_self_edges: bool = False) -> EncodingAssignment:
+def reencode_states(stg: Stg) -> EncodingAssignment:
     """Exact branch-and-bound search for an injective assignment minimizing
-    unprotected edges with HD != 1; ties break to the lexicographically
-    smallest assignment over states in declaration order.  ``protected``
-    names states to treat as protected besides the STG's own.  After
-    ``SEARCH_NODE_BUDGET`` placements it returns the best assignment found so
-    far with ``optimal=False``."""
+    the edges between two distinct unprotected states whose codes sit at
+    HD != 1; ties break to the lexicographically smallest assignment over
+    states in declaration order.  After ``SEARCH_NODE_BUDGET`` placements it
+    returns the best assignment found so far with ``optimal=False``."""
     names = stg.state_names
     width = stg.width
     size = 2 ** width
     if len(names) > size:
         raise MitigationError(
             f"{len(names)} states exceed the {size} codes of width {width}")
-    mask = list(stg.protected_mask)
-    for name in protected:
-        if name not in stg.index:
-            raise MitigationError(f"protected state {name} is not declared")
-        mask[stg.index[name]] = True
     # The search and the residual score the same edges.
-    edges = [(a, b) for a, b, _ in stg.scored_edges(include_self_edges)
-             if not (mask[a] or mask[b])]
+    edges = [(a, b) for a, b, _ in stg.scored_edges()]
     n = len(names)
     # later[j]: {k: multiplicity} of edges between j and a later-declared k.
-    # Self edges (HD 0) violate under every assignment, so they are a
-    # constant and drop out of the search.
     later: list[dict[int, int]] = [{} for _ in names]
     for a, b in edges:
         a, b = sorted((a, b))
-        if a != b:
-            later[a][b] = later[a].get(b, 0) + 1
+        later[a][b] = later[a].get(b, 0) + 1
     # viol(c)[d] is 1 unless codes c and d sit at HD 1.  Rows are built for
     # placed codes only: a full 2^w x 2^w table would dwarf a small search.
     @cache

@@ -102,7 +102,6 @@ class Stg:
     transitions: tuple[Transition, ...]
     reset_state: str
     width: int
-    default_arm_target: Optional[str] = None
 
     def __post_init__(self) -> None:
         index = {s.name: i for i, s in enumerate(self.states)}
@@ -290,7 +289,6 @@ def extract_stg(ast: FsmAst, protected: Iterable[str] = ()) -> Stg:
         transitions=tuple(transitions),
         reset_state=ast.seq.reset_target,
         width=ast.state_width,
-        default_arm_target=default_target,
     )
 
 
@@ -314,15 +312,6 @@ def reachable_states(stg: Stg) -> frozenset[str]:
     """Fixed point of may-traversal from reset; constant-false guards are
     never traversable."""
     return frozenset(compress(stg.state_names, closure(stg.succ, [stg.index[stg.reset_state]])))
-
-
-def unprotected_transitions(stg: Stg) -> list[Transition]:
-    """Transitions whose endpoints are both unprotected, in source order.
-
-    Self edges stay in the list; rule checks decide separately whether to
-    score them.
-    """
-    return [t for _, _, t in stg.scored]
 
 
 def stg_isomorphic_modulo_encoding(a: Stg, b: Stg) -> bool:

@@ -12,10 +12,10 @@ from fsmguard import (
     RuleError,
     SourceText,
     Stg,
+    Transition,
     extract_stg,
     fif_metric,
     parse_source,
-    unprotected_transitions,
 )
 from fsmguard.tokens import rename_identifiers
 
@@ -38,6 +38,19 @@ def design_stg(name: str, protected=()):
 def out_edges(stg: Stg, name: str) -> list:
     """The traversable edges leaving a state, in source order."""
     return [t for t in stg.transitions if t.source == name and not t.guard.is_constant_false]
+
+
+def unprotected_transitions(stg: Stg) -> list[Transition]:
+    """Transitions whose endpoints are both unprotected, in source order,
+    self edges included."""
+    return [t for _, _, t in stg.scored]
+
+
+def score_assignment(stg: Stg, mapping: dict[str, int]) -> list[tuple[str, str]]:
+    """Transitions between unprotected states, self edges excluded, whose
+    assigned encodings sit at HD != 1: the residual a re-encoding leaves."""
+    return [(t.source, t.target) for t in unprotected_transitions(stg)
+            if not t.is_self and (mapping[t.source] ^ mapping[t.target]).bit_count() != 1]
 
 
 def fif_results(stg: Stg, include_self_edges: bool = False) -> list[FifResult]:
@@ -83,7 +96,6 @@ def rename_states(stg: Stg, mapping: dict[str, str]) -> Stg:
         ),
         reset_state=m(stg.reset_state),
         width=stg.width,
-        default_arm_target=m(stg.default_arm_target) if stg.default_arm_target else None,
     )
 
 

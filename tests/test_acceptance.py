@@ -26,7 +26,6 @@ from fsmguard import (
     read_corpus,
     reencode_states,
     run_all_checks,
-    score_assignment,
     verify_insertion,
     verify_mitigation,
     write_corpus,
@@ -36,7 +35,8 @@ from fsmguard.llm import MockProvider, load_mock_script, temperature_grid
 from fsmguard.llm.pipeline import fif_pipeline, run_pipeline
 from fsmguard.report import OutcomeRecord, compute_metrics, percent
 
-from conftest import FIXTURES, design_ast, design_source, design_stg, fif_results, residual_count
+from conftest import (FIXTURES, design_ast, design_source, design_stg, fif_results, residual_count,
+                      score_assignment)
 from test_rules import _oracle_deadlocks, _oracle_fif, _oracle_traps, _random_stg
 from test_mitigate import brute_force_min_residual
 
@@ -146,8 +146,8 @@ def test_c07_mitigation():
     rate_ok = cleared == total  # 100% required; beats the 91.30/96.43/96.43 bars
 
     stg7 = design_stg("aes_ctrl", {"WAIT_KEY"})
-    assignment = reencode_states(stg7, {"WAIT_KEY"})
-    brute_min = brute_force_min_residual(stg7, {"WAIT_KEY"})
+    assignment = reencode_states(stg7)
+    brute_min = brute_force_min_residual(stg7)
     stg8 = design_stg("aes_ctrl_default", {"WAIT_KEY"})
     listing8_score = score_assignment(
         stg8, {s.name: s.code for s in stg8.states})

@@ -153,10 +153,22 @@ def test_gen_corpus_and_determinism(tmp_path, capsys):
             "--seed", "11", DESIGNS / "vending.v", DESIGNS / "aes_ctrl_default.v",
             DESIGNS / "rsa_ctrl.v"]
     assert run(*args, "--out", out_a) == 0
-    assert run(*args, "--out", out_b, "--workers", "3") == 0
+    assert run(*args, "--out", out_b) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     records = read_corpus(out_a)
     assert len(records) == 10  # 5 buggy + 5 clean at the default 1:1 ratio
+
+
+def test_gen_corpus_clean_ratio_flag_beats_the_config(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"corpus": {"clean_ratio": 0.0}}')
+    out = tmp_path / "c.jsonl"
+    args = ["gen-corpus", "--mix", "static_deadlock=2", "--seed", "9", "--config", config,
+            "--out", out, DESIGNS / "vending.v"]
+    assert run(*args) == 0
+    assert len(read_corpus(out)) == 2
+    assert run(*args, "--clean-ratio", "1.0") == 0
+    assert len(read_corpus(out)) == 4
 
 
 def test_run_pipeline_with_mock(tmp_path, capsys):
@@ -286,6 +298,8 @@ def test_check_reports_a_state_literal_too_wide_to_encode(tmp_path, capsys):
 _POLICY = ("--pipeline", "policy-check", "--policy", "Each state must be encoded uniquely.")
 _MOCK = ("--mock-script", FIXTURES / "policy_clean.txt")
 _VENDING = ("--design", DESIGNS / "vending.v")
+_GEN = ("gen-corpus", "--mix", "static_deadlock=1", "--seed", "1", "--out", "<tmp>/c.jsonl",
+        DESIGNS / "vending.v")
 
 
 @pytest.mark.parametrize("argv", [
@@ -311,11 +325,16 @@ _VENDING = ("--design", DESIGNS / "vending.v")
                  id="missing-out-directory"),
     pytest.param(("sanitize", "--keywords", ",", "--out-design", "<tmp>/s.v",
                   "--out-map", "<tmp>/m.json", DESIGNS / "vending.v"), id="no-keywords"),
+    pytest.param((*_GEN, "--clean-ratio", "nan"), id="clean-ratio-nan"),
+    pytest.param((*_GEN, "--clean-ratio", "inf"), id="clean-ratio-inf"),
+    pytest.param((*_GEN, "--clean-ratio", "-1"), id="clean-ratio-negative"),
+    pytest.param((*_GEN, "--config", "<tmp>/ratio.json"), id="clean-ratio-negative-config"),
 ])
 def test_io_and_value_errors_exit_two(tmp_path, capsys, argv):
     (tmp_path / "empty.v").write_text("")
     (tmp_path / "empty.jsonl").write_text("")
     (tmp_path / "bad.jsonl").write_text("{not json\n")
+    (tmp_path / "ratio.json").write_text('{"corpus": {"clean_ratio": -1}}')
     code = run(*(str(a).replace("<tmp>", str(tmp_path)) for a in argv))
     err = capsys.readouterr().err
     assert code == 2

@@ -181,6 +181,14 @@ def test_corpus_parallel_generation_identical(tmp_path, clean_bases):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("ratio", [float("nan"), -1, float("inf")])
+def test_corpus_rejects_a_clean_ratio_that_is_negative_or_not_finite(ratio):
+    # checked before the bases: this base is not clean
+    with pytest.raises(CorpusError, match="clean ratio"):
+        generate_corpus([design_source("vending_deadlock")], {VulnClass.STATIC_DEADLOCK: 1}, 1,
+                        clean_ratio=ratio)
+
+
 def test_corpus_clean_interleave_ratio(clean_bases):
     records = generate_corpus(clean_bases, {VulnClass.STATIC_DEADLOCK: 4}, 3,
                               clean_ratio=1.0)

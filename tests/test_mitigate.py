@@ -27,16 +27,14 @@ from fsmguard import (
     remove_unreachable_state,
     run_all_checks,
     run_checks_on_ast,
-    score_assignment,
     stg_isomorphic_modulo_encoding,
     tokenize,
     uniquify_encodings,
-    unprotected_transitions,
     verify_mitigation,
 )
 
 from conftest import (DESIGNS, FIXTURES, count_calls, design_ast, design_source, design_stg,
-                      residual_count)
+                      residual_count, score_assignment, unprotected_transitions)
 from test_stg import make_stg
 
 
@@ -64,11 +62,9 @@ def test_add_default_undeclared_target():
 
 # -- reencode_states -------------------------------------------------------------
 
-def brute_force_min_residual(stg, protected=frozenset()):
+def brute_force_min_residual(stg):
     names = stg.state_names
-    prot = set(protected) | set(stg.protected_names)
-    edges = [(t.source, t.target) for t in unprotected_transitions(stg)
-             if t.source != t.target and t.source not in prot and t.target not in prot]
+    edges = [(t.source, t.target) for t in unprotected_transitions(stg) if not t.is_self]
     best = len(edges) + 1
     for perm in itertools.permutations(range(2 ** stg.width), len(names)):
         mapping = dict(zip(names, perm))
@@ -80,9 +76,9 @@ def brute_force_min_residual(stg, protected=frozenset()):
 
 def test_reencode_aes_reaches_zero_residual():
     stg = design_stg("aes_ctrl", {"WAIT_KEY"})
-    assignment = reencode_states(stg, {"WAIT_KEY"})
+    assignment = reencode_states(stg)
     assert residual_count(assignment) == 0
-    assert residual_count(assignment) == brute_force_min_residual(stg, {"WAIT_KEY"})
+    assert residual_count(assignment) == brute_force_min_residual(stg)
     codes = set(assignment.mapping.values())
     assert len(codes) == len(assignment.mapping)  # injective
 
@@ -104,8 +100,8 @@ def test_reencode_too_many_states():
 
 def test_reencode_ties_break_lexicographically():
     stg = design_stg("aes_ctrl", {"WAIT_KEY"})
-    a = reencode_states(stg, {"WAIT_KEY"})
-    b = reencode_states(stg, {"WAIT_KEY"})
+    a = reencode_states(stg)
+    b = reencode_states(stg)
     assert a.mapping == b.mapping
     # declaration-ordered assignment is the smallest zero-residual one:
     # checked against an exhaustive scan
@@ -134,12 +130,15 @@ def test_reencode_matches_bruteforce_on_random_stgs():
         assert residual_count(assignment) == brute_force_min_residual(stg)
 
 
-def test_reencode_protected_by_argument_matches_bruteforce():
-    # the 3-cycle needs one edge off HD=1 in any encoding; protecting c only
-    # through the argument leaves the single edge a -> b to score
-    stg = make_stg({"a": "00", "b": "01", "c": "10"}, [("a", "b"), ("b", "c"), ("c", "a")], "a")
+def test_reencode_protected_state_matches_bruteforce():
+    # the 3-cycle needs one edge off HD=1 in any encoding; protecting c
+    # leaves the single edge a -> b to score
+    codes = {"a": "00", "b": "01", "c": "10"}
+    edges = [("a", "b"), ("b", "c"), ("c", "a")]
+    stg = make_stg(codes, edges, "a")
     assert residual_count(reencode_states(stg)) == brute_force_min_residual(stg) == 1
-    assert residual_count(reencode_states(stg, {"c"})) == brute_force_min_residual(stg, {"c"}) == 0
+    stg = make_stg(codes, edges, "a", protected={"c"})
+    assert residual_count(reencode_states(stg)) == brute_force_min_residual(stg) == 0
 
 
 def test_reencode_4bit_case_matches_bruteforce():
@@ -150,15 +149,12 @@ def test_reencode_4bit_case_matches_bruteforce():
     assert residual_count(assignment) == brute_force_min_residual(stg)
 
 
-def _reference_reencode(stg, protected=frozenset(), include_self_edges=False):
+def _reference_reencode(stg):
     """The plain exhaustive backtrack the branch-and-bound search replaced:
     first strictly better complete assignment in lexicographic order wins."""
     names = stg.state_names
     width = stg.width
-    protected_set = set(protected) | set(stg.protected_names)
-    edges = [(t.source, t.target) for t in unprotected_transitions(stg)
-             if (include_self_edges or t.source != t.target)
-             if t.source not in protected_set and t.target not in protected_set]
+    edges = [(t.source, t.target) for t in unprotected_transitions(stg) if not t.is_self]
     index = {n: i for i, n in enumerate(names)}
     edge_pairs = [(index[a], index[b]) for a, b in edges]
     best_count = len(edges) + 1
@@ -196,8 +192,8 @@ def _random_stg(rng, width, n):
     codes = {name: format(rng.randrange(2 ** width), f"0{width}b") for name in names}
     # repeated picks give duplicate edges and self edges
     edges = [(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 2 * n))]
-    flagged = {name for name in names if rng.random() < 0.15}
-    return make_stg(codes, edges, names[0], protected=flagged), names
+    flagged = {name for name in names if rng.random() < 0.3}
+    return make_stg(codes, edges, names[0], protected=flagged)
 
 
 def test_reencode_equals_exhaustive_reference_on_random_stgs():
@@ -205,12 +201,8 @@ def test_reencode_equals_exhaustive_reference_on_random_stgs():
     shapes = [(2 + i % 3, None) for i in range(300)] + [(4, 6)] * 4
     for width, n in shapes:
         n = n or rng.randint(1, min(6 if width < 4 else 5, 2 ** width))
-        stg, names = _random_stg(rng, width, n)
-        protected = {name for name in names if rng.random() < 0.15}
-        include_self_edges = rng.random() < 0.5
-        got = reencode_states(stg, protected, include_self_edges)
-        assert got == _reference_reencode(stg, protected, include_self_edges), (
-            stg, protected, include_self_edges)
+        stg = _random_stg(rng, width, n)
+        assert reencode_states(stg) == _reference_reencode(stg), stg
 
 
 def _ring_with_chords(n, width):
@@ -255,25 +247,19 @@ def test_reencode_wide_register_builds_rows_for_placed_codes_only():
     wide = extract_stg(parse_source(SourceText(text)).expect_ast(), {"IDLE"})
     tracemalloc.start()
     try:
-        got = reencode_states(wide, {"IDLE"})
+        got = reencode_states(wide)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert got.mapping == reencode_states(design_stg("vending", {"IDLE"}), {"IDLE"}).mapping
+    assert got.mapping == reencode_states(design_stg("vending", {"IDLE"})).mapping
     assert peak < 16 * 2**20
 
 
-def test_reencode_residual_skips_edges_of_passed_protected_states():
+def test_reencode_residual_skips_edges_of_protected_states():
     codes = {"a": "00", "b": "01", "c": "10", "d": "11"}
     edges = [("a", "b"), ("b", "c"), ("c", "a"), ("a", "d"), ("d", "b"), ("b", "a")]
-    passed = reencode_states(make_stg(codes, edges, "a"), {"d"})
-    assert passed.residual_violations == (("b", "c"),)
-    assert passed == reencode_states(make_stg(codes, edges, "a", protected={"d"}))
-
-
-def test_reencode_rejects_an_undeclared_protected_state():
-    with pytest.raises(MitigationError, match="protected state NO_SUCH is not declared"):
-        reencode_states(design_stg("aes_ctrl"), {"WAIT_KEY", "NO_SUCH"})
+    got = reencode_states(make_stg(codes, edges, "a", protected={"d"}))
+    assert got.residual_violations == (("b", "c"),)
 
 
 def test_score_assignment_listing8():

@@ -30,10 +30,10 @@ from fsmguard import (
     fif_metric,
     parse_source,
     run_all_checks,
-    unprotected_transitions,
 )
 
-from conftest import DESIGNS, count_calls, design_ast, design_source, design_stg
+from conftest import (DESIGNS, count_calls, design_ast, design_source, design_stg,
+                      unprotected_transitions)
 from test_stg import make_stg
 
 

@@ -22,18 +22,20 @@ from fsmguard import (
     parse_source,
     reachable_states,
     stg_isomorphic_modulo_encoding,
-    unprotected_transitions,
 )
 
-from conftest import design_ast, design_stg, out_edges
+from conftest import design_ast, design_stg, out_edges, unprotected_transitions
 
 
-def make_stg(codes: dict[str, str], edges, reset, protected=(), default=None):
+def make_stg(codes: dict[str, str], edges, reset, protected=()):
     width = len(next(iter(codes.values())))
     states = tuple(State(n, int(c, 2), n in protected) for n, c in codes.items())
     transitions = tuple(Transition(a, b, Guard.always()) for a, b in edges)
-    return Stg(states=states, transitions=transitions, reset_state=reset,
-               width=width, default_arm_target=default)
+    return Stg(states=states, transitions=transitions, reset_state=reset, width=width)
+
+
+def _without_arm(ast, label: str):
+    return replace(ast, comb=replace(ast.comb, arms=[a for a in ast.comb.arms if a.label != label]))
 
 
 # -- extraction -----------------------------------------------------------------
@@ -44,14 +46,20 @@ def test_extract_vending_machine_edges():
     pairs = {(t.source, t.target, t.guard.text) for t in stg.transitions}
     assert ("ACCEPTING_COINS", "PRODUCT_SELECTED", "coin") in pairs
     assert stg.reset_state == "IDLE"
-    assert stg.default_arm_target == "IDLE"
+    # a state without an arm takes the default arm's target
+    armless = _without_arm(design_ast("vending"), "DISPENSING_ITEM")
+    assert out_edges(extract_stg(armless), "DISPENSING_ITEM") == [
+        Transition("DISPENSING_ITEM", "IDLE", Guard.always())]
 
 
 def test_extract_aes_ctrl_two_edges_per_arm():
     stg = design_stg("aes_ctrl", {"WAIT_KEY"})
     assert len(stg.states) == 5
     assert len(stg.transitions) == 10
-    assert stg.default_arm_target is None
+    # with no default arm and no leading default, a state without an arm holds
+    armless = _without_arm(design_ast("aes_ctrl"), "FINAL_ROUND")
+    assert out_edges(extract_stg(armless), "FINAL_ROUND") == [
+        Transition("FINAL_ROUND", "FINAL_ROUND", Guard.hold())]
     per_arm = {}
     for t in stg.transitions:
         per_arm[t.source] = per_arm.get(t.source, 0) + 1
