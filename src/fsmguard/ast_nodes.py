@@ -65,20 +65,6 @@ class IfChain:
 Stmt = Union[Assign, IfChain]
 
 
-def walk(stmts: list[Stmt]) -> list[Union[Assign, Branch]]:
-    """Every Assign and Branch under stmts, in source order: a branch comes
-    before the statements of its body."""
-    out: list[Union[Assign, Branch]] = []
-    for stmt in stmts:
-        if isinstance(stmt, Assign):
-            out.append(stmt)
-        else:
-            for br in stmt.branches:
-                out.append(br)
-                out += walk(br.body)
-    return out
-
-
 @dataclass(slots=True)
 class CaseArm:
     label: Optional[str]                # None for the default arm

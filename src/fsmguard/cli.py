@@ -38,9 +38,18 @@ def _load_config(path: Optional[str]) -> dict:
     if not path:
         return {}
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        config = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise CliError(f"config {path} is not a JSON object")
+    for name in ("rules", "mitigation", "corpus", "provider"):
+        if not isinstance(config.get(name, {}), dict):
+            raise CliError(f"config {path}: section {name!r} is not a JSON object")
+    ratio = config.get("corpus", {}).get("clean_ratio", 1.0)
+    if isinstance(ratio, bool) or not isinstance(ratio, (int, float)):
+        raise CliError(f"config {path}: corpus.clean_ratio is not a number")
+    return config
 
 
 def _rule_config(config: dict, fif_flag: bool = False,

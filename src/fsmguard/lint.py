@@ -4,7 +4,7 @@ Warnings never block downstream analysis; they ride along in reports.
 """
 from __future__ import annotations
 
-from .ast_nodes import Assign, CaseArm, FsmAst, walk
+from .ast_nodes import Assign, CaseArm, FsmAst, Stmt
 from .source import Diagnostic, warning
 from .tokens import expr_identifiers
 
@@ -12,6 +12,19 @@ LATCH_INFERENCE = "W_LATCH"
 INCOMPLETE_SENSITIVITY = "W_SENS"
 SEMICOLON_AFTER_END = "W_SEMI"
 LOCALPARAM_NORMALIZED = "W_LOCALPARAM"
+
+
+def _assigned(stmts: list[Stmt]) -> set[str]:
+    """Every name an assignment under stmts assigns."""
+    names = set()
+    todo = list(stmts)
+    for stmt in todo:   # todo grows by the body of each branch met
+        if isinstance(stmt, Assign):
+            names.add(stmt.lhs)
+        else:
+            for br in stmt.branches:
+                todo += br.body
+    return names
 
 
 def lint(ast: FsmAst) -> list[Diagnostic]:
@@ -25,7 +38,7 @@ def lint(ast: FsmAst) -> list[Diagnostic]:
     # Latch inference: a comb-driven signal assigned in some arms but not all,
     # with no leading default to fall back on.
     defaulted = {a.lhs for a in comb.leading}
-    per_arm = [({n.lhs for n in walk(arm.body) if isinstance(n, Assign)}, arm) for arm in arms]
+    per_arm = [(_assigned(arm.body), arm) for arm in arms]
     all_assigned = set().union(*(s for s, _ in per_arm)) if per_arm else set()
     for sig in sorted(all_assigned):
         if sig in defaulted:
@@ -43,11 +56,14 @@ def lint(ast: FsmAst) -> list[Diagnostic]:
     # signal the block reads.
     if not comb.sens_star:
         reads: set[str] = set()
-        for body in [comb.leading, *(arm.body for arm in arms)]:
-            for node in walk(body):
-                expr = node.rhs if isinstance(node, Assign) else node.guard
-                if expr:
-                    reads.update(expr_identifiers(expr))
+        todo = [*comb.leading, *(stmt for arm in arms for stmt in arm.body)]
+        for stmt in todo:   # todo grows by the body of each branch met
+            if isinstance(stmt, Assign):
+                reads.update(expr_identifiers(stmt.rhs))
+            else:
+                for br in stmt.branches:
+                    reads.update(expr_identifiers(br.guard or ""))
+                    todo += br.body
         missing_sens = sorted(((reads - params) | {comb.subject}) - set(comb.sens_list))
         if missing_sens:
             out.append(warning(

@@ -23,7 +23,6 @@ from .ast_nodes import (
     Port,
     SeqBlock,
     Stmt,
-    walk,
 )
 from .source import Diagnostic, SourceText, Span, error
 from .tokens import (
@@ -39,6 +38,9 @@ from .tokens import (
 
 _PROTECTED_RE = re.compile(rf"@protected\s+({IDENT_RE.pattern})")
 
+_IDENT = TokKind.IDENT
+# Verilog lets "_" separate the digits of a literal but not lead them.
+_BINARY_DIGITS = re.compile("[01][01_]*").fullmatch
 _OPERANDS = (TokKind.IDENT, TokKind.NUMBER, TokKind.SIZED)
 _ENDS_ASSIGN = frozenset({"", "=", "end", "endcase", "endmodule", "begin", "if", "else"})
 _NO_SPACE_BEFORE = {")", "]", ";", ",", ":"}
@@ -47,8 +49,6 @@ _NO_SPACE_AFTER = {"(", "[", "!", "~"}
 
 def render_expr(texts: list[str]) -> str:
     """Join expression token texts into a normalized, re-parseable text form."""
-    if len(texts) == 1:
-        return texts[0]
     out: list[str] = []
     for text in texts:
         if out and text not in _NO_SPACE_BEFORE and out[-1] not in _NO_SPACE_AFTER:
@@ -135,7 +135,8 @@ class _Parser:
         return not self.texts[self.pos]
 
     def span(self, i: int) -> Span:
-        return Span.point(self.lines[i])
+        line = self.lines[i]
+        return Span(line, line)
 
     def err(self, code: str, message: str, span: Span | None = None) -> None:
         self.diags.append(error(code, message, span or self.span(self.pos)))
@@ -150,7 +151,7 @@ class _Parser:
 
     def expect_ident(self, what: str) -> int:
         i = self.pos
-        if self.kinds[i] is TokKind.IDENT:
+        if self.kinds[i] is _IDENT:
             self.pos += 1
             return i
         self.err("E_SYNTAX", f"expected {what}, found {self.texts[i]!r}")
@@ -302,33 +303,37 @@ class _Parser:
                 self.ports.append(Port(name, direction, kind, width, self.span(i)))
 
     def _parse_param_decl(self) -> None:
+        texts, kinds, lines = self.texts, self.kinds, self.lines
         self.param_decl_read = True
         head = self.next()
-        if self.texts[head] == "localparam":
+        if texts[head] == "localparam":
             self.localparam_spans.append(self.span(head))
         while True:
-            i = self.expect_ident("parameter name")
-            name = self.texts[i]
-            self.expect("=")
-            value = self.next()
-            if self.kinds[value] is not TokKind.SIZED:
+            i = self.pos
+            if kinds[i] is not _IDENT:
+                self.expect_ident("parameter name")
+            name = texts[i]
+            if texts[i + 1] != "=":
+                self.pos = i + 1
+                self.expect("=")
+            value = i + 2
+            self.pos = value + 1 if texts[value] else value
+            if kinds[value] is not TokKind.SIZED:
                 self.err("E_ENCODING", f"unsized state literal for {name}", self.span(value))
             else:
                 try:
-                    width, base, digits = parse_sized_literal(self.texts[value])
+                    width, base, digits = parse_sized_literal(texts[value])
                 except ValueError:
                     self.err("E_ENCODING", f"state encoding for {name} is wider than "
                              f"{MAX_LITERAL_WIDTH} bits", self.span(value))
                 else:
-                    # Verilog lets "_" separate digits but not lead them
-                    if (not width or base != "b" or digits[0] not in "01"
-                            or any(c not in "01_" for c in digits)):
+                    if not width or base != "b" or not _BINARY_DIGITS(digits):
                         self.err("E_ENCODING",
                                  f"state encoding for {name} must be a sized binary literal",
                                  self.span(value))
                         digits = "0"
                     code = int(digits.replace("_", ""), 2) & ((1 << width) - 1)
-                    self.params.append(ParamDecl(name, width, code, self.span(i)))
+                    self.params.append(ParamDecl(name, width, code, Span(lines[i], lines[i])))
             if not self.accept(","):
                 break
         self.expect(";")
@@ -475,7 +480,7 @@ class _Parser:
             if case is not None:
                 self.err("E_COMB_SHAPE", "statements after the case statement are not supported")
                 raise _Abort()
-            stmts.append(self._parse_stmt())
+            stmts.append(self._parse_if() if text == "if" else self._parse_assign())
             if not has_begin:
                 break
         return stmts, case
@@ -511,32 +516,37 @@ class _Parser:
         self.eat_stray_semis()
         return subject, arms, default_arm
 
+    # Statements are most of a design: the methods below read the token lists
+    # through locals and call expect(), expect_ident() or err() only on a fault.
     def _parse_stmt_block(self) -> list[Stmt]:
-        if not self.accept("begin"):
-            return [self._parse_stmt()]
+        texts = self.texts
+        text = texts[self.pos]
+        if text != "begin":
+            return [self._parse_if() if text == "if" else self._parse_assign()]
+        self.pos += 1
         stmts: list[Stmt] = []
-        while (text := self.texts[self.pos]) != "end":
+        while (text := texts[self.pos]) != "end":
             if not text:
                 self.err("E_SYNTAX", "unterminated begin/end block")
                 raise _Abort()
-            stmts.append(self._parse_stmt())
+            stmts.append(self._parse_if() if text == "if" else self._parse_assign())
         self.pos += 1
-        self.eat_stray_semis()
+        if texts[self.pos] == ";":
+            self.eat_stray_semis()
         return stmts
 
-    def _parse_stmt(self) -> Stmt:
-        if self.texts[self.pos] == "if":
-            return self._parse_if()
-        return self._parse_assign()
-
-    def _parse_if(self) -> IfChain:
-        texts = self.texts
-        start_line = self.lines[self.pos]
+    def _parse_if(self) -> IfChain:   # the next token is "if"
+        texts, lines = self.texts, self.lines
+        pos = self.pos
+        start_line = lines[pos]
         branches: list[Branch] = []
         while True:
-            if_span = self.span(self.expect("if"))
-            self.expect("(")
-            pos = begin = self.pos
+            if_span = Span(lines[pos], lines[pos])
+            pos += 1
+            if texts[pos] != "(":
+                self.pos = pos
+                self.expect("(")
+            pos = begin = pos + 1
             depth = 1
             while True:
                 text = texts[pos]
@@ -551,27 +561,31 @@ class _Parser:
                     raise _Abort()
                 pos += 1
             self.pos = pos + 1
-            guard = render_expr(texts[begin:pos])
-            body = self._parse_stmt_block()
-            branches.append(Branch(guard, body, span=if_span))
-            if not self.accept("else"):
+            guard = texts[begin] if pos == begin + 1 else render_expr(texts[begin:pos])
+            branches.append(Branch(guard, self._parse_stmt_block(), if_span))
+            pos = self.pos
+            if texts[pos] != "else":
                 break
-            if texts[self.pos] == "if":
+            pos += 1
+            if texts[pos] == "if":
                 continue
-            else_body = self._parse_stmt_block()
-            branches.append(Branch(None, else_body, span=if_span))
+            self.pos = pos
+            branches.append(Branch(None, self._parse_stmt_block(), if_span))
             break
-        end_line = self.lines[self.pos - 1]
+        end_line = lines[self.pos - 1]
         return IfChain(branches, Span(start_line, max(start_line, end_line)))
 
     def _parse_assign(self) -> Assign:
-        lhs = self.expect_ident("assignment target")
-        texts, kinds = self.texts, self.kinds
-        op = texts[self.pos]
+        texts, kinds, lines = self.texts, self.kinds, self.lines
+        lhs = self.pos
+        if kinds[lhs] is not _IDENT:
+            self.expect_ident("assignment target")
+        op = texts[lhs + 1]
         if op != "=" and op != "<=":
+            self.pos = lhs + 1
             self.err("E_SYNTAX", f"expected assignment after {texts[lhs]!r}")
             raise _Abort()
-        pos = begin = self.pos + 1
+        pos = begin = lhs + 2
         prev_operand = False
         while (text := texts[pos]) != ";":
             # EOF, a statement keyword, a bare "=" or two operands in a row
@@ -586,8 +600,8 @@ class _Parser:
         if pos == begin:
             self.err("E_SYNTAX", "empty assignment right-hand side", self.span(lhs))
             raise _Abort()
-        return Assign(texts[lhs], render_expr(texts[begin:pos]),
-                      Span(self.lines[lhs], self.lines[pos]))
+        rhs = texts[begin] if pos == begin + 1 else render_expr(texts[begin:pos])
+        return Assign(texts[lhs], rhs, Span(lines[lhs], lines[pos]))
 
     # -- finalize ----------------------------------------------------------
     def _finalize(self) -> FsmAst | None:
@@ -677,20 +691,26 @@ class _Parser:
         # Nothing in the subset drives a register other than the state pair,
         # and the emitter declares only those two.
         declared = param_names | {seq_cur, seq_next} | set(ports)
+        def check(stmts: list[Stmt]) -> None:   # in source order, a branch before its body
+            for stmt in stmts:
+                if isinstance(stmt, IfChain):
+                    for br in stmt.branches:
+                        if br.guard is not None and br.guard not in declared:
+                            self._check_declared(br.guard, declared, br.span)
+                        check(br.body)
+                    continue
+                if stmt.rhs not in declared:
+                    self._check_declared(stmt.rhs, declared, stmt.span)
+                if stmt.lhs == seq_next:
+                    if stmt.rhs not in param_names:
+                        self.err("E_NEXT_TARGET",
+                                 f"next-state assigned to undeclared state {stmt.rhs}", stmt.span)
+                elif stmt.lhs not in assignable:
+                    self.err("E_LHS", f"assignment to {stmt.lhs}, which is not next-state or an "
+                             "output", stmt.span)
+
         # diagnostics follow the arms in source order, then the leading defaults
-        for node in walk([s for arm in all_arms for s in arm.body] + comb.leading):
-            if isinstance(node, Branch):
-                if node.guard is not None:
-                    self._check_declared(node.guard, declared, node.span)
-                continue
-            self._check_declared(node.rhs, declared, node.span)
-            if node.lhs == seq_next:
-                if node.rhs not in param_names:
-                    self.err("E_NEXT_TARGET",
-                             f"next-state assigned to undeclared state {node.rhs}", node.span)
-            elif node.lhs not in assignable:
-                self.err("E_LHS", f"assignment to {node.lhs}, which is not next-state or an output",
-                         node.span)
+        check([stmt for arm in all_arms for stmt in arm.body] + comb.leading)
 
         for name in annotations:
             if name not in param_names:
@@ -718,8 +738,8 @@ class _Parser:
         )
 
     def _check_declared(self, expr: str, declared: set[str], span: Span) -> None:
-        """Each undeclared name expr reads is an error, reported once."""
-        if expr in declared:   # a declared name alone reads just itself
+        """Each undeclared name expr reads is an error, once; expr is not a bare declared name."""
+        if expr.isdecimal():   # a number reads no name
             return
         for name in dict.fromkeys(expr_identifiers(expr)):
             if name not in declared:

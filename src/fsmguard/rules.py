@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, asdict
 from enum import Enum
+from itertools import compress
 from typing import Optional
 
 from .ast_nodes import FsmAst
@@ -38,8 +39,6 @@ class Rule(Enum):
     DUPLICATE_ENCODING = "DUPLICATE_ENCODING"
     MISSING_DEFAULT = "MISSING_DEFAULT"
 
-
-_RULE_ORDER = {rule: i for i, rule in enumerate(Rule)}
 
 
 class RuleError(ValueError):
@@ -225,26 +224,23 @@ def check_hd_rule(stg: Stg, include_self_edges: bool = False) -> list[RuleViolat
     for a, b, t in stg.scored_edges(include_self_edges):
         hd = (codes[a] ^ codes[b]).bit_count()
         if hd != 1:
-            violations.append(RuleViolation(
-                rule=Rule.HD_NOT_ONE,
-                states=(t.source, t.target),
-                transition=(t.source, t.target),
-                span=t.span,
-                evidence={"hamming_distance": hd, "encodings": [bits[a], bits[b]]},
-            ))
+            pair = (t.source, t.target)   # the states and the transition
+            violations.append(RuleViolation(   # positional: one per edge, at most
+                Rule.HD_NOT_ONE, pair, pair, t.span,
+                {"hamming_distance": hd, "encodings": [bits[a], bits[b]]}))
     return violations
 
 
 def detect_static_deadlock(stg: Stg) -> list[RuleViolation]:
     """A reachable state every outgoing edge of which is a self loop, entered
     from some distinct reachable state."""
-    reach = stg.reachable
+    reach = stg.reach_mask
     names = stg.state_names
     violations = []
-    for i, s in enumerate(stg.states):
-        if s.name not in reach or any(j != i for j in stg.succ[i]):
+    for i, (s, out) in enumerate(zip(stg.states, stg.succ)):
+        if not reach[i] or out.count(i) != len(out):
             continue
-        feeders = {names[j] for j in stg.pred[i] if j != i and names[j] in reach}
+        feeders = {names[j] for j in stg.pred[i] if j != i and reach[j]}
         if feeders:
             violations.append(RuleViolation(
                 rule=Rule.STATIC_DEADLOCK,
@@ -283,8 +279,8 @@ def _tarjan_sccs(nodes: list[int], succ: list[list[int]]) -> list[list[int]]:
                     on_stack[w] = True
                     work.append((w, iter(succ[w])))
                     break
-                if on_stack[w]:
-                    low[node] = min(low[node], index[w])
+                if on_stack[w] and index[w] < low[node]:
+                    low[node] = index[w]
             else:
                 work.pop()
                 if work:
@@ -306,10 +302,10 @@ def detect_trap_loops(stg: Stg) -> list[RuleViolation]:
     """Strongly connected sets of reachable states with no exit edge, forming
     a proper subset of the reachable set.  Single-state traps are reported as
     static deadlocks, never twice."""
-    reach = stg.reachable
+    reach = list(compress(range(len(stg.states)), stg.reach_mask))
     names = stg.state_names
     violations = []
-    for comp in _tarjan_sccs([i for i, n in enumerate(names) if n in reach], stg.succ):
+    for comp in _tarjan_sccs(reach, stg.succ):
         # One state with no exit is entered from a distinct reachable state
         # (else it would be the whole reachable set): a STATIC_DEADLOCK.
         # Every component lies inside the reachable set.
@@ -328,11 +324,11 @@ def detect_trap_loops(stg: Stg) -> list[RuleViolation]:
 
 
 def detect_unreachable_states(stg: Stg) -> list[RuleViolation]:
-    reach = stg.reachable
+    reach = stg.reach_mask
     names = stg.state_names
     violations = []
     for i, s in enumerate(stg.states):
-        if s.name in reach:
+        if reach[i]:
             continue
         exits = {names[j] for j in stg.succ[i] if j != i}
         violations.append(RuleViolation(
@@ -384,11 +380,13 @@ def check_default_handling(ast: FsmAst) -> list[RuleViolation]:
 
 # -- aggregation ------------------------------------------------------------
 
-def _sort_violations(violations: list[RuleViolation]) -> list[RuleViolation]:
-    def key(v: RuleViolation) -> tuple:
-        line = v.span.start if v.span else 0
-        return (_RULE_ORDER[v.rule], line, v.states)
-    return sorted(violations, key=key)
+def _sort_violations(found: list[list[RuleViolation]]) -> list[RuleViolation]:
+    """found's lists (one per rule, in Rule order), each by first line, then states."""
+    out: list[RuleViolation] = []
+    for vs in found:
+        keys = [(v.span.start if v.span else 0, v.states) for v in vs]
+        out += map(vs.__getitem__, sorted(range(len(vs)), key=keys.__getitem__))
+    return out
 
 
 def run_checks_on_ast(ast: FsmAst, protected: frozenset[str] | set[str],
@@ -396,34 +394,34 @@ def run_checks_on_ast(ast: FsmAst, protected: frozenset[str] | set[str],
                       design_id: str = "<ast>") -> CheckReport:
     stg = extract_stg(ast, protected)
     merged = stg.protected_names
-    violations: list[RuleViolation] = []
+    found: list[list[RuleViolation]] = []   # the rules run in Rule order
     skipped: list[tuple[str, str]] = []
 
     if config.fif:
         if merged:
-            violations += check_fif_rule(stg, config.include_self_edges)
+            found.append(check_fif_rule(stg, config.include_self_edges))
         else:
             skipped.append((Rule.FIF_NONZERO.value, "rule not evaluated: empty protected set"))
     if config.hd:
         if merged:
-            violations += check_hd_rule(stg, config.include_self_edges)
+            found.append(check_hd_rule(stg, config.include_self_edges))
         else:
             skipped.append((Rule.HD_NOT_ONE.value, "rule not evaluated: empty protected set"))
     if config.static_deadlock:
-        violations += detect_static_deadlock(stg)
+        found.append(detect_static_deadlock(stg))
     if config.trap_loop:
-        violations += detect_trap_loops(stg)
+        found.append(detect_trap_loops(stg))
     if config.unreachable:
-        violations += detect_unreachable_states(stg)
+        found.append(detect_unreachable_states(stg))
     if config.duplicate_encoding:
-        violations += detect_duplicate_encodings(stg)
+        found.append(detect_duplicate_encodings(stg))
     if config.missing_default:
-        violations += check_default_handling(ast)
+        found.append(check_default_handling(ast))
 
     return CheckReport(
         design_id=design_id,
         protected=tuple(sorted(merged)),
-        violations=_sort_violations(violations),
+        violations=_sort_violations(found),
         lint=lint(ast),
         config=config,
         skipped_rules=skipped,

@@ -41,9 +41,12 @@ class Span:
     start: int
     end: int
 
-    def __post_init__(self) -> None:
-        if self.start < 1 or self.end < self.start:
-            raise ValueError(f"bad span {self.start}..{self.end}")
+    # by hand, to validate and set in one frame; the dataclass keeps it
+    def __init__(self, start: int, end: int) -> None:
+        if start < 1 or end < start:
+            raise ValueError(f"bad span {start}..{end}")
+        self.start = start
+        self.end = end
 
     @classmethod
     def point(cls, line: int) -> "Span":

@@ -118,13 +118,15 @@ class Stg:
         pred: list[list[int]] = [[] for _ in mask]
         all_succ: list[list[int]] = [[] for _ in mask]
         scored: list[tuple[int, int, Transition]] = []
+        guards = {id(t.guard): t.guard for t in self.transitions}   # edges share Guards
+        dead = {k for k, g in guards.items() if g.is_constant_false}
         for t in self.transitions:
             a = index.get(t.source)
             b = index.get(t.target)
             if a is None or b is None:
                 raise StgError(f"transition {t.source}->{t.target} references unknown state")
             all_succ[a].append(b)
-            if not t.guard.is_constant_false:
+            if id(t.guard) not in dead:
                 succ[a].append(b)
                 pred[b].append(a)
             if not (mask[a] or mask[b]):
@@ -152,6 +154,10 @@ class Stg:
         """reachable_states of this graph, computed on first use."""
         return reachable_states(self)
 
+    @cached_property
+    def reach_mask(self) -> list[bool]:   # reachable, by state number
+        return list(map(self.reachable.__contains__, self.state_names))
+
     def scored_edges(self, include_self: bool = False) -> list[tuple[int, int, Transition]]:
         """The edges HD, FIF and the re-encoder score: ``scored``, less its
         self edges unless include_self."""
@@ -161,7 +167,7 @@ class Stg:
 # -- extraction -----------------------------------------------------------
 
 def _negate(guards: list[str]) -> str:
-    return " && ".join(f"!({g})" for g in guards)
+    return "!(" + ") && !(".join(guards) + ")" if guards else ""
 
 
 def _eval_block(stmts: list[Stmt], next_reg: str):
@@ -172,7 +178,7 @@ def _eval_block(stmts: list[Stmt], next_reg: str):
     the unconditional target in effect after the block (None if none), and
     covered says whether every path through the block assigns next-state.
     """
-    guarded: list[tuple[list[str], str]] = []
+    guarded: list[tuple[tuple[str, ...], str]] = []
     base: Optional[str] = None
     covered = False
     for stmt in stmts:
@@ -184,22 +190,22 @@ def _eval_block(stmts: list[Stmt], next_reg: str):
             guarded = []  # a later unconditional assignment wins on every path
         else:
             chain_guards: list[str] = []
-            chain_edges: list[tuple[list[str], str]] = []
+            chain_edges: list[tuple[tuple[str, ...], str]] = []
             all_branches_cover = True
             assigns_next = False
             for br in stmt.branches:
                 sub_guarded, sub_base, sub_cov = _eval_block(br.body, next_reg)
                 if br.guard is not None:
-                    this_guard = [br.guard]
+                    this_guard: tuple[str, ...] = (br.guard,)
                     chain_guards.append(br.guard)
                 else:
                     neg = _negate(chain_guards)
-                    this_guard = [neg] if neg else []
+                    this_guard = (neg,) if neg else ()
                 for sub_texts, target in sub_guarded:
                     chain_edges.append((this_guard + sub_texts, target))
                     assigns_next = True
                 if sub_base is not None:
-                    chain_edges.append((list(this_guard), sub_base))
+                    chain_edges.append((this_guard, sub_base))
                     assigns_next = True
                 if not sub_cov:
                     all_branches_cover = False
@@ -231,14 +237,15 @@ def _arm_transitions(arm_label: str, arm: CaseArm, ast: FsmAst,
     guarded, base, covered = _eval_block(arm.body, ast.state_next)
     edges = [Transition(arm_label, target, guard(" && ".join(texts), False), arm.span)
              for texts, target in guarded]
+    if covered and base is None:
+        return edges
     fall_text = _negate(_chain_guard_texts(arm.body))
-    if covered and base is not None:
+    if covered:
         edges.append(Transition(arm_label, base, guard(fall_text, False), arm.span))
-    elif not covered:
-        if leading_target is not None:
-            edges.append(Transition(arm_label, leading_target, guard(fall_text, False), arm.span))
-        else:
-            edges.append(Transition(arm_label, arm_label, guard(fall_text, True), arm.span))
+    elif leading_target is not None:
+        edges.append(Transition(arm_label, leading_target, guard(fall_text, False), arm.span))
+    else:
+        edges.append(Transition(arm_label, arm_label, guard(fall_text, True), arm.span))
     return edges
 
 

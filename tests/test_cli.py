@@ -171,6 +171,31 @@ def test_gen_corpus_clean_ratio_flag_beats_the_config(tmp_path, capsys):
     assert len(read_corpus(out)) == 4
 
 
+@pytest.mark.parametrize("command, config, problem", [
+    ("gen-corpus", {"corpus": {"clean_ratio": [1]}}, "corpus.clean_ratio is not a number"),
+    ("gen-corpus", {"corpus": {"clean_ratio": "0.5"}}, "corpus.clean_ratio is not a number"),
+    ("gen-corpus", {"corpus": []}, "section 'corpus' is not a JSON object"),
+    ("mitigate", {"mitigation": []}, "section 'mitigation' is not a JSON object"),
+    ("run-pipeline", {"provider": 5}, "section 'provider' is not a JSON object"),
+    ("check", [1, 2], "is not a JSON object"),
+    ("check", {"rules": []}, "section 'rules' is not a JSON object"),
+])
+def test_config_of_the_wrong_shape_exits_two(tmp_path, capsys, command, config, problem):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    design = DESIGNS / "vending.v"
+    argv = {"gen-corpus": ["--mix", "static_deadlock=1", "--seed", "1", "--out", tmp_path / "c.jsonl", design],
+            "mitigate": ["--out-design", tmp_path / "x.v", "--out-report", tmp_path / "x.json",
+                         design],
+            "run-pipeline": ["--pipeline", "fif", "--protected", "IDLE", "--design", design,
+                             "--out", tmp_path / "t.jsonl"],
+            "check": [design]}[command]
+    assert run(command, "--config", path, *argv) == 2
+    message = f"config {path} {problem}" if problem.startswith("is") else f"config {path}: {problem}"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "c.jsonl").exists() and not (tmp_path / "x.v").exists()
+
+
 def test_run_pipeline_with_mock(tmp_path, capsys):
     out = tmp_path / "transcripts.jsonl"
     code = run("run-pipeline", "--pipeline", "fif", "--protected", "RESULT",

@@ -475,6 +475,60 @@ endmodule"""
     assert "go is not a port, state register or state" in result.errors[0].message
 
 
+def test_parse_statement_diagnostics_follow_the_arms_then_the_leading_defaults():
+    """Within an arm, a branch's guard comes before its body, and an
+    assignment's undeclared names before its target's error; the default arm
+    follows the labelled arms wherever it stands, and the leading defaults
+    come last."""
+    text = """module m (input clk, input rst, input a, output reg y);
+parameter A = 1'b0;
+parameter B = 1'b1;
+reg s;
+reg n;
+always @(posedge clk) begin if (rst) s <= A; else s <= n; end
+always @(*) begin
+    w = ghost3;
+    n = A;
+    case (s)
+        A: begin
+            if (ghost1 && a) begin
+                if (a) n = NOPE;
+                else q = 1;
+            end else
+                n = B;
+        end
+        default: n = ghost4;
+        B: begin
+            y = ghost2 | ghost1 | ghost2;
+            if (a) begin
+                if (ghost5) n = ghost6;
+            end
+        end
+    endcase
+end
+endmodule
+"""
+    result = parse_source(SourceText(text))
+    assert result.ast is None
+    undeclared = "{} is not a port, state register or state".format
+    target = "next-state assigned to undeclared state {}".format
+    assert [(d.code, d.message, d.span.start) for d in result.diagnostics] == [
+        ("E_UNDECLARED", undeclared("ghost1"), 12),
+        ("E_UNDECLARED", undeclared("NOPE"), 13),
+        ("E_NEXT_TARGET", target("NOPE"), 13),
+        ("E_LHS", "assignment to q, which is not next-state or an output", 14),
+        ("E_UNDECLARED", undeclared("ghost2"), 20),
+        ("E_UNDECLARED", undeclared("ghost1"), 20),
+        ("E_UNDECLARED", undeclared("ghost5"), 22),
+        ("E_UNDECLARED", undeclared("ghost6"), 22),
+        ("E_NEXT_TARGET", target("ghost6"), 22),
+        ("E_UNDECLARED", undeclared("ghost4"), 18),
+        ("E_NEXT_TARGET", target("ghost4"), 18),
+        ("E_UNDECLARED", undeclared("ghost3"), 8),
+        ("E_LHS", "assignment to w, which is not next-state or an output", 8),
+    ]
+
+
 @pytest.mark.parametrize("port, ok", [
     ("input [0:0] n", False), ("output [0:0] n", False), ("output reg [0:0] n", True),
 ])
@@ -608,6 +662,49 @@ def test_lint_incomplete_sensitivity(vending_deadlock):
     warns = lint(parse_source(vending_deadlock).expect_ast())
     (w,) = [w for w in warns if w.code == INCOMPLETE_SENSITIVITY]
     assert "coin" in w.message and "productSelected" in w.message
+
+
+def test_lint_reads_nested_branches_and_spares_leading_defaults():
+    """Latch and sensitivity lint see assignments and guards at every depth;
+    a signal with a leading default (x) is never a latch."""
+    text = """module m (input clk, input rst, input a, input b, input c, input d,
+          output reg x, output reg y, output reg z);
+parameter A = 2'b00;
+parameter B = 2'b01;
+parameter C = 2'b10;
+reg [1:0] s;
+reg [1:0] n;
+always @(posedge clk) begin if (rst) s <= A; else s <= n; end
+always @(s or a) begin
+    x = 0;
+    case (s)
+        A: begin
+            if (a) begin
+                if (b) begin y = 1; n = B; end
+                else z = d;
+            end else if (c) n = C;
+            else begin y = 0; n = A; end
+        end
+        B: begin
+            x = 1;
+            y = a;
+            if (c) n = A;
+            else n = B;
+        end
+        C: n = A;
+        default: n = A;
+    endcase
+end
+endmodule
+"""
+    warns = lint(parse_source(SourceText(text)).expect_ast())
+    assert [(w.code, w.message, w.span.start, w.span.end) for w in warns] == [
+        (INCOMPLETE_SENSITIVITY, "sensitivity list misses read signal(s): b, c, d", 9, 28),
+        (LATCH_INFERENCE, "z is not assigned in arm(s) B, C, default; this might cause "
+         "latch inference", 19, 24),
+        (LATCH_INFERENCE, "y is not assigned in arm(s) C, default; this might cause "
+         "latch inference", 25, 25),
+    ]
 
 
 def test_lint_semicolon_after_end(fsm_review):

@@ -98,6 +98,59 @@ def test_extract_leading_default_routes_fallthrough():
     assert s0_targets == {("s1", "start"), ("s0", "!(start)")}
 
 
+_FALLTHROUGH = """module m (input clk, input rst, input a, input b, input c, output reg y);
+parameter A = 2'b00;
+parameter B = 2'b01;
+parameter C = 2'b10;
+reg [1:0] s;
+reg [1:0] n;
+always @(posedge clk) begin if (rst) s <= A; else s <= n; end
+always @(*) begin
+    n = A;
+    case (s)
+        A: begin
+            if (a) begin
+                if (b) n = B;
+            end else if (c) n = C;
+        end
+        B: begin
+            n = A;
+            y = 1;
+            if (a) begin
+                if (b) n = C;
+                else n = B;
+            end
+        end
+        C: begin
+            if (a) n = B;
+            else n = A;
+        end
+    endcase
+end
+endmodule
+"""
+
+
+@pytest.mark.parametrize("leading, a_falls_to", [("n = A;", "A -> A [!(a) && !(c)]"),
+                                                 ("y = 0;", "A -> A [hold]")])
+def test_dump_stg_fallthrough_edges(leading, a_falls_to):
+    """A is never fully assigned: it falls to the leading default, or holds
+    without one.  B's unconditional base takes what its chain leaves, and C's
+    chain covers every path, so C has no fallthrough edge."""
+    text = _FALLTHROUGH.replace("    n = A;\n    case", f"    {leading}\n    case")
+    stg = extract_stg(parse_source(SourceText(text)).expect_ast())
+    assert dump_stg(stg) == "\n".join([
+        "A -> B [a && b]",
+        "A -> C [c]",
+        a_falls_to,
+        "B -> C [a && b]",
+        "B -> B [a && !(b)]",
+        "B -> A [!(a)]",
+        "C -> B [a]",
+        "C -> A [!(a)]",
+    ]) + "\n"
+
+
 def test_extract_protected_must_be_declared():
     with pytest.raises(StgError):
         design_stg("vending", {"NOT_A_STATE"})
@@ -285,3 +338,29 @@ def test_value_classes_compare_hash_order_and_repr():
 
     for value in (t, s, go, v, Span(1, 1)):
         assert not hasattr(value, "__dict__")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Span(0, 0), "bad span 0..0"),
+    (lambda: Span(3, 2), "bad span 3..2"),
+    (lambda: Span.point(0), "bad span 0..0"),
+    (lambda: replace(Span(2, 3), end=1), "bad span 2..1"),
+])
+def test_span_rejects_a_bad_range(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
+def test_span_equality_order_hash_and_repr():
+    a = Span(2, 3)
+    assert a == Span(2, 3) == Span(start=2, end=3) and a != Span(2, 4) and a != (2, 3)
+    assert Span(2, 3) < Span(2, 4) < Span(3, 3) and not a < Span(2, 3)
+    assert Span(1, 9) <= Span(2, 2) and Span(3, 3) >= Span(2, 9)
+    assert hash(a) == hash(Span(2, 3)) == hash((2, 3))
+    assert repr(a) == "Span(start=2, end=3)" and a.to_json() == [2, 3]
+    assert replace(a, end=7) == Span(2, 7) and a == Span(2, 3)
+    assert Span.point(5) == Span(5, 5)
+    with pytest.raises(TypeError):
+        Span(1)
+    with pytest.raises(AttributeError):
+        a.note = "x"
