@@ -17,6 +17,7 @@ from .source import Span
 from .tokens import rename_identifiers
 
 _NOSPAN = Span(1, 1)
+UNUSED_LISTED = 256   # unused codes a finding or plan note lists; past it, a count too
 
 
 @dataclass(slots=True)
@@ -202,10 +203,10 @@ class FsmAst:
             protected_annotations=frozenset(map(name, self.protected_annotations)),
         )
 
-    def unused_encodings(self) -> list[str]:
-        """Every code no state uses, as bit strings: the listing reports print."""
-        return [f"{c:0{self.state_width}b}"
-                for c in self.lowest_unused_encodings(1 << self.state_width)]
+    def unused_encodings(self) -> tuple[list[str], int]:
+        """The lowest UNUSED_LISTED unused codes as bit strings, and how many are unused."""
+        listed = [f"{c:0{self.state_width}b}" for c in self.lowest_unused_encodings(UNUSED_LISTED)]
+        return listed, (1 << self.state_width) - len({p.code for p in self.parameters})
 
     def lowest_unused_encodings(self, count: int) -> list[int]:
         """The count lowest codes no state uses, or all of them if fewer; the

@@ -13,6 +13,7 @@ from typing import Callable, Optional, Sequence
 
 from .corpus import generate_corpus, read_corpus, read_jsonl, write_corpus
 from .inject import VulnClass, plan_injection
+from .jsontext import dumps_indented
 from .emitter import emit_verilog
 from .llm.params import GenerationParams, temperature_grid
 from .llm.pipeline import PIPELINES, PipelineSpec, Transcript, sweep_params
@@ -49,6 +50,9 @@ def _load_config(path: Optional[str]) -> dict:
     ratio = config.get("corpus", {}).get("clean_ratio", 1.0)
     if isinstance(ratio, bool) or not isinstance(ratio, (int, float)):
         raise CliError(f"config {path}: corpus.clean_ratio is not a number")
+    in_flight = config.get("in_flight", 4)
+    if type(in_flight) is not int or in_flight < 1:   # a bool is no count
+        raise CliError(f"config {path}: in_flight is not an integer of at least 1")
     return config
 
 
@@ -174,7 +178,7 @@ def _cmd_inject(args: argparse.Namespace) -> int:
     out_design = args.out_design or f"{args.design}.injected.v"
     out_plan = args.out_plan or f"{args.design}.plan.json"
     _atomic_write(out_design, plan.text.content)
-    _atomic_write(out_plan, json.dumps(plan.to_json(), indent=2) + "\n")
+    _atomic_write(out_plan, dumps_indented(plan.to_json()) + "\n")
     print(f"wrote {out_design} and {out_plan}")
     return EXIT_OK
 
@@ -196,7 +200,7 @@ def _cmd_mitigate(args: argparse.Namespace) -> int:
     out_design = args.out_design or f"{args.design}.mitigated.v"
     out_report = args.out_report or f"{args.design}.mitigation.json"
     _atomic_write(out_design, outcome.design.content)
-    _atomic_write(out_report, json.dumps(outcome.to_json(), indent=2) + "\n")
+    _atomic_write(out_report, dumps_indented(outcome.to_json()) + "\n")
     print(f"fixed: {[r.value for r in outcome.fixed]}; "
           f"residual: {[v.rule.value for v in outcome.residual]}; "
           f"stg_preserved: {outcome.stg_preserved}")
@@ -288,7 +292,7 @@ def _run_sweep(args: argparse.Namespace, line: Callable[[Transcript, GenerationP
         grid = [GenerationParams(temperature=float(t)) for t in args.grid.split(",") if t.strip()]
     else:
         grid = list(temperature_grid())
-    results = sweep_params(spec, designs, grid, provider, in_flight=int(config.get("in_flight", 4)))
+    results = sweep_params(spec, designs, grid, provider, in_flight=config.get("in_flight", 4))
     _atomic_write(args.out, "".join(f"{line(t, grid[gi])}\n" for (_, gi), t in results.items()))
     return grid, results
 
@@ -363,7 +367,7 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     out_design = args.out_design or f"{args.design}.sanitized.v"
     out_map = args.out_map or f"{args.design}.rename.json"
     _atomic_write(out_design, text.content)
-    _atomic_write(out_map, json.dumps(result.to_json(), indent=2, sort_keys=True) + "\n")
+    _atomic_write(out_map, dumps_indented(result.to_json(), sort_keys=True) + "\n")
     print(f"wrote {out_design} and {out_map}")
     return EXIT_OK
 

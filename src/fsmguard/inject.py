@@ -326,15 +326,16 @@ def remove_default_arm(ast: FsmAst) -> tuple[FsmAst, InjectionPlan]:
         raise InjectError("a leading next-state default still handles unused encodings")
     injected = replace(ast, comb=replace(ast.comb, default_arm=None))
     text, markers = emit_with_markers(injected)
+    listed, unused = ast.unused_encodings()
     plan = InjectionPlan(
         vuln=VulnClass.MISSING_DEFAULT,
         seed=0,
         target_state=None,
         added_states=(),
         modified_spans=(markers["endcase"],),
-        # the plan names every code left unhandled, as the MISSING_DEFAULT
-        # finding does; the refusals above take one code at most
-        notes="default arm removed; unhandled encodings: " + ", ".join(ast.unused_encodings()),
+        # the codes left unhandled, as the finding lists them; the refusals take one at most
+        notes="default arm removed; unhandled encodings: " + ", ".join(listed)
+        + (f" ({unused} in all)" if unused > len(listed) else ""),
         text=text,
     )
     return injected, plan

@@ -605,11 +605,10 @@ class _Parser:
 
     # -- finalize ----------------------------------------------------------
     def _finalize(self) -> FsmAst | None:
-        annotations = set()
         comments = tuple(t.text for t in self.trivia)
-        for text in comments:
-            for m in _PROTECTED_RE.finditer(text):
-                annotations.add(m.group(1))
+        # in source order, which the E_PROTECTED diagnostics follow
+        annotations = dict.fromkeys(
+            m.group(1) for text in comments for m in _PROTECTED_RE.finditer(text))
 
         # After an abort the module is only half read: what it lacks may lie
         # past the error, so the "missing X" diagnostics would only cascade.

@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 from decimal import Decimal, ROUND_HALF_UP
 from typing import Iterable, Optional
 
+from .jsontext import dumps_indented
+
 SCHEMA_VERSION = 1
 
 TASKS = ("insertion", "detection", "mitigation")
@@ -100,7 +102,7 @@ class ExperimentReport:
         }
 
     def to_json_text(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=False) + "\n"
+        return dumps_indented(self.to_json()) + "\n"
 
 
 def config_hash(config_json: dict) -> str:

@@ -15,13 +15,13 @@ its last check.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, asdict
 from enum import Enum
 from itertools import compress
 from typing import Optional
 
 from .ast_nodes import FsmAst
+from .jsontext import dumps_indented
 from .lint import lint
 from .parser import ParseResult, parse_source
 from .source import Diagnostic, SourceText, Span, error
@@ -186,7 +186,7 @@ class CheckReport:
         }
 
     def to_json_text(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=False) + "\n"
+        return dumps_indented(self.to_json()) + "\n"
 
 
 # -- per-rule checks --------------------------------------------------------
@@ -367,14 +367,17 @@ def check_default_handling(ast: FsmAst) -> list[RuleViolation]:
     if (ast.comb.default_arm is not None
             or ast.comb.leading_target_for(ast.state_next) is not None):
         return []
-    unused = ast.unused_encodings()
+    listed, unused = ast.unused_encodings()
     if not unused:
         return []
+    evidence: dict = {"unused_encodings": listed}
+    if unused > len(listed):
+        evidence["unused_count"] = unused
     return [RuleViolation(
         rule=Rule.MISSING_DEFAULT,
         states=(),
         span=ast.comb.span,
-        evidence={"unused_encodings": unused},
+        evidence=evidence,
     )]
 
 

@@ -258,10 +258,10 @@ def extract_stg(ast: FsmAst, protected: Iterable[str] = ()) -> Stg:
     leading default, then hold.
     """
     protected_set = set(protected) | set(ast.protected_annotations)
-    declared = set(ast.param_names)
-    for name in protected_set:
-        if name not in declared:
-            raise StgError(f"protected state {name} is not declared")
+    if undeclared := sorted(protected_set.difference(ast.param_names)):
+        names = ", ".join(undeclared)
+        raise StgError(f"protected state {names} is not declared" if len(undeclared) == 1
+                       else f"protected states {names} are not declared")
 
     states = tuple(
         State(p.name, p.code, p.name in protected_set, p.span)

@@ -123,8 +123,8 @@ def tokenize(src: SourceText) -> Lexed:
     """Split source into tokens; comments are preserved as trivia.
 
     No Python runs per token: one findall gives every text, each distinct
-    text is classified once, and the lists are built by maps and compresses
-    over the texts, which run in C.  Columns are computed on demand."""
+    text is classified once (its tokens share one str), and the lists are
+    built by maps over the texts, which run in C.  Columns are on demand."""
     text = src.content
     trivia: list[Token] = []
     diagnostics: list[Diagnostic] = []
@@ -142,8 +142,9 @@ def tokenize(src: SourceText) -> Lexed:
             trivia.append(Token(TokKind.COMMENT, m[0], line, start - text.rfind("\n", 0, start)))
     found = _LEX_RE.findall(text)
     kind_of, mark_of = dict(_KNOWN_KINDS), dict(_KNOWN_MARKS)
+    distinct = set(found)
     bad: set[str] = set()
-    for word in set(found).difference(kind_of):
+    for word in distinct.difference(kind_of):
         first = word[0]
         if first in _IDENT_START:
             kind_of[word], mark = TokKind.IDENT, "t"
@@ -161,7 +162,8 @@ def tokenize(src: SourceText) -> Lexed:
             error("E_CHAR", f"illegal character {word!r}", Span.point(line))
             for word, line in zip(compress(found, map(bad.__contains__, found)),
                                   _line_numbers(marks, "b"))]
-    texts = list(compress(found, map(kind_of.__getitem__, found)))
+    keep = {word: word for word in distinct if kind_of[word]}
+    texts = list(filter(None, map(keep.get, found)))
     del found   # before the other lists are built: the lexer's peak memory
     lines = _line_numbers(marks, "t")
     kinds = list(map(kind_of.__getitem__, texts))

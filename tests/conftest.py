@@ -1,3 +1,4 @@
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -76,6 +77,16 @@ def contains_keywords(text: str, keywords: tuple[str, ...] = DEFAULT_KEYWORDS) -
 
 def residual_count(assignment: EncodingAssignment) -> int:
     return len(assignment.residual_violations)
+
+
+def widened_vending(width: int, default_arm: bool = True) -> SourceText:
+    """designs/vending.v with a width-bit state register (its 4 codes kept),
+    with or without its default arm."""
+    text = design_source("vending").content
+    if not default_arm:
+        text = re.sub(r"        default: begin\n.*?        end\n", "", text, flags=re.S)
+    text = re.sub(r"3'b(\d+)", lambda m: f"{width}'b{m[1]:0>{width}}", text)
+    return SourceText(text.replace("reg [2:0]", f"reg [{width - 1}:0]"))
 
 
 def rename_states(stg: Stg, mapping: dict[str, str]) -> Stg:

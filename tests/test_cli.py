@@ -366,6 +366,28 @@ def test_io_and_value_errors_exit_two(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["sweep", "run-pipeline"])
+@pytest.mark.parametrize("in_flight", [[], "2", True, 2.5, 0],
+                         ids=["list", "string", "bool", "float", "zero"])
+def test_in_flight_other_than_a_positive_integer_exits_two(tmp_path, capsys, command, in_flight):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"in_flight": in_flight}))
+    out = tmp_path / "t.jsonl"
+    assert run(command, *_POLICY, *_VENDING, *_MOCK, "--config", path, "--out", out) == 2
+    message = f"config {path}: in_flight is not an integer of at least 1"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_in_flight_of_one_is_accepted(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"in_flight": 1}))
+    out = tmp_path / "t.jsonl"
+    assert run("sweep", *_POLICY, *_VENDING, *_MOCK, "--config", path, "--grid", "0.1,0.2",
+               "--out", out) == 0
+    assert len(out.read_text().splitlines()) == 2
+
+
 _SCORE = ("score", "--rule", "MISSING_DEFAULT", "--out", "<tmp>/r.json")
 
 

@@ -54,6 +54,18 @@ def test_tokenize_dual_kind_port_keeps_both_keywords():
     assert kinds["wire"] is TokKind.KW and kinds["reg"] is TokKind.KW
 
 
+@pytest.mark.parametrize("name", ["vending", "aes_ctrl", "rsa_ctrl"])
+def test_tokenize_shares_one_str_per_distinct_text(name):
+    """Equal token texts, and the AST names parsed from them, are one object."""
+    src = design_source(name)
+    texts = tokenize(src).texts
+    assert len(set(map(id, texts))) == len(set(texts)) < len(texts)
+    ast = parse_source(src).expect_ast()
+    names = [ast.state_cur, ast.state_next, ast.comb.subject, ast.seq.reset_target,
+             *(p.name for p in ast.parameters), *(arm.label for arm in ast.comb.arms)]
+    assert len(set(map(id, names))) == len(set(names)) < len(names)
+
+
 def test_tokenize_comment_is_trivia():
     lexed = tokenize(SourceText("// @protected WAIT_KEY\nmodule m;"))
     assert [t.text for t in lexed.trivia] == ["// @protected WAIT_KEY"]

@@ -27,7 +27,7 @@ from fsmguard import (
     uniquify_encodings,
 )
 
-from conftest import count_calls, design_ast, design_source, rename_states
+from conftest import count_calls, design_ast, design_source, rename_states, widened_vending
 
 
 def _violated(text, protected=frozenset()):
@@ -184,6 +184,17 @@ def test_remove_default_matches_listing7_shape():
     # arm set matches the no-default variant structurally
     reference = design_ast("aes_ctrl")
     assert [a.label for a in injected.comb.arms] == [a.label for a in reference.comb.arms]
+
+
+@pytest.mark.parametrize("width, total", [(3, ""), (8, ""), (32, f" ({2 ** 32 - 4} in all)")])
+def test_remove_default_notes_name_the_codes_as_the_finding_does(width, total):
+    """The note lists what the MISSING_DEFAULT finding lists, and counts the
+    codes only where that list is cut short."""
+    ast = parse_source(widened_vending(width)).expect_ast()
+    injected, plan = remove_default_arm(ast)
+    (finding,) = run_all_checks(emit_verilog(injected)).violations
+    codes = ", ".join(finding.evidence["unused_encodings"])
+    assert plan.notes == f"default arm removed; unhandled encodings: {codes}{total}"
 
 
 def test_remove_default_twice_errors():

@@ -33,7 +33,7 @@ from fsmguard import (
 )
 
 from conftest import (DESIGNS, count_calls, design_ast, design_source, design_stg,
-                      unprotected_transitions)
+                      unprotected_transitions, widened_vending)
 from test_stg import make_stg
 
 
@@ -558,6 +558,22 @@ endmodule"""
 def test_leading_default_counts_as_handling():
     ast = design_ast("fsm_review")
     assert check_default_handling(ast) == []
+
+
+@pytest.mark.parametrize("width, listed, count", [
+    (8, [f"{c:08b}" for c in range(4, 256)], None),
+    (9, [f"{c:09b}" for c in range(4, 260)], 508),
+    (32, [f"{c:032b}" for c in range(4, 260)], 2 ** 32 - 4),
+])
+def test_missing_default_lists_at_most_the_cap(width, listed, count):
+    """Past 256 unused codes the evidence lists the lowest 256 and counts
+    them all; up to 256, it lists them all and has no count."""
+    report = run_all_checks(widened_vending(width, default_arm=False))
+    (v,) = report.violations
+    assert v.rule is Rule.MISSING_DEFAULT
+    assert v.evidence == ({"unused_encodings": listed} if count is None
+                          else {"unused_encodings": listed, "unused_count": count})
+    assert len(report.to_json_text()) < 20_000
 
 
 @pytest.mark.parametrize("name", ["vending", "fsm_review"])
