@@ -161,8 +161,9 @@ def _explain(v) -> str:
     if v.rule is Rule.DUPLICATE_ENCODING:
         return f"{v.states[0]} and {v.states[1]} share encoding {v.evidence['encoding']}"
     if v.rule is Rule.MISSING_DEFAULT:
+        count = v.evidence.get("unused_count")
         return ("unused encodings {" + ", ".join(v.evidence["unused_encodings"])
-                + "} are not handled by a default")
+                + "}" + (f" ({count} in all)" if count else "") + " are not handled by a default")
     return v.rule.value
 
 

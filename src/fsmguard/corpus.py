@@ -152,6 +152,17 @@ def _insertion_verdict(orig_report: CheckReport, modified: SourceText,
     )
 
 
+def _carried_or_fresh(rep: Optional[CheckReport], src: SourceText,
+                      protected: frozenset[str], config: RuleConfig) -> CheckReport:
+    """rep when a fresh check of src would equal it (same source, config and
+    merged protected set), else that fresh check."""
+    if (rep is not None and rep.ast is not None and rep.source == src
+            and rep.config == config
+            and set(rep.protected) == set(protected) | rep.ast.protected_annotations):
+        return rep
+    return run_all_checks(src, protected, config)
+
+
 def verify_mitigation(original: SourceText, mitigated: SourceText,
                       target_rules: Iterable[Rule],
                       protected: frozenset[str] = frozenset(),
@@ -160,14 +171,10 @@ def verify_mitigation(original: SourceText, mitigated: SourceText,
 
     stg_ok reports whether the transition structure survived (it is
     meaningful for encoding-only fixes; default arms are outside the
-    comparison).  The original's check is ``mitigated.derived_from`` when a
-    fresh one would equal it: same source, config and merged protected set.
+    comparison).  The two checks are ``mitigated.derived_from`` and
+    ``mitigated.checked`` where a fresh one would equal them.
     """
-    rep = mitigated.derived_from
-    reusable = (rep is not None and rep.ast is not None and rep.source == original
-                and rep.config == config
-                and set(rep.protected) == set(protected) | rep.ast.protected_annotations)
-    orig_report = rep if reusable else run_all_checks(original, protected, config)
+    orig_report = _carried_or_fresh(mitigated.derived_from, original, protected, config)
     orig_ast = orig_report.expect_ast()
     targets = set(target_rules)
     missing = targets - orig_report.violated_rules
@@ -175,7 +182,7 @@ def verify_mitigation(original: SourceText, mitigated: SourceText,
         raise CorpusError(
             "target rules not violated by the original: "
             + ", ".join(r.value for r in sorted(missing, key=lambda r: r.value)))
-    mit_report = run_all_checks(mitigated, protected, config)
+    mit_report = _carried_or_fresh(mitigated.checked, mitigated, protected, config)
     if mit_report.ast is None:
         return FidelityVerdict(False, False, (), False,
                                notes="mitigated design does not parse")

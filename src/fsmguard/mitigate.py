@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 from .ast_nodes import Assign, Branch, CaseArm, FsmAst, IfChain, Stmt
 from .emitter import emit_verilog
-from .rules import CheckReport, Rule, RuleConfig, RuleViolation, run_checks_on_ast
+from .rules import CheckReport, Rule, RuleConfig, RuleViolation, run_all_checks
 from .source import SourceText
 from .stg import Stg, closure, stg_isomorphic_modulo_encoding
 
@@ -246,30 +246,39 @@ def mitigate(src: SourceText, report: CheckReport,
 
     The report is ``run_all_checks`` of src: its AST is the design repaired,
     and it is the first round's check when it was made under rule_config.
+    Every later check is ``run_all_checks`` of the text the repair would
+    return, and the next fix works on its AST, so the last check is that of
+    the returned design: ``residual`` holds its findings, spans indexing its
+    lines.  A repaired text that does not check is a MitigationError.
     Residual violations are reported, never dropped.  ``stg_preserved`` is
     computed against the original design, so encoding-only repairs (default
     arm plus re-encoding) keep it true.  The design carries the report as
-    ``derived_from``.
+    ``derived_from`` and its own check as ``checked``.
     """
     if report.source != src:
         raise MitigationError(f"the report was not built from {src.origin}")
     original_stg = report.expect_stg()
-    current = report.ast
     protected = frozenset(report.protected)
     initial_rules = {v.rule for v in report.violations}
     rounds = 0
     encoding_optimal = True
-    # The report of `current`; None once a fix changes it.
-    rep: Optional[CheckReport] = (report if report.config == rule_config
-                                  else run_checks_on_ast(current, protected, rule_config))
 
+    def check(ast: FsmAst) -> CheckReport:
+        """The check of the text emitted from ast."""
+        rep = run_all_checks(emit_verilog(ast), protected, rule_config)
+        if rep.stg is None:
+            raise MitigationError("the repaired design does not check: "
+                                  + "; ".join(str(d) for d in rep.errors))
+        return rep
+
+    # The check of the design at hand; each fix works on its AST.
+    rep = report if report.config == rule_config else check(report.ast)
     for rounds in range(1, MAX_ROUNDS + 1):
-        if rep is None:
-            rep = run_checks_on_ast(current, protected, rule_config)
         rules = rep.violated_rules
         if not rules:
             break
 
+        current = rep.ast
         if Rule.DUPLICATE_ENCODING in rules:
             current = uniquify_encodings(current)
         elif unreachable := _removable_unreachable(rep):
@@ -291,24 +300,22 @@ def mitigate(src: SourceText, report: CheckReport,
         elif Rule.HD_NOT_ONE in rules:
             assignment = reencode_states(rep.stg)
             encoding_optimal = encoding_optimal and assignment.optimal
-            current = apply_encoding_assignment(current, assignment)
-            rep = run_checks_on_ast(current, protected, rule_config)
+            rep = check(apply_encoding_assignment(current, assignment))
             if Rule.HD_NOT_ONE in rep.violated_rules:
                 break  # residual encodings are genuinely unfixable at this width
             continue
         else:
             break
-        rep = None
+        rep = check(current)
 
-    final_report = rep if rep is not None else run_checks_on_ast(current, protected, rule_config)
-    fixed = sorted(initial_rules - final_report.violated_rules, key=lambda r: r.value)
-    residual = list(final_report.violations)
-    stg_preserved = stg_isomorphic_modulo_encoding(original_stg, final_report.stg)
+    if rep is report:  # no fix applied: check the emitted text
+        rep = check(rep.ast)
+    fixed = sorted(initial_rules - rep.violated_rules, key=lambda r: r.value)
     return MitigationOutcome(
-        design=replace(emit_verilog(current), derived_from=report),
+        design=replace(rep.source, derived_from=report, checked=rep),
         fixed=fixed,
-        residual=residual,
-        stg_preserved=stg_preserved,
+        residual=list(rep.violations),
+        stg_preserved=stg_isomorphic_modulo_encoding(original_stg, rep.stg),
         rounds=rounds,
         encoding_optimal=encoding_optimal,
     )

@@ -20,9 +20,11 @@ class SourceText:
 
     content: str
     origin: str = "<memory>"
-    # The check of the design this text was repaired from (set by
-    # ``mitigate``); in memory only, never serialized or compared.
+    # Set by ``mitigate``: the check of the design this text was repaired
+    # from, and the check of this text.  In memory only, never serialized
+    # or compared.
     derived_from: CheckReport | None = field(default=None, compare=False, repr=False)
+    checked: CheckReport | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.content:

@@ -4,7 +4,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum, auto
-from itertools import chain, compress, count, repeat
 from typing import Mapping, NamedTuple
 
 from .source import Diagnostic, SourceText, Span, error
@@ -67,15 +66,12 @@ _LEX_RE = re.compile(r"""[ \t\r]*(
 # compiled on first use through re's cache: most designs have no "/".
 _COMMENT = r"//[^\n]*|/\*(?:/|.*?\*/)|/\*"
 _ALL_KEYWORDS = KEYWORDS | UNSUPPORTED_KEYWORDS
-# Texts whose kind the text alone gives; a None kind drops the text.  A
-# text's mark holds a "t" if it is a token (a "b" if it is an illegal
-# character) and each newline it holds.
-_KNOWN_KINDS: dict[str, TokKind | None] = {
+# Texts whose kind the text alone gives.
+_KNOWN_KINDS: dict[str, TokKind] = {
     **dict.fromkeys(_ALL_KEYWORDS, TokKind.KW),
     **dict.fromkeys((*_OP_PAIRS, *_OP_CHARS), TokKind.OP),
-    "\n": None,
 }
-_KNOWN_MARKS = {text: "t" if kind else text for text, kind in _KNOWN_KINDS.items()}
+_KNOWN_TEXTS = {text: text for text in _KNOWN_KINDS}
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
@@ -122,9 +118,13 @@ class Lexed:
 def tokenize(src: SourceText) -> Lexed:
     """Split source into tokens; comments are preserved as trivia.
 
-    No Python runs per token: one findall gives every text, each distinct
-    text is classified once (its tokens share one str), and the lists are
-    built by maps over the texts, which run in C.  Columns are on demand."""
+    One findall gives every text, and each distinct text is classified
+    once, into a per-call table: its kind (None drops it: a newline, a
+    comment or an illegal character), the str its tokens share, and the
+    newlines it holds.  One loop over the texts then keeps the tokens,
+    numbers their lines and places the illegal characters; a token on one
+    line takes the loop's short path.  The tokens of a text share one str,
+    and those of a line one int.  Columns are on demand."""
     text = src.content
     trivia: list[Token] = []
     diagnostics: list[Diagnostic] = []
@@ -141,46 +141,51 @@ def tokenize(src: SourceText) -> Lexed:
                 break
             trivia.append(Token(TokKind.COMMENT, m[0], line, start - text.rfind("\n", 0, start)))
     found = _LEX_RE.findall(text)
-    kind_of, mark_of = dict(_KNOWN_KINDS), dict(_KNOWN_MARKS)
-    distinct = set(found)
+    kind_of: dict[str, TokKind | None] = {**_KNOWN_KINDS, "\n": None}
+    one_line = dict(_KNOWN_TEXTS)   # a token on one line: its shared str
+    other = {"\n": (None, 1)}   # any other text: (its shared str or None, newlines)
     bad: set[str] = set()
-    for word in distinct.difference(kind_of):
+    for word in set(found).difference(kind_of):
         first = word[0]
         if first in _IDENT_START:
-            kind_of[word], mark = TokKind.IDENT, "t"
+            kind = TokKind.IDENT
         elif first.isdecimal():   # the characters \d matches
-            kind_of[word], mark = TokKind.SIZED if "'" in word else TokKind.NUMBER, "t"
-        elif first == "/":
-            kind_of[word], mark = None, ""     # a comment
+            kind = TokKind.SIZED if "'" in word else TokKind.NUMBER
         else:
-            kind_of[word], mark = None, "b"
-            bad.add(word)
-        mark_of[word] = mark + "\n" * word.count("\n")
-    marks = "".join(map(mark_of.__getitem__, found))
-    if bad:
-        diagnostics[:0] = [
-            error("E_CHAR", f"illegal character {word!r}", Span.point(line))
-            for word, line in zip(compress(found, map(bad.__contains__, found)),
-                                  _line_numbers(marks, "b"))]
-    keep = {word: word for word in distinct if kind_of[word]}
-    texts = list(filter(None, map(keep.get, found)))
-    del found   # before the other lists are built: the lexer's peak memory
-    lines = _line_numbers(marks, "t")
+            kind = None
+            if first != "/":
+                bad.add(word)
+        kind_of[word] = kind
+        newlines = word.count("\n")
+        if kind and not newlines:
+            one_line[word] = word
+        else:
+            other[word] = (word if kind else None, newlines)
+    texts: list[str] = []
+    lines: list[int] = []
+    illegal: list[Diagnostic] = []
+    add_text, add_line, one_line_token = texts.append, lines.append, one_line.get
+    line = 1
+    for word in found:
+        shared = one_line_token(word)
+        if shared is not None:
+            add_text(shared)
+            add_line(line)
+        else:
+            shared, newlines = other[word]
+            if shared is not None:
+                add_text(shared)
+                add_line(line)
+            elif word in bad:
+                illegal.append(error("E_CHAR", f"illegal character {word!r}", Span.point(line)))
+            line += newlines
+    diagnostics[:0] = illegal
+    del found   # before the kinds are built: the lexer's peak memory
+    lines.append(line)
     kinds = list(map(kind_of.__getitem__, texts))
     texts.append("")
     kinds.append(TokKind.EOF)
     return Lexed(texts, kinds, lines, trivia, diagnostics, text)
-
-
-def _line_numbers(marks: str, mark: str) -> list[int]:
-    """The line of each mark in marks, then the line marks end on.  Split at
-    their newlines, a line's marks are one string, and the marks of a line
-    share one int object."""
-    per_line = marks.split("\n")
-    lines = list(chain.from_iterable(
-        map(repeat, count(1), map(str.count, per_line, repeat(mark)))))
-    lines.append(len(per_line))
-    return lines
 
 
 def parse_sized_literal(text: str) -> tuple[int, str, str]:

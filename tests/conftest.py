@@ -89,6 +89,19 @@ def widened_vending(width: int, default_arm: bool = True) -> SourceText:
     return SourceText(text.replace("reg [2:0]", f"reg [{width - 1}:0]"))
 
 
+def broken_emit(monkeypatch) -> None:
+    """Make mitigate emit each repaired design without its endcase, so the
+    repaired text no longer parses."""
+    mitigate_module = sys.modules["fsmguard.mitigate"]
+    emit = mitigate_module.emit_verilog
+
+    def without_endcase(ast):
+        src = emit(ast)
+        return SourceText(src.content.replace("endcase", ""), src.origin)
+
+    monkeypatch.setattr(mitigate_module, "emit_verilog", without_endcase)
+
+
 def rename_states(stg: Stg, mapping: dict[str, str]) -> Stg:
     """Rebuild the graph under a rename map covering states and guard
     signals; used to compare sanitized or generated designs against their

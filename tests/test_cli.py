@@ -9,7 +9,7 @@ import pytest
 
 from fsmguard import SourceText, cli_dispatch, emit_verilog, parse_source, read_corpus
 
-from conftest import DESIGNS, FIXTURES
+from conftest import DESIGNS, FIXTURES, broken_emit, widened_vending
 
 
 def run(*argv):
@@ -48,6 +48,17 @@ def test_check_aes_reports_and_exits_one(capsys):
     assert code == 1
     assert "MISSING_DEFAULT: violated" in out
     assert out.count("HD_NOT_ONE: violated") == 3
+
+
+def test_check_counts_unused_codes_past_the_listed_ones(tmp_path, capsys):
+    """A 32-bit register has 2^32 - 4 unused codes; the finding lists 256
+    of them, and the summary says how many there are in all."""
+    design = tmp_path / "wide.v"
+    design.write_text(widened_vending(32, default_arm=False).content)
+    assert run("check", design) == 1
+    line = next(x for x in capsys.readouterr().out.splitlines() if "MISSING_DEFAULT" in x)
+    assert len(line[line.index("{") + 1:line.index("}")].split(", ")) == 256
+    assert f"}} ({2 ** 32 - 4} in all) are not handled by a default" in line
 
 
 def test_check_json_output(capsys):
@@ -117,6 +128,18 @@ def test_mitigate_roundtrip(tmp_path, capsys):
     data = json.loads(out_r.read_text())
     assert data["stg_preserved"] is True
     assert sorted(data["fixed"]) == ["HD_NOT_ONE", "MISSING_DEFAULT"]
+
+
+def test_mitigate_whose_repair_does_not_check_exits_two(tmp_path, capsys, monkeypatch):
+    broken_emit(monkeypatch)
+    out_v = tmp_path / "fixed.v"
+    code = run("mitigate", "--protected", "WAIT_KEY", "--out-design", out_v,
+               "--out-report", tmp_path / "fixed.json", DESIGNS / "aes_ctrl.v")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: the repaired design does not check: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not out_v.exists()
 
 
 def test_mitigate_mutually_referencing_unreachable_states(tmp_path, capsys):

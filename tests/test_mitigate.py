@@ -28,13 +28,12 @@ from fsmguard import (
     run_all_checks,
     run_checks_on_ast,
     stg_isomorphic_modulo_encoding,
-    tokenize,
     uniquify_encodings,
     verify_mitigation,
 )
 
-from conftest import (DESIGNS, FIXTURES, count_calls, design_ast, design_source, design_stg,
-                      residual_count, score_assignment, unprotected_transitions)
+from conftest import (DESIGNS, FIXTURES, broken_emit, count_calls, design_ast, design_source,
+                      design_stg, residual_count, score_assignment, unprotected_transitions)
 from test_stg import make_stg
 
 
@@ -433,23 +432,27 @@ def test_mitigate_deterministic(aes_ctrl):
     assert a == b
 
 
+# aes_ctrl with WAIT_KEY protected takes two fix rounds: a default arm,
+# then a re-encoding.
+_AES_FIX_ROUNDS = 2
+
+
 def test_check_repair_verify_lexes_each_design_once(aes_ctrl, monkeypatch):
-    """The report carries the AST and STG it judged, so mitigate parses
-    nothing and verify_mitigation lexes only the original and the repair."""
-    parser = importlib.import_module("fsmguard.parser")
-    lexed = []
-
-    def counting_tokenize(*args, **kwargs):
-        lexed.append(args)
-        return tokenize(*args, **kwargs)
-
-    monkeypatch.setattr(parser, "tokenize", counting_tokenize)
+    """check lexes the original, mitigate lexes the text of each fix round
+    and ends on the check of the text it returns, and verify_mitigation
+    lexes nothing: the design carries the check of the original and its own."""
+    lexed = count_calls(monkeypatch, "fsmguard.tokens", "tokenize")
     protected = frozenset({"WAIT_KEY"})
     cfg = RuleConfig(fif=True)
-    outcome = mitigate(aes_ctrl, run_all_checks(aes_ctrl, protected, cfg), rule_config=cfg)
+    report = run_all_checks(aes_ctrl, protected, cfg)
+    assert len(lexed) == 1
+    outcome = mitigate(aes_ctrl, report, rule_config=cfg)
+    assert outcome.fixed == [Rule.FIF_NONZERO, Rule.HD_NOT_ONE, Rule.MISSING_DEFAULT]
+    assert len(lexed) == 1 + _AES_FIX_ROUNDS
+    assert lexed[-1] == (outcome.design,) and outcome.design.checked.source == outcome.design
     verdict = verify_mitigation(aes_ctrl, outcome.design, outcome.fixed, protected, cfg)
-    assert outcome.fixed and verdict.intended_present
-    assert len(lexed) == 2
+    assert verdict.intended_present
+    assert len(lexed) == 1 + _AES_FIX_ROUNDS
 
 
 def _annotated(src: SourceText) -> SourceText:
@@ -460,18 +463,22 @@ def _annotated(src: SourceText) -> SourceText:
 _FIF = RuleConfig(fif=True)
 
 
+# lexes: those of mitigate and verify_mitigation after the check, one per
+# fix round plus one per reuse that verify_mitigation refuses.  Another
+# original refuses the reuse of its check; another protected set or config
+# refuses both.
 @pytest.mark.parametrize("variant, lexes", [
-    ("other_origin", 3),
-    ("other_content", 3),
-    ("other_protected", 3),
-    ("other_config", 3),
-    ("annotation_checked_with_name", 2),
-    ("annotation_verified_with_name", 2),
+    ("other_origin", _AES_FIX_ROUNDS + 1),
+    ("other_content", _AES_FIX_ROUNDS + 1),
+    ("other_protected", _AES_FIX_ROUNDS + 2),
+    ("other_config", _AES_FIX_ROUNDS + 2),
+    ("annotation_checked_with_name", _AES_FIX_ROUNDS),
+    ("annotation_verified_with_name", _AES_FIX_ROUNDS),
 ])
 def test_verify_mitigation_reuses_only_an_equal_check(aes_ctrl, monkeypatch, variant, lexes):
-    """verify_mitigation takes the original's check from the design that
-    mitigate returned only when a fresh check would equal it; otherwise it
-    lexes the original again.  Counted over check, repair and verify."""
+    """verify_mitigation takes the checks of the original and of the repair
+    from the design that mitigate returned only when a fresh check would
+    equal them; each reuse it refuses lexes its design again."""
     src, verified = aes_ctrl, aes_ctrl
     check_protected = verify_protected = frozenset({"WAIT_KEY"})
     verify_config = _FIF
@@ -489,8 +496,10 @@ def test_verify_mitigation_reuses_only_an_equal_check(aes_ctrl, monkeypatch, var
     elif variant == "annotation_verified_with_name":
         src = verified = _annotated(aes_ctrl)
         check_protected = frozenset()
+    report = run_all_checks(src, check_protected, _FIF)
     lexed = count_calls(monkeypatch, "fsmguard.tokens", "tokenize")
-    outcome = mitigate(src, run_all_checks(src, check_protected, _FIF), rule_config=_FIF)
+    outcome = mitigate(src, report, rule_config=_FIF)
+    assert len(lexed) == _AES_FIX_ROUNDS
     verdict = verify_mitigation(verified, outcome.design, [Rule.MISSING_DEFAULT],
                                 verify_protected, verify_config)
     assert verdict.intended_present
@@ -500,9 +509,9 @@ def test_verify_mitigation_reuses_only_an_equal_check(aes_ctrl, monkeypatch, var
 def test_a_derived_design_equals_and_hashes_like_its_text(aes_ctrl):
     report = run_all_checks(aes_ctrl, {"WAIT_KEY"}, _FIF)
     derived = mitigate(aes_ctrl, report, rule_config=_FIF).design
-    assert derived.derived_from is report
+    assert derived.derived_from is report and derived.checked.source == derived
     plain = SourceText(derived.content, derived.origin)
-    assert plain.derived_from is None
+    assert plain.derived_from is None and plain.checked is None
     assert derived == plain and hash(derived) == hash(plain)
     assert repr(derived) == repr(plain)
 
@@ -570,3 +579,48 @@ def test_mitigate_keeps_the_states_a_protected_state_enters():
     assert outcome.fixed == [Rule.HD_NOT_ONE]
     assert [v.states for v in outcome.residual] == [("U1",), ("U2",)]
     assert parse_source(outcome.design).expect_ast().param_names == ["IDLE", "RUN", "U1", "U2"]
+
+
+# -- the outcome judges the design it returns --------------------------------------
+
+# Every shipped design and fixture that checks (moore_conflict and
+# protected_undeclared do not).
+_MITIGATED_FILES = [DESIGNS / f"{name}.v" for name in (
+    "aes_ctrl", "aes_ctrl_default", "fsm_review", "rsa_ctrl", "vending", "vending_deadlock")] + [
+    FIXTURES / "mutual_unreachable.v", FIXTURES / "trojan_unit.v"]
+
+
+def _mitigated(path, fif):
+    """(protected, config, outcome) with no protected state and with each
+    state protected."""
+    src = SourceText.from_file(path)
+    config = RuleConfig(fif=fif)
+    for protected in [frozenset()] + [frozenset({s}) for s in parse_source(src).expect_ast().param_names]:
+        yield protected, config, mitigate(src, run_all_checks(src, protected, config),
+                                          rule_config=config)
+
+
+@pytest.mark.parametrize("path", _MITIGATED_FILES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("fif", [False, True])
+def test_residual_is_a_fresh_check_of_the_returned_design(path, fif):
+    for protected, config, outcome in _mitigated(path, fif):
+        design = outcome.design
+        fresh = run_all_checks(SourceText(design.content, design.origin), protected, config)
+        assert [v.to_json() for v in outcome.residual] == [v.to_json() for v in fresh.violations], \
+            (protected, fif)
+        assert design.checked.violations == outcome.residual
+
+
+@pytest.mark.parametrize("path", _MITIGATED_FILES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("fif", [False, True])
+def test_mitigating_a_repair_again_changes_nothing(path, fif):
+    for protected, config, outcome in _mitigated(path, fif):
+        design = outcome.design
+        again = mitigate(design, run_all_checks(design, protected, config), rule_config=config)
+        assert again.fixed == [] and again.design.content == design.content, (protected, fif)
+
+
+def test_mitigate_raises_when_the_repaired_text_does_not_check(aes_ctrl, monkeypatch):
+    broken_emit(monkeypatch)
+    with pytest.raises(MitigationError, match="^the repaired design does not check: "):
+        mitigate(aes_ctrl, run_all_checks(aes_ctrl, {"WAIT_KEY"}))
