@@ -54,7 +54,6 @@ from .inject import (
 )
 from .mitigate import (
     EncodingAssignment,
-    MitigationConfig,
     MitigationError,
     MitigationOutcome,
     add_default_arm,

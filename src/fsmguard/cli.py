@@ -18,7 +18,7 @@ from .emitter import emit_verilog
 from .llm.params import GenerationParams, temperature_grid
 from .llm.pipeline import PIPELINES, PipelineSpec, Transcript, sweep_params
 from .llm.providers import HttpProvider, MockProvider, ProviderConfig, load_mock_script
-from .mitigate import MitigationConfig, mitigate
+from .mitigate import mitigate
 from .parser import ParseFailure, parse_source
 from .report import OutcomeRecord, Provenance, compute_metrics, config_hash
 from .rules import Rule, RuleConfig, run_all_checks
@@ -35,6 +35,20 @@ class CliError(Exception):
     pass
 
 
+# Every key the config reader accepts, with the values it takes; any other
+# key, or a value of another kind, is an error.  A bool is no number.
+_BOOL = (lambda v: type(v) is bool, "a bool")
+_NUMBER = (lambda v: type(v) in (int, float), "a number")
+_SECONDS = (lambda v: type(v) in (int, float) and v > 0, "a positive number")   # not NaN
+_TEXT = (lambda v: type(v) is str, "a string")
+_COUNT = (lambda v: type(v) is int and v >= 1, "an integer of at least 1")
+_CONFIG_KEYS = {
+    "rules": {"fif": _BOOL, "include_self_edges": _BOOL},
+    "corpus": {"clean_ratio": _NUMBER},
+    "provider": {"endpoint": _TEXT, "model": _TEXT, "timeout": _SECONDS, "char_budget": _COUNT},
+}
+
+
 def _load_config(path: Optional[str]) -> dict:
     if not path:
         return {}
@@ -44,30 +58,27 @@ def _load_config(path: Optional[str]) -> dict:
         raise CliError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise CliError(f"config {path} is not a JSON object")
-    for name in ("rules", "mitigation", "corpus", "provider"):
-        if not isinstance(config.get(name, {}), dict):
+    unknown = set(config) - {*_CONFIG_KEYS, "in_flight"}
+    for name, keys in _CONFIG_KEYS.items():
+        section = config.get(name, {})
+        if not isinstance(section, dict):
             raise CliError(f"config {path}: section {name!r} is not a JSON object")
-    ratio = config.get("corpus", {}).get("clean_ratio", 1.0)
-    if isinstance(ratio, bool) or not isinstance(ratio, (int, float)):
-        raise CliError(f"config {path}: corpus.clean_ratio is not a number")
-    in_flight = config.get("in_flight", 4)
-    if type(in_flight) is not int or in_flight < 1:   # a bool is no count
+        unknown.update(f"{name}.{key}" for key in set(section) - set(keys))
+        for key, value in section.items():
+            if key in keys and not keys[key][0](value):
+                raise CliError(f"config {path}: {name}.{key} is not {keys[key][1]}")
+    if unknown:
+        raise CliError(f"config {path}: unknown key(s) {', '.join(sorted(unknown))}")
+    if not _COUNT[0](config.get("in_flight", 4)):
         raise CliError(f"config {path}: in_flight is not an integer of at least 1")
     return config
 
 
 def _rule_config(config: dict, fif_flag: bool = False,
                  self_edges_flag: bool = False) -> RuleConfig:
-    section = dict(config.get("rules", {}))
-    if fif_flag:
-        section["fif"] = True
-    if self_edges_flag:
-        section["include_self_edges"] = True
-    known = {f.name for f in RuleConfig.__dataclass_fields__.values()}
-    unknown = set(section) - known
-    if unknown:
-        raise CliError(f"unknown rule config key(s): {', '.join(sorted(unknown))}")
-    return RuleConfig(**section)
+    section = config.get("rules", {})
+    return RuleConfig(fif=fif_flag or section.get("fif", False),
+                      include_self_edges=self_edges_flag or section.get("include_self_edges", False))
 
 
 def _read_design(path: str) -> SourceText:
@@ -119,7 +130,7 @@ def _print_human_report(report) -> None:
         return
     skipped = dict(report.skipped_rules)
     for rule in Rule:
-        if not getattr(report.config, _RULE_FLAG[rule]):
+        if rule is Rule.FIF_NONZERO and not report.config.fif:
             continue
         if rule.value in skipped:
             print(f"Rule {rule.value}: not evaluated, explanation: {skipped[rule.value]}")
@@ -133,17 +144,6 @@ def _print_human_report(report) -> None:
             print(f"Rule {rule.value}: violated, explanation: {detail}{where}")
     for d in report.lint:
         print(f"  {d}")
-
-
-_RULE_FLAG = {
-    Rule.FIF_NONZERO: "fif",
-    Rule.HD_NOT_ONE: "hd",
-    Rule.STATIC_DEADLOCK: "static_deadlock",
-    Rule.TRAP_LOOP_CWE835: "trap_loop",
-    Rule.UNREACHABLE_STATE: "unreachable",
-    Rule.DUPLICATE_ENCODING: "duplicate_encoding",
-    Rule.MISSING_DEFAULT: "missing_default",
-}
 
 
 def _explain(v) -> str:
@@ -187,17 +187,12 @@ def _cmd_inject(args: argparse.Namespace) -> int:
 def _cmd_mitigate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     rule_config = _rule_config(config, args.fif, args.include_self_edges)
-    msection = config.get("mitigation", {})
-    mconfig = MitigationConfig(
-        default_arm_target=msection.get("default_arm_target"),
-        deadlock_exit_input=msection.get("deadlock_exit_input"),
-    )
     src = _read_design(args.design)
     protected = _protected_set(args.protected)
     report = run_all_checks(src, protected, rule_config)
     if not report.parse_ok:
         raise CliError("design does not parse; nothing to mitigate")
-    outcome = mitigate(src, report, mconfig, rule_config)
+    outcome = mitigate(src, report, rule_config)
     out_design = args.out_design or f"{args.design}.mitigated.v"
     out_report = args.out_report or f"{args.design}.mitigation.json"
     _atomic_write(out_design, outcome.design.content)
@@ -253,9 +248,8 @@ def _build_pipeline(args: argparse.Namespace, config: dict) -> PipelineSpec:
         spec = PIPELINES[name](protected[0], args.assessment or "")
     else:
         spec = PIPELINES[name]()
-    budget = config.get("provider", {}).get("char_budget")
-    if budget:
-        spec = dataclasses.replace(spec, char_budget=int(budget))
+    if budget := config.get("provider", {}).get("char_budget"):
+        spec = dataclasses.replace(spec, char_budget=budget)
     return spec
 
 
@@ -265,6 +259,8 @@ def _provider_factory(args: argparse.Namespace, config: dict):
         return lambda: MockProvider(script)
     if "provider" not in config:
         raise CliError("no provider: pass --mock-script or a --config with a provider section")
+    if missing := {"endpoint", "model"} - set(config["provider"]):
+        raise CliError(f"config {args.config}: provider lacks {', '.join(sorted(missing))}")
     pconfig = ProviderConfig.from_dict(config["provider"])
     return lambda: HttpProvider(pconfig)
 
@@ -391,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--include-self-edges", action="store_true",
                        help="score HD/FIF on unprotected self transitions")
 
-    p = sub.add_parser("check", help="run all enabled rules on a design")
+    p = sub.add_parser("check", help="run every rule on a design")
     common_rules(p)
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.add_argument("--dump-stg", action="store_true", help="print the edge list first")

@@ -150,11 +150,6 @@ class ProviderConfig:
             timeout=float(section.get("timeout", 60.0)),
         )
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ProviderConfig":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls.from_dict(data.get("provider", data))
-
 
 Transport = Callable[[str, dict, bytes, float], tuple[int, bytes]]
 

@@ -30,12 +30,6 @@ class MitigationError(ValueError):
     pass
 
 
-@dataclass
-class MitigationConfig:
-    default_arm_target: Optional[str] = None     # None: reset state
-    deadlock_exit_input: Optional[str] = None    # None: first data input
-
-
 @dataclass(frozen=True)
 class EncodingAssignment:
     """Injective state-to-encoding map plus the edges no assignment fixed."""
@@ -240,9 +234,13 @@ def _removable_unreachable(report: CheckReport) -> list[str]:
 
 
 def mitigate(src: SourceText, report: CheckReport,
-             config: MitigationConfig = MitigationConfig(),
              rule_config: RuleConfig = RuleConfig()) -> MitigationOutcome:
     """Fix every fixable violation in the report, re-checking between fixes.
+
+    A deadlocked or trapped state gets an exit to the reset state (or, for
+    the reset state itself, to the first other state) guarded by the first
+    data input; a missing default arm is added with the reset state as its
+    target.
 
     The report is ``run_all_checks`` of src: its AST is the design repaired,
     and it is the first round's check when it was made under rule_config.
@@ -292,11 +290,9 @@ def mitigate(src: SourceText, report: CheckReport,
             reset = current.seq.reset_target
             exit_target = reset if reset != state else next(
                 n for n in current.param_names if n != state)
-            current = remove_static_deadlock(rep, state, exit_target,
-                                             config.deadlock_exit_input)
+            current = remove_static_deadlock(rep, state, exit_target)
         elif Rule.MISSING_DEFAULT in rules:
-            target = config.default_arm_target or current.seq.reset_target
-            current = add_default_arm(current, target)
+            current = add_default_arm(current, current.seq.reset_target)
         elif Rule.HD_NOT_ONE in rules:
             assignment = reencode_states(rep.stg)
             encoding_optimal = encoding_optimal and assignment.optimal

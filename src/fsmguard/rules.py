@@ -15,7 +15,7 @@ its last check.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress
 from typing import Optional
@@ -47,26 +47,25 @@ class RuleError(ValueError):
 
 @dataclass(frozen=True)
 class RuleConfig:
-    """Which rules run, and how edge cases are scored.
+    """How a check scores edge cases; every rule always runs.
 
     The FIF rule is opt-in: in the default audit profile (default handling
     plus Hamming distance) FIF findings would double-report the same
-    encoding weaknesses.  ``include_self_edges`` widens HD/FIF scoring to
-    unprotected self transitions (HD = 0 trivially violates HD = 1), which
-    stays off by default and is surfaced in every report.
+    encoding weaknesses.  HD, and FIF when on, need a protected state and
+    are listed in ``skipped_rules`` without one.  ``include_self_edges``
+    widens HD/FIF scoring to unprotected self transitions (HD = 0 trivially
+    violates HD = 1), which stays off by default and is surfaced in every
+    report.
     """
 
     fif: bool = False
-    hd: bool = True
-    static_deadlock: bool = True
-    trap_loop: bool = True
-    unreachable: bool = True
-    duplicate_encoding: bool = True
-    missing_default: bool = True
     include_self_edges: bool = False
 
     def to_json(self) -> dict:
-        return asdict(self)
+        # The six rules that always run keep their schema-1 keys, as true.
+        return {"fif": self.fif, "hd": True, "static_deadlock": True, "trap_loop": True,
+                "unreachable": True, "duplicate_encoding": True, "missing_default": True,
+                "include_self_edges": self.include_self_edges}
 
 
 @dataclass(frozen=True)
@@ -400,26 +399,15 @@ def run_checks_on_ast(ast: FsmAst, protected: frozenset[str] | set[str],
     found: list[list[RuleViolation]] = []   # the rules run in Rule order
     skipped: list[tuple[str, str]] = []
 
-    if config.fif:
+    scorers = [(Rule.FIF_NONZERO, check_fif_rule)] if config.fif else []
+    for rule, scorer in scorers + [(Rule.HD_NOT_ONE, check_hd_rule)]:
         if merged:
-            found.append(check_fif_rule(stg, config.include_self_edges))
+            found.append(scorer(stg, config.include_self_edges))
         else:
-            skipped.append((Rule.FIF_NONZERO.value, "rule not evaluated: empty protected set"))
-    if config.hd:
-        if merged:
-            found.append(check_hd_rule(stg, config.include_self_edges))
-        else:
-            skipped.append((Rule.HD_NOT_ONE.value, "rule not evaluated: empty protected set"))
-    if config.static_deadlock:
-        found.append(detect_static_deadlock(stg))
-    if config.trap_loop:
-        found.append(detect_trap_loops(stg))
-    if config.unreachable:
-        found.append(detect_unreachable_states(stg))
-    if config.duplicate_encoding:
-        found.append(detect_duplicate_encodings(stg))
-    if config.missing_default:
-        found.append(check_default_handling(ast))
+            skipped.append((rule.value, "rule not evaluated: empty protected set"))
+    found += (detect_static_deadlock(stg), detect_trap_loops(stg),
+              detect_unreachable_states(stg), detect_duplicate_encodings(stg),
+              check_default_handling(ast))
 
     return CheckReport(
         design_id=design_id,
@@ -436,7 +424,7 @@ def run_checks_on_ast(ast: FsmAst, protected: frozenset[str] | set[str],
 def run_all_checks(src: SourceText, protected: frozenset[str] | set[str] = frozenset(),
                    config: RuleConfig = RuleConfig()) -> CheckReport:
     """Parse the design once, lint it, extract its STG, and run every rule
-    enabled in config.
+    (FIF only when config turns it on).
 
     A parse failure yields a report holding only the error diagnostics; an
     STG that cannot be extracted yields one holding an E_STG error.  Every

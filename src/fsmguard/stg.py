@@ -231,21 +231,20 @@ def _guard(text: str, hold: bool) -> Guard:
     return Guard.expr(text) if text else Guard.always()
 
 
-def _arm_transitions(arm_label: str, arm: CaseArm, ast: FsmAst,
-                     leading_target: Optional[str],
+def _arm_transitions(arm: CaseArm, ast: FsmAst, leading_target: Optional[str],
                      guard: Callable[[str, bool], Guard]) -> list[Transition]:
     guarded, base, covered = _eval_block(arm.body, ast.state_next)
-    edges = [Transition(arm_label, target, guard(" && ".join(texts), False), arm.span)
+    edges = [Transition(arm.label, target, guard(" && ".join(texts), False), arm.span)
              for texts, target in guarded]
     if covered and base is None:
         return edges
     fall_text = _negate(_chain_guard_texts(arm.body))
     if covered:
-        edges.append(Transition(arm_label, base, guard(fall_text, False), arm.span))
+        edges.append(Transition(arm.label, base, guard(fall_text, False), arm.span))
     elif leading_target is not None:
-        edges.append(Transition(arm_label, leading_target, guard(fall_text, False), arm.span))
+        edges.append(Transition(arm.label, leading_target, guard(fall_text, False), arm.span))
     else:
-        edges.append(Transition(arm_label, arm_label, guard(fall_text, True), arm.span))
+        edges.append(Transition(arm.label, arm.label, guard(fall_text, True), arm.span))
     return edges
 
 
@@ -253,9 +252,9 @@ def extract_stg(ast: FsmAst, protected: Iterable[str] = ()) -> Stg:
     """Build the STG: one transition per reachable assignment path per arm.
 
     Arms that never fully assign next-state fall back to the comb block's
-    leading default when one exists, otherwise they hold (self edge).
-    Declared states without an arm take the default arm's target, then the
-    leading default, then hold.
+    leading default when one exists, otherwise they hold (self edge).  A
+    declared state without an arm runs the default arm's body (none when
+    there is no default arm) as its own arm, at its parameter's span.
     """
     protected_set = set(protected) | set(ast.protected_annotations)
     if undeclared := sorted(protected_set.difference(ast.param_names)):
@@ -268,28 +267,20 @@ def extract_stg(ast: FsmAst, protected: Iterable[str] = ()) -> Stg:
         for p in ast.parameters
     )
     leading_target = ast.comb.leading_target_for(ast.state_next)
-    default_target: Optional[str] = None
-    if ast.comb.default_arm is not None:
-        _, dbase, dcov = _eval_block(ast.comb.default_arm.body, ast.state_next)
-        default_target = dbase if dbase is not None else leading_target
+    default_body = ast.comb.default_arm.body if ast.comb.default_arm is not None else []
 
     # one Guard per (text, hold) in this extraction: Guards are never mutated, so
     # the edges that share a guard text share its Guard
     guard = cache(_guard)
     transitions: list[Transition] = []
-    arm_labels = set()
     for arm in ast.comb.arms:
         assert arm.label is not None
-        arm_labels.add(arm.label)
-        transitions.extend(_arm_transitions(arm.label, arm, ast, leading_target, guard))
+        transitions.extend(_arm_transitions(arm, ast, leading_target, guard))
+    arm_labels = {arm.label for arm in ast.comb.arms}
     for p in ast.parameters:
-        if p.name in arm_labels:
-            continue
-        target = default_target if default_target is not None else leading_target
-        if target is not None:
-            transitions.append(Transition(p.name, target, guard("", False), p.span))
-        else:
-            transitions.append(Transition(p.name, p.name, guard("", True), p.span))
+        if p.name not in arm_labels:
+            transitions.extend(_arm_transitions(CaseArm(p.name, default_body, p.span),
+                                                ast, leading_target, guard))
 
     return Stg(
         states=states,

@@ -1,6 +1,7 @@
 """CLI subcommands and the exit-code contract."""
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -198,10 +199,25 @@ def test_gen_corpus_clean_ratio_flag_beats_the_config(tmp_path, capsys):
     ("gen-corpus", {"corpus": {"clean_ratio": [1]}}, "corpus.clean_ratio is not a number"),
     ("gen-corpus", {"corpus": {"clean_ratio": "0.5"}}, "corpus.clean_ratio is not a number"),
     ("gen-corpus", {"corpus": []}, "section 'corpus' is not a JSON object"),
-    ("mitigate", {"mitigation": []}, "section 'mitigation' is not a JSON object"),
+    ("mitigate", {"mitigation": []}, "unknown key(s) mitigation"),
     ("run-pipeline", {"provider": 5}, "section 'provider' is not a JSON object"),
     ("check", [1, 2], "is not a JSON object"),
     ("check", {"rules": []}, "section 'rules' is not a JSON object"),
+    # every rule always runs: a key for one of them is refused, never ignored
+    ("check", {"rules": {"hd": False}}, "unknown key(s) rules.hd"),
+    ("gen-corpus", {"rules": {"unreachable": False, "trap_loop": False}},
+     "unknown key(s) rules.trap_loop, rules.unreachable"),
+    ("mitigate", {"mitigation": {}}, "unknown key(s) mitigation"),
+    ("check", {"rules": {"fif": "no"}}, "rules.fif is not a bool"),
+    ("check", {"rules": {"include_self_edges": 0}}, "rules.include_self_edges is not a bool"),
+    ("check", {"corpus": {"clean_ratio": 1, "size": 3}}, "unknown key(s) corpus.size"),
+    ("run-pipeline", {"provider": {"model": "m"}}, "provider lacks endpoint"),
+    ("run-pipeline", {"provider": {"endpoint": "e", "model": "m", "char_budget": [1]}},
+     "provider.char_budget is not an integer of at least 1"),
+    ("run-pipeline", {"provider": {"endpoint": "e", "model": "m", "timeout": []}},
+     "provider.timeout is not a positive number"),
+    ("run-pipeline", {"provider": {"endpoint": "e", "model": "m", "timeout": float("nan")}},
+     "provider.timeout is not a positive number"),
 ])
 def test_config_of_the_wrong_shape_exits_two(tmp_path, capsys, command, config, problem):
     path = tmp_path / "config.json"
@@ -217,6 +233,18 @@ def test_config_of_the_wrong_shape_exits_two(tmp_path, capsys, command, config, 
     message = f"config {path} {problem}" if problem.startswith("is") else f"config {path}: {problem}"
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "c.jsonl").exists() and not (tmp_path / "x.v").exists()
+
+
+def test_the_readme_config_example_is_accepted(tmp_path, capsys):
+    """The JSON of README's config paragraph is read without error, so the
+    README never names a key the config reader refuses."""
+    readme = (DESIGNS.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"configured with `--config config\.json`:\n\n```json\n(.*?)```",
+                      readme, re.S)
+    path = tmp_path / "config.json"
+    path.write_text(block[1])
+    assert cli_dispatch(["check", "--config", str(path), str(DESIGNS / "vending.v")]) != 2
+    assert capsys.readouterr().err == ""
 
 
 def test_run_pipeline_with_mock(tmp_path, capsys):

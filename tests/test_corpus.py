@@ -1,5 +1,7 @@
 """Corpus generation, fidelity verdicts, and identifier sanitization."""
+import dataclasses
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -213,6 +215,22 @@ def test_corpus_roundtrips_through_jsonl(tmp_path, clean_bases):
 def test_corpus_rejects_dirty_base(aes_ctrl):
     with pytest.raises(CorpusError, match="not clean"):
         generate_corpus([aes_ctrl], {VulnClass.STATIC_DEADLOCK: 1}, 0)
+
+
+def test_corpus_rejects_a_base_with_an_orphan_state_under_every_config():
+    """Every rule runs under every config the checker admits, so no config
+    lets a base with an unreachable state pass as clean (its records would
+    leave UNREACHABLE_STATE out of their labels)."""
+    text = design_source("vending").content.replace(
+        "parameter DISPENSING_ITEM = 3'b011;\n",
+        "parameter DISPENSING_ITEM = 3'b011;\nparameter ORPHAN = 3'b100;\n")
+    base = SourceText(text.replace("        default: begin",
+                                   "        ORPHAN: next_state = IDLE;\n        default: begin"))
+    mix = {VulnClass.STATIC_DEADLOCK: 2, VulnClass.CWE835_TRAP: 1}
+    fields = [f.name for f in dataclasses.fields(RuleConfig)]
+    for values in itertools.product([False, True], repeat=len(fields)):
+        with pytest.raises(CorpusError, match="is not clean: UNREACHABLE_STATE$"):
+            generate_corpus([base], mix, 0, config=RuleConfig(**dict(zip(fields, values))))
 
 
 @pytest.mark.parametrize("vuln", [VulnClass.STATIC_DEADLOCK, VulnClass.MISSING_DEFAULT])

@@ -21,10 +21,11 @@ from fsmguard import (
     extract_stg,
     parse_source,
     reachable_states,
+    run_all_checks,
     stg_isomorphic_modulo_encoding,
 )
 
-from conftest import design_ast, design_stg, out_edges, unprotected_transitions
+from conftest import design_ast, design_source, design_stg, out_edges, unprotected_transitions
 
 
 def make_stg(codes: dict[str, str], edges, reset, protected=()):
@@ -64,6 +65,41 @@ def test_extract_aes_ctrl_two_edges_per_arm():
     for t in stg.transitions:
         per_arm[t.source] = per_arm.get(t.source, 0) + 1
     assert set(per_arm.values()) == {2}
+
+
+def _vending_with_wait(default_body: str, leading: str = "") -> SourceText:
+    """designs/vending.v with an armless WAIT = 3'b100 that IDLE enters on
+    coin, default_body as its default arm's next-state logic, and leading
+    as a next-state default ahead of the case statement."""
+    text = design_source("vending").content.replace(
+        "parameter DISPENSING_ITEM = 3'b011;\n",
+        "parameter DISPENSING_ITEM = 3'b011;\nparameter WAIT = 3'b100;\n")
+    text = text.replace("            if (productSelected) begin",
+                        "            if (coin) next_state = WAIT;\n"
+                        "            if (productSelected) begin", 1)
+    text = text.replace("            next_state = IDLE;\n        end\n    endcase",
+                        f"            {default_body}\n        end\n    endcase")
+    return SourceText(text.replace("    case (current_state)", f"    {leading}\n    case (current_state)"))
+
+
+@pytest.mark.parametrize("default_body, leading, wait_edges", [
+    ("if (coin) next_state = IDLE; else next_state = ACCEPTING_COINS;", "",
+     ["WAIT -> IDLE [coin]", "WAIT -> ACCEPTING_COINS [!(coin)]"]),
+    ("if (coin) next_state = IDLE;", "next_state = PRODUCT_SELECTED;",
+     ["WAIT -> IDLE [coin]", "WAIT -> PRODUCT_SELECTED [!(coin)]"]),
+    ("if (coin) next_state = IDLE;", "",
+     ["WAIT -> IDLE [coin]", "WAIT -> WAIT [hold]"]),
+], ids=["if-else", "if-then-leading-default", "if-then-hold"])
+def test_an_armless_state_runs_the_default_arms_branches(default_body, leading, wait_edges):
+    """A state with no arm takes every branch of the default arm, at its
+    parameter's line; a branch left open falls to the leading default, or
+    holds without one."""
+    src = _vending_with_wait(default_body, leading)
+    report = run_all_checks(src)
+    stg = report.expect_stg()
+    assert dump_stg(stg).splitlines()[-2:] == wait_edges
+    assert {t.span.start for t in out_edges(stg, "WAIT")} == {13}
+    assert Rule.STATIC_DEADLOCK not in report.violated_rules
 
 
 def test_extract_implicit_hold_self_edge():
